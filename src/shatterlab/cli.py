@@ -12,26 +12,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 
 from . import classes as bundled
-from .concepts import ConceptClass, Distribution, class_from_json
-from .dimensions import sfat, tree_to_json
-from .errors import ConfigError, ShatterlabError
+from .concepts import ConceptClass, Distribution, _grid_order, class_from_json
+from .dimensions import sfat, tree_to_json, validate_tree
+from .errors import ConfigError, NonIntegerReciprocal, ShatterlabError
 from .online import (
-    ExactNoise,
-    ExtremeNoise,
+    NOISES,
     RandomAdversary,
-    RoundToGridNoise,
     StrongFeedback,
-    UniformNoise,
+    WeakTreeAdversary,
     run_online_game,
     run_shadow_stream,
     run_weak_forcing_game,
     rsoa_as_weak_learner,
-    weak_adversary_from_tree,
 )
 from .privacy import discretize_hypotheses, dp_test, generic_private_learner
 from .communication import (
@@ -75,13 +73,41 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _zeta_of(cfg: dict, key: str = "zeta") -> float:
-    _require(key in cfg, f"missing parameter {key!r}")
-    z = float(cfg[key])
-    _require(0 < z < 1, f"{key} must lie in (0, 1)")
-    recip = 1.0 / z
-    _require(abs(recip - round(recip)) < 1e-9, f"1/{key} = {recip} is not an integer")
-    return z
+def _param(cfg: dict, key: str, kind: type = float, default=None):
+    """cfg[key] (or `default` when absent) converted by `kind`; no default = required."""
+    value = cfg.get(key, default)
+    _require(value is not None, f"missing parameter {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _grid_order_of(value: float, name: str) -> int:
+    try:
+        return _grid_order(value, name)
+    except NonIntegerReciprocal as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _zeta_of(cfg: dict) -> float:
+    zeta = _param(cfg, "zeta")
+    _require(_grid_order_of(zeta, "zeta") > 1, "zeta must lie in (0, 1)")
+    return zeta
+
+
+def _read_files(cfg: dict, key: str, parse) -> list:
+    """Parse every file listed under cfg[key]; unreadable or malformed is a config error."""
+    paths = cfg[key]
+    _require(isinstance(paths, list) and paths, f"{key} must be a nonempty list of paths")
+    out = []
+    for path in paths:
+        try:
+            with open(path) as fh:
+                out.append(parse(fh.read()))
+        except (OSError, TypeError, KeyError, ValueError) as exc:
+            raise ConfigError(f"{key}: {path!r}: {exc}") from None
+    return out
 
 
 def _load_class(cfg: dict, seed: int) -> ConceptClass:
@@ -89,16 +115,21 @@ def _load_class(cfg: dict, seed: int) -> ConceptClass:
     _require(isinstance(src, dict), "config needs a 'class' object")
     try:
         if "bundled" in src:
+            _require(isinstance(src["bundled"], str), "class: 'bundled' must be a class name")
             return bundled.bundled_class(src["bundled"])
         if "inline" in src:
-            return class_from_json(json.dumps(src["inline"]))
+            try:
+                return class_from_json(json.dumps(src["inline"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"class: malformed inline class: {exc}") from None
         if "generated" in src:
             g = src["generated"]
+            _require(isinstance(g, dict), "class: 'generated' must be an object")
             return bundled.generate_class(
-                int(g["domain_size"]),
-                int(g["n_concepts"]),
-                float(g.get("zeta", cfg.get("zeta", 0.25))),
-                seed=int(g.get("seed", seed)),
+                _param(g, "domain_size", int),
+                _param(g, "n_concepts", int),
+                _param(g, "zeta", float, cfg.get("zeta", 0.25)),
+                seed=_param(g, "seed", int, seed),
                 boolean=bool(g.get("boolean", False)),
             )
     except ConfigError:
@@ -125,14 +156,6 @@ def _write_detail(out_dir: str, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-_NOISES = {
-    "exact": lambda zeta: ExactNoise(),
-    "round_to_grid": lambda zeta: RoundToGridNoise(zeta),
-    "uniform_within": lambda zeta: UniformNoise(),
-    "adversarial_extreme": lambda zeta: ExtremeNoise(),
-}
-
-
 def run_dims(cfg: dict, seed: int, out_dir: str) -> None:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
@@ -152,14 +175,14 @@ def run_dims(cfg: dict, seed: int, out_dir: str) -> None:
 
 def run_online(cfg: dict, seed: int, out_dir: str) -> None:
     zeta = _zeta_of(cfg)
-    T = int(cfg.get("T", 100))
+    T = _param(cfg, "T", int, 100)
     _require(T >= 1, "T must be at least 1")
     noise_name = cfg.get("noise", "exact")
-    _require(noise_name in _NOISES, f"unknown noise {noise_name!r}")
+    _require(isinstance(noise_name, str) and noise_name in NOISES, f"unknown noise {noise_name!r}")
     cls = _load_class(cfg, seed)
-    target = int(cfg.get("target_id", cls.concepts[0].id))
+    target = _param(cfg, "target_id", int, cls.concepts[0].id)
     _require(target in cls.ids(), f"target_id {target} not in class")
-    mode = StrongFeedback(zeta=zeta, noise=_NOISES[noise_name](zeta))
+    mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name](zeta))
     tr = run_online_game(cls, target, RandomAdversary(cls.domain_size), mode, T, seed)
     bound = sfat(cls, None, 2 * zeta).dimension
     _write_summary(
@@ -192,7 +215,7 @@ def run_adversary(cfg: dict, seed: int, out_dir: str) -> None:
         ("rsoa", rsoa_as_weak_learner(cls, zeta)),
         ("constant_half", lambda x: 0.5),
     ):
-        adv = weak_adversary_from_tree(result.witness)
+        adv = WeakTreeAdversary(result.witness)
         res = run_weak_forcing_game(cls, adv, learner, zeta)
         summary_losses[name] = {
             "claimed_mistakes": res.claimed_mistakes,
@@ -216,35 +239,48 @@ def run_adversary(cfg: dict, seed: int, out_dir: str) -> None:
 
 def run_stability(cfg: dict, seed: int, out_dir: str) -> None:
     zeta = _zeta_of(cfg)
-    runs = int(cfg.get("runs", 200))
-    alpha = float(cfg.get("alpha", 0.5))
+    runs = _param(cfg, "runs", int, 200)
+    alpha = _param(cfg, "alpha", float, 0.5)
     _require(runs >= 100, "runs must be at least 100")
     _require(alpha > 0, "alpha must be positive")
     cls = _load_class(cfg, seed)
-    target = int(cfg.get("target_id", cls.concepts[0].id))
+    target = _param(cfg, "target_id", int, cls.concepts[0].id)
     _require(target in cls.ids(), f"target_id {target} not in class")
-    dist = (
-        Distribution(tuple(cfg["distribution"]))
-        if "distribution" in cfg
-        else Distribution.uniform(cls.domain_size)
-    )
+    if "distribution" in cfg:
+        p = cfg["distribution"]
+        _require(
+            isinstance(p, list) and len(p) == cls.domain_size,
+            f"distribution must list {cls.domain_size} probabilities, one per domain point",
+        )
+        try:
+            dist = Distribution(tuple(p))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"distribution: {exc}") from None
+    else:
+        dist = Distribution.uniform(cls.domain_size)
     report = stability_experiment(cls, target, dist, zeta, alpha, runs, seed)
-    payload = json.loads(report.to_json())
-    payload.update({"kind": "stability", "seed": seed})
+    # the report's fields, with the ball centre flattened to its values
+    payload = dataclasses.asdict(report)
+    payload.update(
+        {"kind": "stability", "seed": seed, "best_ball_center": list(report.best_ball_center.values)}
+    )
     _write_summary(out_dir, payload)
 
 
 def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
     zeta = _zeta_of(cfg)
-    eps = float(cfg.get("epsilon", 1.0))
-    trials = int(cfg.get("trials", 10_000))
+    eps = _param(cfg, "epsilon", float, 1.0)
+    trials = _param(cfg, "trials", int, 10_000)
+    delta = _param(cfg, "delta", float, 0.0)
+    m = _param(cfg, "m", int, 4)
     _require(eps > 0, "epsilon must be positive")
     _require(trials >= 10_000, "trials must be at least 10^4")
-    domain_size = int(cfg.get("domain_size", 1))
+    _require(m >= 1, "m must be at least 1")
+    domain_size = _param(cfg, "domain_size", int, 1)
     _require(1 <= domain_size <= 4, "domain_size must be in 1..4")
     coll = discretize_hypotheses(domain_size, zeta)
     x = DomainPoint(0)
-    base = [LabeledExample(x, 0.1)] * int(cfg.get("m", 4))
+    base = [LabeledExample(x, 0.1)] * m
     neighbor = list(base)
     neighbor[-1] = LabeledExample(x, 0.9)
 
@@ -256,7 +292,7 @@ def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
         tuple(base),
         tuple(neighbor),
         eps,
-        float(cfg.get("delta", 0.0)),
+        delta,
         trials,
         seed,
     )
@@ -282,19 +318,21 @@ def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
 
 def run_comm(cfg: dict, seed: int, out_dir: str) -> None:
     zeta = _zeta_of(cfg)
-    failure_rate = float(cfg.get("failure_rate", 0.0))
+    failure_rate = _param(cfg, "failure_rate", float, 0.0)
+    _require(0 <= failure_rate < 1, "failure_rate must lie in [0, 1)")
     cls = _load_class(cfg, seed)
     result = sfat(cls, None, zeta)
-    d = min(result.dimension, int(cfg.get("depth", result.dimension)))
+    d = min(result.dimension, _param(cfg, "depth", int, result.dimension))
     _require(d >= 1, "class must have sfat >= 1 for a reduction experiment")
-    base = BaselineEvalProtocol(cls, zeta)
+    validate_tree(cls, result.witness, zeta)
+    base = BaselineEvalProtocol(cls)
     proto = CorruptedEvalProtocol(base, failure_rate) if failure_rate > 0 else base
     rng = child_rng(seed, 0xC0)
     rows = []
     successes = 0
     total = 0
     for inst in all_instances(d):
-        run = augindex_via_eval(cls, result.witness, inst, proto, zeta, rng=rng)
+        run = augindex_via_eval(cls, result.witness, inst, proto, rng=rng)
         rows.append([inst.x, inst.i, run.bits_sent, run.success])
         successes += run.success
         total += 1
@@ -317,14 +355,11 @@ def run_comm(cfg: dict, seed: int, out_dir: str) -> None:
 
 def _load_states(cfg: dict, seed: int):
     if "states_files" in cfg:
-        states = []
-        for path in cfg["states_files"]:
-            with open(path) as fh:
-                states.append(state_from_json(fh.read()))
-        return states
+        return _read_files(cfg, "states_files", state_from_json)
     g = cfg.get("generated_states", {"dim": 2, "count": 2})
-    dim = int(g.get("dim", 2))
-    count = int(g.get("count", 2))
+    _require(isinstance(g, dict), "'generated_states' must be an object")
+    dim = _param(g, "dim", int, 2)
+    count = _param(g, "count", int, 2)
     _require(dim in (2, 4, 8, 16), "state dim must be a power of two in 2..16")
     _require(1 <= count <= 16, "state count must be in 1..16")
     rng = child_rng(seed, 0x57A7E5)
@@ -332,10 +367,12 @@ def _load_states(cfg: dict, seed: int):
 
 
 def run_quantum(cfg: dict, seed: int, out_dir: str) -> None:
+    tol = _param(cfg, "tol", float, 1e-6)
+    _require(tol > 0, "tol must be positive")
     states = _load_states(cfg, seed)
     ens = Ensemble.uniform(states)
     chi_uniform = holevo_chi(ens)
-    chi_star, weights = max_holevo(states, tol=float(cfg.get("tol", 1e-6)))
+    chi_star, weights = max_holevo(states, tol=tol)
     _write_summary(
         out_dir,
         {
@@ -352,25 +389,21 @@ def run_quantum(cfg: dict, seed: int, out_dir: str) -> None:
 
 
 def run_shadow(cfg: dict, seed: int, out_dir: str) -> None:
-    eps = float(cfg.get("epsilon", 0.5))
+    eps = _param(cfg, "epsilon", float, 0.5)
     _require(0 < eps < 1, "epsilon must lie in (0, 1)")
-    recip = 5.0 / eps
-    _require(abs(recip - round(recip)) < 1e-9, "5/epsilon must be an integer")
+    _grid_order_of(eps / 5.0, "(epsilon/5)")
     states = _load_states(cfg, seed)
-    n_meas = int(cfg.get("n_measurements", 4))
+    n_meas = _param(cfg, "n_measurements", int, 4)
     _require(1 <= n_meas <= 16, "n_measurements must be in 1..16")
     rng = child_rng(seed, 0x5AD0)
     if "measurements_files" in cfg:
-        meas = []
-        for path in cfg["measurements_files"]:
-            with open(path) as fh:
-                meas.append(measurement_from_json(fh.read()))
+        meas = _read_files(cfg, "measurements_files", measurement_from_json)
     else:
         meas = random_basis_measurements(states[0].dim, rng, n_meas)
     cls = materialize_concept_class(states, meas)
-    target = int(cfg.get("target_id", 0))
+    target = _param(cfg, "target_id", int, 0)
     _require(target in cls.ids(), "target_id out of range")
-    repeats = int(cfg.get("stream_repeats", 2))
+    repeats = _param(cfg, "stream_repeats", int, 2)
     order = list(range(len(meas))) * repeats
     tr, estimates = run_shadow_stream(cls, target, order, eps)
     bound = sfat(cls, None, 2 * eps / 5).dimension
@@ -425,10 +458,10 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        if seed is None:
+        if args.seed is None and cfg.get("seed") is None:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
-        _RUNNERS[args.kind](cfg, int(seed), args.out)
+        seed = args.seed if args.seed is not None else _param(cfg, "seed", int)
+        _RUNNERS[args.kind](cfg, seed, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ times 1 - H(failure rate).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .concepts import Concept, ConceptClass, binary_entropy
-from .dimensions import ShatterTree, validate_tree
+from .dimensions import ShatterTree
 from .errors import DepthMismatch, OutOfRange
 from .seeding import child_rng
 
@@ -51,9 +50,8 @@ class ProtocolRun:
 class BaselineEvalProtocol:
     """Alice sends her concept's index; Bob evaluates exactly (zero error)."""
 
-    def __init__(self, cls: ConceptClass, zeta: float):
+    def __init__(self, cls: ConceptClass):
         self.cls = cls
-        self.zeta = zeta
         self.bits = math.ceil(math.log2(len(cls))) if len(cls) > 1 else 0
 
     def run(self, concept: Concept, x: int, rng: Optional[np.random.Generator] = None) -> float:
@@ -92,7 +90,6 @@ def augindex_via_eval(
     tree: ShatterTree,
     instance: AugIndexInstance,
     protocol,
-    zeta: float,
     rng: Optional[np.random.Generator] = None,
 ) -> ProtocolRun:
     """Solve one next-bit instance through an evaluation protocol.
@@ -100,8 +97,11 @@ def augindex_via_eval(
     Bit j of the instance selects the subtree at tree level j (0 left,
     1 right) — the orientation both parties share.  Bob thresholds the
     evaluated value at his node's threshold; ties go to output 0.
+
+    Precondition: `tree` passed `validate_tree` at the margin the protocol's
+    accuracy matches.  The check is the caller's, once per tree, not once
+    per instance; an unvalidated tree can give wrong answers without an error.
     """
-    validate_tree(cls, tree, zeta)
     if tree.depth() < instance.d:
         raise DepthMismatch(
             f"tree depth {tree.depth()} cannot host a depth-{instance.d} instance"
@@ -126,18 +126,11 @@ def all_instances(d: int):
             yield AugIndexInstance(d=d, x=x, i=i)
 
 
-def cc_lower_bound(sfat_dim: int, epsilon: float, quantum: bool = False) -> float:
-    """(1 - H(eps)) * sfat: one-way cost floor; the flag only labels reports."""
+def cc_lower_bound(sfat_dim: int, epsilon: float) -> float:
+    """(1 - H(eps)) * sfat: one-way cost floor, classical or quantum alike."""
     if not 0 <= epsilon < 0.5:
         raise OutOfRange(f"epsilon must lie in [0, 1/2), got {epsilon}")
     if sfat_dim < 0:
         raise OutOfRange(f"sfat_dim must be nonnegative, got {sfat_dim}")
     return (1.0 - binary_entropy(epsilon)) * sfat_dim
 
-
-def write_runs_csv(path: str, runs: list[tuple[AugIndexInstance, ProtocolRun]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "i", "bits", "success"])
-        for inst, run in runs:
-            w.writerow([inst.x, inst.i, run.bits_sent, run.success])

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -194,26 +194,6 @@ class Distribution:
     @staticmethod
     def point_mass(n: int, at: int) -> "Distribution":
         return Distribution(tuple(1.0 if i == at else 0.0 for i in range(n)))
-
-
-def superbin_members(
-    cls: ConceptClass,
-    subset: Iterable[int],
-    r: float,
-    x: "DomainPoint | int",
-    zeta: float,
-) -> frozenset[int]:
-    """Ids of subset concepts whose value at x lies in the open ball B(2*zeta, r).
-
-    `r` is expected to be a super-bin midpoint of the 2*zeta cover, as used by
-    the online learner's prediction rule.
-    """
-    xi = point_index(x)
-    radius = 2.0 * zeta
-    col = cls.table[:, xi]
-    return frozenset(
-        cid for cid in subset if abs(col[cls.row_of(cid)] - r) < radius
-    )
 
 
 def loss(h: Concept, c: Concept, r: float, d: Distribution) -> float:

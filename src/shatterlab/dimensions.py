@@ -12,8 +12,9 @@ supersets of that threshold's sides — so scanning one candidate per value is
 complete.  (Scanning only consecutive value pairs is not: values packed less
 than 2*zeta apart between a far pair would hide the split.)
 
-Also here: the non-sequential fat-shattering dimension and a Littlestone
-oracle, both by independent brute force, used to cross-check sfat.
+Also here: the non-sequential fat-shattering dimension, by brute force over
+point sets with the same split enumerator, and a Littlestone oracle that
+shares no code with sfat; both cross-check sfat.
 """
 
 from __future__ import annotations
@@ -88,6 +89,57 @@ def sfat_empty_convention() -> int:
     return -1
 
 
+def _sorted_columns(cls: ConceptClass) -> tuple[list[list[int]], list[list[float]]]:
+    """Per point: the concept rows sorted by (value, row), and their values."""
+    table = cls.table
+    rows, vals = [], []
+    for x in range(cls.domain_size):
+        order = sorted(range(len(cls)), key=lambda r: (table[r, x], r))
+        rows.append(order)
+        vals.append([table[r, x] for r in order])
+    return rows, vals
+
+
+def _splits(sorted_rows: list[int], sorted_vals: list[float], mask: int, margin: float):
+    """Dominating (a, left_mask, right_mask) splits of `mask` at one point.
+
+    `sorted_rows` and `sorted_vals` are that point's column from
+    `_sorted_columns`.  Splits come in ascending a, each (left, right) pair once.
+    """
+    rows = []
+    vals = []
+    for r, v in zip(sorted_rows, sorted_vals):
+        if mask >> r & 1:
+            rows.append(r)
+            vals.append(v)
+    # distinct values in ascending order
+    distinct = []
+    for v in vals:
+        if not distinct or v > distinct[-1]:
+            distinct.append(v)
+    gap = 2.0 * margin
+    out = []
+    seen = set()
+    j = 0
+    for v in distinct:
+        while j < len(distinct) and distinct[j] < v + gap - _MARGIN_TOL:
+            j += 1
+        if j >= len(distinct):
+            break
+        a = (v + distinct[j]) / 2.0
+        lo, hi = a - margin + _MARGIN_TOL, a + margin - _MARGIN_TOL
+        lmask = rmask = 0
+        for r, fv in zip(rows, vals):
+            if fv <= lo:
+                lmask |= 1 << r
+            elif fv >= hi:
+                rmask |= 1 << r
+        if lmask and rmask and (lmask, rmask) not in seen:
+            seen.add((lmask, rmask))
+            out.append((a, lmask, rmask))
+    return out
+
+
 class SfatCache:
     """Memoized sfat computation for one (class, margin) pair.
 
@@ -107,14 +159,7 @@ class SfatCache:
         self.cls = cls
         self.zeta = float(zeta)
         self._memo: dict[int, int] = {}
-        # per point: concept rows sorted by value, and the sorted values
-        table = cls.table
-        self._sorted_rows = []
-        self._sorted_vals = []
-        for x in range(cls.domain_size):
-            order = sorted(range(len(cls)), key=lambda r: (table[r, x], r))
-            self._sorted_rows.append(order)
-            self._sorted_vals.append([table[r, x] for r in order])
+        self._sorted_rows, self._sorted_vals = _sorted_columns(cls)
 
     def full_mask(self) -> int:
         return (1 << len(self.cls)) - 1
@@ -130,41 +175,6 @@ class SfatCache:
             c.id for row, c in enumerate(self.cls.concepts) if mask >> row & 1
         )
 
-    def _splits(self, mask: int, x: int):
-        """Dominating (a, left_mask, right_mask) splits of `mask` at point x."""
-        rows = []
-        vals = []
-        for r, v in zip(self._sorted_rows[x], self._sorted_vals[x]):
-            if mask >> r & 1:
-                rows.append(r)
-                vals.append(v)
-        # distinct values in ascending order
-        distinct = []
-        for v in vals:
-            if not distinct or v > distinct[-1]:
-                distinct.append(v)
-        gap = 2.0 * self.zeta
-        out = []
-        seen = set()
-        j = 0
-        for v in distinct:
-            while j < len(distinct) and distinct[j] < v + gap - _MARGIN_TOL:
-                j += 1
-            if j >= len(distinct):
-                break
-            a = (v + distinct[j]) / 2.0
-            lo, hi = a - self.zeta + _MARGIN_TOL, a + self.zeta - _MARGIN_TOL
-            lmask = rmask = 0
-            for r, fv in zip(rows, vals):
-                if fv <= lo:
-                    lmask |= 1 << r
-                elif fv >= hi:
-                    rmask |= 1 << r
-            if lmask and rmask and (lmask, rmask) not in seen:
-                seen.add((lmask, rmask))
-                out.append((a, lmask, rmask))
-        return out
-
     def dimension_of_mask(self, mask: int) -> int:
         if mask == 0:
             raise EmptySubset("sfat of an empty subset is undefined; see sfat_empty_convention")
@@ -174,8 +184,9 @@ class SfatCache:
         best = 0
         ub = mask.bit_count().bit_length() - 1  # floor(log2 |V|)
         if ub > 0:
+            rows, vals, zeta = self._sorted_rows, self._sorted_vals, self.zeta
             for x in range(self.cls.domain_size):
-                for _, lmask, rmask in self._splits(mask, x):
+                for _, lmask, rmask in _splits(rows[x], vals[x], mask, zeta):
                     cand = 1 + min(
                         self.dimension_of_mask(lmask), self.dimension_of_mask(rmask)
                     )
@@ -202,7 +213,9 @@ class SfatCache:
             row = (mask & -mask).bit_length() - 1
             return ShatterTree(leaf=self.cls.concepts[row].id)
         for x in range(self.cls.domain_size):
-            for a, lmask, rmask in self._splits(mask, x):
+            for a, lmask, rmask in _splits(
+                self._sorted_rows[x], self._sorted_vals[x], mask, self.zeta
+            ):
                 if (
                     self.dimension_of_mask(lmask) >= depth - 1
                     and self.dimension_of_mask(rmask) >= depth - 1
@@ -266,33 +279,11 @@ def fat(cls: ConceptClass, gamma: float) -> int:
     if gamma <= 0:
         raise OutOfRange(f"margin must be positive, got {gamma}")
     n = len(cls)
-    table = cls.table
-    gap = 2.0 * gamma
-
-    def point_splits(x: int) -> list[tuple[int, int]]:
-        vals = sorted(set(table[:, x]))
-        out = []
-        seen = set()
-        j = 0
-        for v in vals:
-            while j < len(vals) and vals[j] < v + gap - _MARGIN_TOL:
-                j += 1
-            if j >= len(vals):
-                break
-            a = (v + vals[j]) / 2.0
-            lo, hi = a - gamma + _MARGIN_TOL, a + gamma - _MARGIN_TOL
-            lmask = rmask = 0
-            for r in range(n):
-                if table[r, x] <= lo:
-                    lmask |= 1 << r
-                elif table[r, x] >= hi:
-                    rmask |= 1 << r
-            if lmask and rmask and (lmask, rmask) not in seen:
-                seen.add((lmask, rmask))
-                out.append((lmask, rmask))
-        return out
-
-    splits = [point_splits(x) for x in range(cls.domain_size)]
+    full = (1 << n) - 1
+    splits = [
+        [(lmask, rmask) for _, lmask, rmask in _splits(rows, vals, full, gamma)]
+        for rows, vals in zip(*_sorted_columns(cls))
+    ]
 
     def shatters(points: tuple[int, ...]) -> bool:
         # cells = one concept mask per sign pattern over the points chosen so far;
@@ -316,7 +307,7 @@ def fat(cls: ConceptClass, gamma: float) -> int:
                     return True
             return False
 
-        return extend([(1 << n) - 1], points)
+        return extend([full], points)
 
     upper = min(cls.domain_size, n.bit_length() - 1 if n > 1 else 0)
     for k in range(upper, 0, -1):

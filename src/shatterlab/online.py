@@ -16,20 +16,16 @@ epsilon; it drives the shadow-estimation stream.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .concepts import (
     Concept,
     ConceptClass,
-    DomainPoint,
     cover_new,
-    point_index,
     round_to_grid,
     _grid_order,
 )
@@ -62,56 +58,6 @@ def prediction_grid(zeta: float) -> tuple[float, ...]:
         return cover_new(2.0 / n).superbin_midpoints
     count = math.ceil(n / 2) - 1
     return tuple(2 * k / n for k in range(1, count + 1))
-
-
-def rsoa_predict(
-    cls: ConceptClass,
-    surviving: Iterable[int],
-    x: "int | DomainPoint",
-    zeta: float,
-    cache: Optional[SfatCache] = None,
-) -> float:
-    """One prediction of the learner at accuracy zeta from a surviving set."""
-    ids = frozenset(surviving)
-    if not ids:
-        raise EmptySurvivingSet("cannot predict from an empty surviving set")
-    cache = cache or SfatCache(cls, 2.0 * zeta)
-    mask = cache.mask_of_ids(ids)
-    xi = point_index(x)
-    grid = prediction_grid(zeta)
-    radius = 2.0 * zeta
-    col = cls.table[:, xi]
-    best = None
-    maximizers: list[float] = []
-    for r in grid:
-        sub = 0
-        for row in range(len(cls)):
-            if mask >> row & 1 and abs(col[row] - r) < radius:
-                sub |= 1 << row
-        score = cache.score(sub)
-        if best is None or score > best:
-            best = score
-            maximizers = [r]
-        elif score == best:
-            maximizers.append(r)
-    return sum(maximizers) / len(maximizers)
-
-
-def rsoa_update(
-    cls: ConceptClass,
-    surviving: Iterable[int],
-    x: "int | DomainPoint",
-    feedback: float,
-    zeta: float,
-) -> frozenset[int]:
-    """Concepts of `surviving` within the open zeta-ball of the feedback at x."""
-    if not 0.0 <= feedback <= 1.0:
-        raise OutOfRange(f"feedback {feedback} outside [0,1]")
-    xi = point_index(x)
-    col = cls.table[:, xi]
-    return frozenset(
-        cid for cid in surviving if abs(col[cls.row_of(cid)] - feedback) < zeta
-    )
 
 
 class RsoaState:
@@ -196,20 +142,6 @@ class RsoaState:
         )
 
 
-def run_rsoa_on_sample(
-    cls: ConceptClass,
-    examples: Sequence[tuple[int, float]],
-    zeta: float,
-    strict: bool = False,
-    state: Optional[RsoaState] = None,
-) -> Concept:
-    """Feed (x, feedback) examples sequentially; return the final hypothesis."""
-    st = state or RsoaState(cls, zeta, strict=strict)
-    for xi, y in examples:
-        st.update(xi, y)
-    return st.final_hypothesis()
-
-
 # ---------------------------------------------------------------------------
 # Noise strategies and feedback modes
 # ---------------------------------------------------------------------------
@@ -267,12 +199,13 @@ class ExtremeNoise(NoiseStrategy):
         return min(1.0, max(0.0, pushed))
 
 
-ALL_NOISE_STRATEGIES: tuple[Callable[[float], NoiseStrategy], ...] = (
-    lambda zeta: ExactNoise(),
-    lambda zeta: RoundToGridNoise(zeta),
-    lambda zeta: UniformNoise(),
-    lambda zeta: ExtremeNoise(),
-)
+#: noise name -> factory taking zeta; the CLI's `noise` values, in this order
+NOISES: dict[str, Callable[[float], NoiseStrategy]] = {
+    "exact": lambda zeta: ExactNoise(),
+    "round_to_grid": lambda zeta: RoundToGridNoise(zeta),
+    "uniform_within": lambda zeta: UniformNoise(),
+    "adversarial_extreme": lambda zeta: ExtremeNoise(),
+}
 
 
 @dataclass(frozen=True)
@@ -366,10 +299,6 @@ class WeakTreeAdversary:
         return go_right
 
 
-def weak_adversary_from_tree(witness: ShatterTree) -> WeakTreeAdversary:
-    return WeakTreeAdversary(witness)
-
-
 # ---------------------------------------------------------------------------
 # Transcripts and game harnesses
 # ---------------------------------------------------------------------------
@@ -403,34 +332,6 @@ class Transcript:
     @property
     def updates(self) -> int:
         return sum(1 for r in self.rounds if r.v_after != r.v_before)
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for r in self.rounds:
-            lines.append(
-                json.dumps(
-                    {
-                        "t": r.t,
-                        "x": r.x,
-                        "prediction": r.prediction,
-                        "feedback": r.feedback,
-                        "mistake": r.mistake,
-                        "v_before": r.v_before,
-                        "v_after": r.v_after,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["round", "x", "prediction", "feedback", "mistake", "V"])
-            for r in self.rounds:
-                w.writerow(
-                    [r.t, r.x, r.prediction, r.feedback, r.mistake, r.v_after]
-                )
 
 
 def run_online_game(
@@ -489,29 +390,6 @@ def run_online_game(
         )
     tr.final_hypothesis = state.final_hypothesis()
     return tr
-
-
-def rsoa_mistake_only_step(
-    cls: ConceptClass,
-    surviving: Iterable[int],
-    x: "int | DomainPoint",
-    epsilon: float,
-    true_value: float,
-    cache: Optional[SfatCache] = None,
-) -> tuple[float, frozenset[int]]:
-    """One round of the mistake-only learner; returns (prediction, new set).
-
-    The surviving set changes only when |prediction - true_value| > epsilon,
-    in which case the update uses grid-rounded feedback (error <= epsilon/10)
-    and the open epsilon/5 ball.
-    """
-    ids = frozenset(surviving)
-    zeta = epsilon / 5.0
-    y_hat = rsoa_predict(cls, ids, x, zeta, cache=cache)
-    if abs(y_hat - true_value) > epsilon:
-        feedback = round_to_grid(true_value, 2.0 * (epsilon / 10.0))
-        return y_hat, rsoa_update(cls, ids, x, feedback, zeta)
-    return y_hat, ids
 
 
 @dataclass(frozen=True)

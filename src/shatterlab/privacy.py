@@ -19,12 +19,10 @@ set except with probability 1/4.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,30 +145,6 @@ class DpTestReport:
     max_violation: float
     verdict: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "delta": self.delta,
-                "trials": self.trials,
-                "confidence_z": self.confidence_z,
-                "max_violation": self.max_violation,
-                "verdict": self.verdict,
-                "events": [
-                    {
-                        "event": e.event,
-                        "freq_s": e.freq_s,
-                        "freq_s_prime": e.freq_s_prime,
-                        "slack": e.slack,
-                        "forward_margin": e.forward_margin,
-                        "backward_margin": e.backward_margin,
-                    }
-                    for e in self.events
-                ],
-            },
-            sort_keys=True,
-        )
-
 
 #: two-sided 99% normal quantile for the per-event binomial slack
 _Z99 = 2.576
@@ -184,7 +158,6 @@ def dp_test(
     delta: float,
     trials: int,
     seed: int,
-    outputs_csv: Optional[str] = None,
 ) -> DpTestReport:
     """Empirical two-sided (eps, delta)-indistinguishability check.
 
@@ -196,18 +169,10 @@ def dp_test(
     if trials < 10_000:
         raise OutOfRange("the indistinguishability test needs at least 10^4 trials")
     counts: dict[int, list[int]] = {}
-    rows = []
     for side, sample in enumerate((s, s_prime)):
         for t in range(trials):
             out = learner(sample, child_rng(seed, side, t))
             counts.setdefault(out.id, [0, 0])[side] += 1
-            if outputs_csv:
-                rows.append((side, t, out.id))
-    if outputs_csv:
-        with open(outputs_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["side", "trial", "hypothesis_id"])
-            w.writerows(rows)
     grow = math.exp(epsilon)
     events = []
     worst = -math.inf

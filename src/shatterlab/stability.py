@@ -17,9 +17,7 @@ probability at least zeta^d / (2 (d+1)), and its centre generalizes.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -219,25 +217,6 @@ class StabilityReport:
     center_loss_12zeta: float
     hypothesis_hashes: tuple[str, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "runs": self.runs,
-                "fails": self.fails,
-                "d": self.d,
-                "m": self.m,
-                "cutoff": self.cutoff,
-                "zeta": self.zeta,
-                "alpha": self.alpha,
-                "best_ball_center": list(self.best_ball_center.values),
-                "empirical_frequency": self.empirical_frequency,
-                "theoretical_floor": self.theoretical_floor,
-                "center_loss_12zeta": self.center_loss_12zeta,
-                "hypothesis_hashes": list(self.hypothesis_hashes),
-            },
-            sort_keys=True,
-        )
-
 
 def _hyp_hash(values: Sequence[float]) -> str:
     payload = ",".join(repr(v) for v in values).encode()
@@ -311,10 +290,3 @@ def stability_experiment(
         hypothesis_hashes=tuple(_hyp_hash(f.values) for f in outputs),
     )
 
-
-def dump_outputs_csv(outputs: Sequence[Concept], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "hash", "values"])
-        for i, f in enumerate(outputs):
-            w.writerow([i, _hyp_hash(f.values), json.dumps(list(f.values))])

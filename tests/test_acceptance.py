@@ -33,7 +33,6 @@ from shatterlab import (
     sfat,
     sfat_holevo_bound,
     stability_experiment,
-    weak_adversary_from_tree,
 )
 from shatterlab.classes import ext_cost_class, generate_class, two_constants
 from shatterlab.communication import (
@@ -43,9 +42,10 @@ from shatterlab.communication import (
     augindex_via_eval,
 )
 from shatterlab.online import (
-    ALL_NOISE_STRATEGIES,
+    NOISES,
     RandomAdversary,
     StrongFeedback,
+    WeakTreeAdversary,
     rsoa_as_weak_learner,
 )
 from shatterlab.privacy import build_probabilistic_representation, exponential_weights, good_hypotheses
@@ -73,7 +73,7 @@ def test_criterion_1_mistake_bound():
         cls = generate_class(nx, nc, zeta, seed=trial)
         bound = sfat(cls, None, 2 * zeta).dimension
         target = int(rng.integers(nc))
-        for make_noise in ALL_NOISE_STRATEGIES:
+        for make_noise in NOISES.values():
             tr = run_online_game(
                 cls,
                 target,
@@ -121,7 +121,7 @@ def test_criterion_3_adversarial_forcing():
         res = sfat(cls, None, zeta)
         for learner in (rsoa_as_weak_learner(cls, zeta), lambda x: 0.5):
             out = run_weak_forcing_game(
-                cls, weak_adversary_from_tree(res.witness), learner, zeta
+                cls, WeakTreeAdversary(res.witness), learner, zeta
             )
             shortfalls += out.claimed_mistakes < res.dimension
             invalid += not out.all_claims_valid
@@ -249,9 +249,9 @@ def test_criterion_8_communication_reduction():
                 ),
             )
             res = sfat(cls, None, zeta)
-        proto = BaselineEvalProtocol(cls, zeta)
+        proto = BaselineEvalProtocol(cls)
         for inst in all_instances(d):
-            run = augindex_via_eval(cls, res.witness, inst, proto, zeta)
+            run = augindex_via_eval(cls, res.witness, inst, proto)
             exhaustive_failures += not run.success
             total += 1
     # noisy side on the depth-4 cube
@@ -262,13 +262,13 @@ def test_criterion_8_communication_reduction():
         ),
     )
     res4 = sfat(cube4, None, zeta)
-    noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube4, zeta), 0.1)
+    noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube4), 0.1)
     rng = child_rng(808, 0)
     insts = list(all_instances(4))
     trials = 10_000
     succ = sum(
         augindex_via_eval(
-            cube4, res4.witness, insts[int(rng.integers(len(insts)))], noisy, zeta, rng=rng
+            cube4, res4.witness, insts[int(rng.integers(len(insts)))], noisy, rng=rng
         ).success
         for _ in range(trials)
     )

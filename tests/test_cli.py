@@ -1,8 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
+from shatterlab import dimensions
 from shatterlab.classes import generate_class
 from shatterlab.cli import main
 from shatterlab.errors import TooLarge
@@ -70,7 +72,10 @@ class TestCliRuns:
         summary = read_summary(out)
         assert summary["mistakes"] == 0
         assert summary["within_bound"]
-        assert os.path.exists(os.path.join(out, "detail.csv"))
+        with open(os.path.join(out, "detail.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "round,x,prediction,feedback,mistake,V"
+        assert len(lines) == 31
 
     def test_malformed_zeta_exits_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -154,6 +159,25 @@ class TestCliRuns:
         assert main(["privacy", cfg, "--out", out]) == 0
         assert read_summary(out)["verdict"] is True
 
+    def test_comm_validates_the_tree_once(self, tmp_path, monkeypatch):
+        original = dimensions.validate_tree
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("shatterlab") and getattr(module, "validate_tree", None) is original:
+                monkeypatch.setattr(module, "validate_tree", counting)
+        cfg = write_config(
+            tmp_path, {"seed": 2, "zeta": 1 / 4, "class": {"bundled": "boolean_cube_3"}}
+        )
+        out = str(tmp_path / "cm")
+        assert main(["comm", cfg, "--out", out]) == 0
+        assert read_summary(out)["instances"] == 24
+        assert len(calls) == 1
+
     def test_comm_run(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -224,3 +248,34 @@ class TestCliRuns:
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["dims", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+
+
+MALFORMED = {
+    "privacy_m_zero": ("privacy", {"seed": 1, "zeta": 0.5, "m": 0}),
+    "distribution_longer_than_domain": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "distribution": [0.5, 0.5],
+         "class": {"bundled": "two_constants"}},
+    ),
+    "bundled_name_not_a_string": ("dims", {"seed": 1, "zeta": 0.25, "class": {"bundled": ["x"]}}),
+    "generated_without_domain_size": (
+        "dims",
+        {"seed": 1, "zeta": 0.25, "class": {"generated": {"n_concepts": 4}}},
+    ),
+    "zeta_not_a_number": ("dims", {"seed": 1, "zeta": "abc", "class": {"bundled": "four_constants"}}),
+    "zeta_one": ("dims", {"seed": 1, "zeta": 1, "class": {"bundled": "four_constants"}}),
+    "T_not_a_number": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "T": "x", "class": {"bundled": "four_constants"}},
+    ),
+    "missing_states_file": ("quantum", {"seed": 1, "states_files": ["no/such/state.json"]}),
+    "zero_tol": ("quantum", {"seed": 1, "tol": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2(case, tmp_path, capsys):
+    kind, payload = MALFORMED[case]
+    cfg = write_config(tmp_path, payload)
+    assert main([kind, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err

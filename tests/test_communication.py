@@ -11,11 +11,7 @@ from shatterlab import (
     sfat,
 )
 from shatterlab.classes import boolean_cube, generate_class
-from shatterlab.communication import (
-    CorruptedEvalProtocol,
-    all_instances,
-    write_runs_csv,
-)
+from shatterlab.communication import CorruptedEvalProtocol, all_instances
 from shatterlab.errors import DepthMismatch, OutOfRange
 from shatterlab.seeding import child_rng
 from tests.conftest import make_class
@@ -34,13 +30,13 @@ class TestInstances:
 
 class TestBaseline:
     def test_bit_costs(self, four_constants):
-        assert BaselineEvalProtocol(four_constants, 1 / 6).bits == 2
-        assert BaselineEvalProtocol(make_class([[0.5]]), 1 / 4).bits == 0
+        assert BaselineEvalProtocol(four_constants).bits == 2
+        assert BaselineEvalProtocol(make_class([[0.5]])).bits == 0
         sixteen = generate_class(2, 16, 1 / 4, seed=0)
-        assert BaselineEvalProtocol(sixteen, 1 / 4).bits == 4
+        assert BaselineEvalProtocol(sixteen).bits == 4
 
     def test_exact_evaluation(self, four_constants):
-        proto = BaselineEvalProtocol(four_constants, 1 / 6)
+        proto = BaselineEvalProtocol(four_constants)
         assert proto.run(four_constants.by_id(2), 0) == pytest.approx(2 / 3)
 
     def test_cost_never_below_lower_bound(self):
@@ -48,7 +44,7 @@ class TestBaseline:
         for trial in range(20):
             cls = generate_class(4, 12, 1 / 4, seed=600 + trial)
             d = sfat(cls, None, 1 / 4).dimension
-            assert BaselineEvalProtocol(cls, 1 / 4).bits >= cc_lower_bound(d, 0.0)
+            assert BaselineEvalProtocol(cls).bits >= cc_lower_bound(d, 0.0)
 
 
 class TestReduction:
@@ -56,17 +52,17 @@ class TestReduction:
     def test_exhaustive_success_on_cube(self, k):
         cube = boolean_cube(k)
         res = sfat(cube, None, 1 / 4)
-        proto = BaselineEvalProtocol(cube, 1 / 4)
+        proto = BaselineEvalProtocol(cube)
         for inst in all_instances(k):
-            run = augindex_via_eval(cube, res.witness, inst, proto, 1 / 4)
+            run = augindex_via_eval(cube, res.witness, inst, proto)
             assert run.success
             assert run.bits_sent == proto.bits
 
     def test_single_bit_instance(self, two_constants_01):
         res = sfat(two_constants_01, None, 1 / 4)
-        proto = BaselineEvalProtocol(two_constants_01, 1 / 4)
+        proto = BaselineEvalProtocol(two_constants_01)
         run = augindex_via_eval(
-            two_constants_01, res.witness, AugIndexInstance(1, "1", 1), proto, 1 / 4
+            two_constants_01, res.witness, AugIndexInstance(1, "1", 1), proto
         )
         assert run.bob_output == 1
         assert run.success
@@ -74,45 +70,31 @@ class TestReduction:
     def test_shallow_instance_on_deep_tree(self):
         cube = boolean_cube(3)
         res = sfat(cube, None, 1 / 4)
-        proto = BaselineEvalProtocol(cube, 1 / 4)
+        proto = BaselineEvalProtocol(cube)
         for inst in all_instances(2):
-            assert augindex_via_eval(cube, res.witness, inst, proto, 1 / 4).success
+            assert augindex_via_eval(cube, res.witness, inst, proto).success
 
     def test_depth_mismatch(self, two_constants_01):
         res = sfat(two_constants_01, None, 1 / 4)
-        proto = BaselineEvalProtocol(two_constants_01, 1 / 4)
+        proto = BaselineEvalProtocol(two_constants_01)
         with pytest.raises(DepthMismatch):
             augindex_via_eval(
-                two_constants_01, res.witness, AugIndexInstance(2, "10", 1), proto, 1 / 4
+                two_constants_01, res.witness, AugIndexInstance(2, "10", 1), proto
             )
 
     def test_noisy_protocol_success_rate(self):
         cube = boolean_cube(3)
         res = sfat(cube, None, 1 / 4)
-        noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube, 1 / 4), 0.1)
+        noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube), 0.1)
         rng = child_rng(77, 0)
         insts = list(all_instances(3))
         trials = 4000
         succ = 0
         for t in range(trials):
             inst = insts[int(rng.integers(len(insts)))]
-            succ += augindex_via_eval(cube, res.witness, inst, noisy, 1 / 4, rng=rng).success
+            succ += augindex_via_eval(cube, res.witness, inst, noisy, rng=rng).success
         rate = succ / trials
         assert rate >= 0.9 - 3 * math.sqrt(0.9 * 0.1 / trials)
-
-    def test_runs_csv(self, tmp_path):
-        cube = boolean_cube(2)
-        res = sfat(cube, None, 1 / 4)
-        proto = BaselineEvalProtocol(cube, 1 / 4)
-        runs = [
-            (inst, augindex_via_eval(cube, res.witness, inst, proto, 1 / 4))
-            for inst in all_instances(2)
-        ]
-        path = tmp_path / "runs.csv"
-        write_runs_csv(str(path), runs)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,i,bits,success"
-        assert len(lines) == 9
 
 
 class TestLowerBound:
@@ -127,9 +109,6 @@ class TestLowerBound:
         assert cc_lower_bound(8, 0.11) == pytest.approx(
             (1 - binary_entropy(0.11)) * 8
         )
-
-    def test_quantum_flag_same_value(self):
-        assert cc_lower_bound(5, 0.2, quantum=True) == cc_lower_bound(5, 0.2)
 
     def test_validation(self):
         with pytest.raises(OutOfRange):

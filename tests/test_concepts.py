@@ -15,7 +15,6 @@ from shatterlab import (
     function_ball,
     loss,
     round_to_grid,
-    superbin_members,
 )
 from shatterlab.concepts import (
     class_from_json,
@@ -24,6 +23,7 @@ from shatterlab.concepts import (
     distribution_to_json,
 )
 from shatterlab.errors import DomainMismatch, NonIntegerReciprocal, OutOfRange
+from shatterlab.online import RsoaState
 from tests.conftest import make_class
 
 
@@ -76,23 +76,31 @@ class TestCover:
             )
 
 
+def superbin_ids(cls, ids, r, x=0, zeta=1 / 8):
+    """Ids of `ids` in the learner's super-bin B(2*zeta, r) at point x."""
+    state = RsoaState(cls, zeta)
+    state.mask = state.cache.mask_of_ids(ids)
+    bin_mask = state.bin_masks[x][state.grid.index(r)]
+    return state.cache.ids_of_mask(state.mask & bin_mask)
+
+
 class TestSuperbinMembers:
     def test_hand_example(self):
         cls = make_class([[0.1], [0.9]])
-        assert superbin_members(cls, {0, 1}, 0.25, 0, 1 / 8) == {0}
+        assert superbin_ids(cls, {0, 1}, 0.25) == {0}
 
     def test_empty_subset(self):
         cls = make_class([[0.5]])
-        assert superbin_members(cls, set(), 0.5, 0, 1 / 8) == frozenset()
+        assert superbin_ids(cls, set(), 0.5) == frozenset()
 
     def test_ball_center(self):
         cls = make_class([[0.5]])
-        assert superbin_members(cls, {0}, 0.5, 0, 1 / 8) == {0}
+        assert superbin_ids(cls, {0}, 0.5) == {0}
 
     def test_boundary_is_excluded(self):
         cls = make_class([[0.5]])
         # |0.5 - 0.25| equals the 2*zeta radius exactly: open ball excludes it
-        assert superbin_members(cls, {0}, 0.25, 0, 1 / 8) == frozenset()
+        assert superbin_ids(cls, {0}, 0.25) == frozenset()
 
 
 class TestLoss:

@@ -6,13 +6,9 @@ from shatterlab import (
     StrongFeedback,
     gentle_sample_complexity,
     prediction_grid,
-    rsoa_mistake_only_step,
-    rsoa_predict,
-    rsoa_update,
     run_online_game,
     run_weak_forcing_game,
     sfat,
-    weak_adversary_from_tree,
 )
 from shatterlab.classes import generate_class
 from shatterlab.errors import (
@@ -22,13 +18,14 @@ from shatterlab.errors import (
     TreeExhausted,
 )
 from shatterlab.online import (
-    ALL_NOISE_STRATEGIES,
+    NOISES,
     CyclicAdversary,
     ExactNoise,
     ExtremeNoise,
     RandomAdversary,
     RsoaState,
     UniformNoise,
+    WeakTreeAdversary,
     rsoa_as_weak_learner,
 )
 from tests.conftest import make_class
@@ -37,15 +34,17 @@ from tests.conftest import make_class
 class TestPredict:
     def test_singleton_at_half(self):
         cls = make_class([[0.5]])
-        assert rsoa_predict(cls, {0}, 0, 1 / 8) == pytest.approx(0.5)
+        assert RsoaState(cls, 1 / 8).predict(0) == pytest.approx(0.5)
 
     def test_two_constants_tie(self, two_constants_19):
         # bins 0.25 and 0.75 tie at dimension 0; the mean is 0.5
-        assert rsoa_predict(two_constants_19, {0, 1}, 0, 1 / 8) == pytest.approx(0.5)
+        assert RsoaState(two_constants_19, 1 / 8).predict(0) == pytest.approx(0.5)
 
     def test_empty_set_raises(self, two_constants_19):
+        state = RsoaState(two_constants_19, 1 / 8)
+        state.mask = 0
         with pytest.raises(EmptySurvivingSet):
-            rsoa_predict(two_constants_19, set(), 0, 1 / 8)
+            state.predict(0)
 
     def test_grid_for_odd_reciprocal(self):
         assert prediction_grid(1 / 5) == pytest.approx((0.4, 0.8))
@@ -68,21 +67,29 @@ class TestPredict:
             prediction_grid(1 / 2)
 
 
+def surviving_after(cls, ids, feedback, zeta=1 / 8, x=0):
+    """Surviving ids after one update from the surviving set `ids`."""
+    state = RsoaState(cls, zeta, strict=False)
+    state.mask = state.cache.mask_of_ids(ids)
+    state.update(x, feedback)
+    return state.surviving_ids
+
+
 class TestUpdate:
     def test_exact_feedback_keeps_target(self, two_constants_19):
-        assert rsoa_update(two_constants_19, {0, 1}, 0, 0.1, 1 / 8) == {0}
+        assert surviving_after(two_constants_19, {0, 1}, 0.1) == {0}
 
     def test_hand_example(self, two_constants_19):
-        assert rsoa_update(two_constants_19, {0, 1}, 0, 0.15, 1 / 8) == {0}
+        assert surviving_after(two_constants_19, {0, 1}, 0.15) == {0}
 
     def test_can_empty_out(self):
         cls = make_class([[0.2], [0.8]])
-        assert rsoa_update(cls, {0, 1}, 0, 0.5, 1 / 8) == frozenset()
+        assert surviving_after(cls, {0, 1}, 0.5) == frozenset()
 
     def test_open_ball_boundary(self):
         cls = make_class([[0.225]])
         # |0.225 - 0.1| = 0.125 = zeta exactly: excluded by the open ball
-        assert rsoa_update(cls, {0}, 0, 0.1, 1 / 8) == frozenset()
+        assert surviving_after(cls, {0}, 0.1) == frozenset()
 
 
 class TestStrongGame:
@@ -114,7 +121,7 @@ class TestStrongGame:
             zeta = 1 / 8
             cls = generate_class(nx, nc, zeta, seed=1000 + trial)
             bound = sfat(cls, None, 2 * zeta).dimension
-            for make_noise in ALL_NOISE_STRATEGIES:
+            for make_noise in NOISES.values():
                 tr = run_online_game(
                     cls,
                     int(rng.integers(nc)),
@@ -214,7 +221,7 @@ class TestStrongGame:
     def test_noise_contract_holds(self):
         rng = np.random.default_rng(0)
         zeta = 1 / 8
-        for make_noise in ALL_NOISE_STRATEGIES:
+        for make_noise in NOISES.values():
             noise = make_noise(zeta)
             for _ in range(200):
                 c = float(rng.uniform())
@@ -227,7 +234,7 @@ class TestStrongGame:
 class TestWeakForcing:
     def test_forces_depth_against_rsoa(self, four_constants):
         res = sfat(four_constants, None, 1 / 6)
-        adv = weak_adversary_from_tree(res.witness)
+        adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(
             four_constants, adv, rsoa_as_weak_learner(four_constants, 1 / 4), 1 / 6
         )
@@ -236,7 +243,7 @@ class TestWeakForcing:
 
     def test_forces_depth_against_constant(self, four_constants):
         res = sfat(four_constants, None, 1 / 6)
-        adv = weak_adversary_from_tree(res.witness)
+        adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(four_constants, adv, lambda x: 0.5, 1 / 6)
         assert out.claimed_mistakes == 2
         assert out.all_claims_valid
@@ -244,30 +251,38 @@ class TestWeakForcing:
     def test_depth_zero_commits_immediately(self):
         cls = make_class([[0.5]])
         res = sfat(cls, None, 1 / 4)
-        adv = weak_adversary_from_tree(res.witness)
+        adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(cls, adv, lambda x: 0.5, 1 / 4)
         assert out.claimed_mistakes == 0
         assert out.committed_target == 0
 
     def test_exhausted_adversary_raises(self, four_constants):
         res = sfat(four_constants, None, 1 / 6)
-        adv = weak_adversary_from_tree(res.witness)
+        adv = WeakTreeAdversary(res.witness)
         run_weak_forcing_game(four_constants, adv, lambda x: 0.5, 1 / 6)
         with pytest.raises(TreeExhausted):
             adv.next_point()
 
 
+def one_mistake_only_round(cls, target_id, epsilon):
+    tr = run_online_game(
+        cls, target_id, CyclicAdversary([0]), MistakeOnly(epsilon), T=1, seed=0
+    )
+    return tr.rounds[0]
+
+
 class TestMistakeOnly:
     def test_non_mistake_round_keeps_set(self):
         cls = make_class([[0.52], [0.48]])
-        pred, new = rsoa_mistake_only_step(cls, {0, 1}, 0, 0.5, cls.by_id(0).values[0])
-        assert new == {0, 1}  # prediction lands within epsilon of the truth
+        r = one_mistake_only_round(cls, 0, 0.5)
+        # prediction lands within epsilon of the truth
+        assert r.v_after == r.v_before == 2
 
     def test_singleton_never_updates(self):
         cls = make_class([[0.3]])
-        pred, new = rsoa_mistake_only_step(cls, {0}, 0, 0.5, 0.3)
-        assert new == {0}
-        assert abs(pred - 0.3) <= 4 * 0.5 / 5
+        r = one_mistake_only_round(cls, 0, 0.5)
+        assert r.v_after == 1
+        assert abs(r.prediction - 0.3) <= 4 * 0.5 / 5
 
     def test_updates_bounded_by_sfat(self):
         eps = 0.5
@@ -314,9 +329,10 @@ class TestGentleComplexity:
 
 class TestRunOnSample:
     def test_matches_game_updates(self, two_constants_19):
-        from shatterlab.online import run_rsoa_on_sample
-
-        hyp = run_rsoa_on_sample(two_constants_19, [(0, 0.1), (0, 0.1)], 1 / 8)
+        state = RsoaState(two_constants_19, 1 / 8, strict=False)
+        for xi, y in [(0, 0.1), (0, 0.1)]:
+            state.update(xi, y)
+        hyp = state.final_hypothesis()
         tr = run_online_game(
             two_constants_19,
             0,
@@ -327,21 +343,3 @@ class TestRunOnSample:
         )
         assert hyp.values == tr.final_hypothesis.values
 
-
-class TestTranscriptIO:
-    def test_jsonl_and_csv(self, tmp_path, two_constants_19):
-        tr = run_online_game(
-            two_constants_19,
-            0,
-            CyclicAdversary([0]),
-            StrongFeedback(1 / 8, ExactNoise()),
-            4,
-            seed=0,
-        )
-        lines = tr.to_jsonl().strip().split("\n")
-        assert len(lines) == 4
-        path = tmp_path / "rounds.csv"
-        tr.write_csv(str(path))
-        text = path.read_text().splitlines()
-        assert text[0] == "round,x,prediction,feedback,mistake,V"
-        assert len(text) == 5
