@@ -20,7 +20,7 @@ import sys
 from . import classes as bundled
 from .concepts import ConceptClass, Distribution, _grid_order, class_from_json
 from .dimensions import sfat, tree_to_json, validate_tree
-from .errors import ConfigError, NonIntegerReciprocal, ShatterlabError
+from .errors import ConfigError, NonIntegerReciprocal, ShatterlabError, TooLarge
 from .online import (
     NOISES,
     RandomAdversary,
@@ -93,6 +93,16 @@ def _grid_order_of(value: float, name: str) -> int:
 def _zeta_of(cfg: dict) -> float:
     zeta = _param(cfg, "zeta")
     _require(_grid_order_of(zeta, "zeta") > 1, "zeta must lie in (0, 1)")
+    return zeta
+
+
+def _learner_zeta_of(cfg: dict) -> float:
+    """The zeta of a kind that runs the online learner: its grid needs zeta <= 1/3."""
+    zeta = _param(cfg, "zeta")
+    _require(
+        _grid_order_of(zeta, "zeta") >= 3,
+        "zeta must be at most 1/3: the online learner predicts on super-bin midpoints",
+    )
     return zeta
 
 
@@ -174,7 +184,7 @@ def run_dims(cfg: dict, seed: int, out_dir: str) -> None:
 
 
 def run_online(cfg: dict, seed: int, out_dir: str) -> None:
-    zeta = _zeta_of(cfg)
+    zeta = _learner_zeta_of(cfg)
     T = _param(cfg, "T", int, 100)
     _require(T >= 1, "T must be at least 1")
     noise_name = cfg.get("noise", "exact")
@@ -206,7 +216,7 @@ def run_online(cfg: dict, seed: int, out_dir: str) -> None:
 
 
 def run_adversary(cfg: dict, seed: int, out_dir: str) -> None:
-    zeta = _zeta_of(cfg)
+    zeta = _learner_zeta_of(cfg)
     cls = _load_class(cfg, seed)
     result = sfat(cls, None, zeta)
     rows = []
@@ -238,7 +248,7 @@ def run_adversary(cfg: dict, seed: int, out_dir: str) -> None:
 
 
 def run_stability(cfg: dict, seed: int, out_dir: str) -> None:
-    zeta = _zeta_of(cfg)
+    zeta = _learner_zeta_of(cfg)
     runs = _param(cfg, "runs", int, 200)
     alpha = _param(cfg, "alpha", float, 0.5)
     _require(runs >= 100, "runs must be at least 100")
@@ -278,7 +288,10 @@ def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
     _require(m >= 1, "m must be at least 1")
     domain_size = _param(cfg, "domain_size", int, 1)
     _require(1 <= domain_size <= 4, "domain_size must be in 1..4")
-    coll = discretize_hypotheses(domain_size, zeta)
+    try:
+        coll = discretize_hypotheses(domain_size, zeta)
+    except TooLarge as exc:
+        raise ConfigError(str(exc)) from None
     x = DomainPoint(0)
     base = [LabeledExample(x, 0.1)] * m
     neighbor = list(base)
@@ -395,6 +408,8 @@ def run_shadow(cfg: dict, seed: int, out_dir: str) -> None:
     states = _load_states(cfg, seed)
     n_meas = _param(cfg, "n_measurements", int, 4)
     _require(1 <= n_meas <= 16, "n_measurements must be in 1..16")
+    repeats = _param(cfg, "stream_repeats", int, 2)
+    _require(repeats >= 1, "stream_repeats must be at least 1")
     rng = child_rng(seed, 0x5AD0)
     if "measurements_files" in cfg:
         meas = _read_files(cfg, "measurements_files", measurement_from_json)
@@ -403,7 +418,6 @@ def run_shadow(cfg: dict, seed: int, out_dir: str) -> None:
     cls = materialize_concept_class(states, meas)
     target = _param(cfg, "target_id", int, 0)
     _require(target in cls.ids(), "target_id out of range")
-    repeats = _param(cfg, "stream_repeats", int, 2)
     order = list(range(len(meas))) * repeats
     tr, estimates = run_shadow_stream(cls, target, order, eps)
     bound = sfat(cls, None, 2 * eps / 5).dimension

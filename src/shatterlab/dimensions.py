@@ -1,16 +1,43 @@
 """Exact sequential fat-shattering dimension with witness trees.
 
-The central recursion: a subset V has sfat(V) >= 1 + min(sfat(V_L), sfat(V_R))
-whenever some point x and threshold a split it into nonempty
-V_L = {f : f(x) <= a - zeta} and V_R = {f : f(x) >= a + zeta}; sfat(V) is the
-best such value, or 0 when no admissible split exists.
+The central recursion (Rakhlin, Sridharan and Tewari): a subset V has
+sfat(V) >= 1 + min(sfat(V_L), sfat(V_R)) whenever some point x and threshold a
+split it into nonempty V_L = {f : f(x) <= a - zeta} and
+V_R = {f : f(x) >= a + zeta}; sfat(V) is the best such value, or 0 when no
+admissible split exists.
 
-Threshold search is finite: for a value v present at x, let w(v) be the
-smallest value >= v + 2*zeta.  The candidate a = (v + w(v)) / 2 dominates every
-admissible threshold whose low side tops out at v — its two sides are
-supersets of that threshold's sides — so scanning one candidate per value is
-complete.  (Scanning only consecutive value pairs is not: values packed less
-than 2*zeta apart between a far pair would hide the split.)
+Witness trees come from `_splits`, which searches thresholds among V's own
+values: for a value v of V at x, let w(v) be the smallest value >= v + 2*zeta.
+The candidate a = (v + w(v)) / 2 dominates every admissible threshold whose
+low side tops out at v (its two sides are supersets of that threshold's
+sides), so scanning one candidate per value is complete.  (Scanning only
+consecutive value pairs is not: values packed less than 2*zeta apart between a
+far pair would hide the split.)
+
+The dimension itself comes from split masks built once per cache.  For each
+point x and each value v of the *whole class* at x, LE = {f : f(x) <= v} and
+GE = {f : f(x) >= v + 2*zeta}; a split of V is (V & LE, V & GE).  These give
+the same maximal splits as `_splits`:
+
+- the split `_splits` makes from V's value v has the high side
+  {f : f(x) >= w(v)}; with u the largest value of V on its low side, it is
+  the pair at u (up to `_MARGIN_TOL`), since V has no value in
+  [u + 2*zeta, w(v)): such a value would lie above v but below v + 2*zeta;
+- the pair at a class value v outside V is dominated by the pair at the
+  largest value u <= v of V: the same low side and a larger high side.
+
+sfat is monotone under taking subsets, so dominated splits never win and the
+recursion is exact.  Within one point LE grows and GE shrinks as v grows, so
+the scan skips a pair with an empty or repeated low side (the earlier pair
+dominates it) and stops at the first empty high side.  Three pruning rules cut
+the search; none can change a value, and only exact values are memoized:
+
+- sfat(S) <= floor(log2 |S|), since a tree of depth d has 2^d distinct leaves;
+  so a split whose smaller side cannot beat the best so far is skipped, and
+  since the high side only shrinks along a point, the rest of that point too;
+- the smaller side is solved first, and the larger side only when
+  1 + sfat(smaller) could still beat the best;
+- the search of V stops once it reaches floor(log2 |V|).
 
 Also here: the non-sequential fat-shattering dimension, by brute force over
 point sets with the same split enumerator, and a Littlestone oracle that
@@ -20,6 +47,7 @@ shares no code with sfat; both cross-check sfat.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -91,12 +119,11 @@ def sfat_empty_convention() -> int:
 
 def _sorted_columns(cls: ConceptClass) -> tuple[list[list[int]], list[list[float]]]:
     """Per point: the concept rows sorted by (value, row), and their values."""
-    table = cls.table
     rows, vals = [], []
-    for x in range(cls.domain_size):
-        order = sorted(range(len(cls)), key=lambda r: (table[r, x], r))
+    for col in cls.table.T.tolist():
+        order = sorted(range(len(col)), key=col.__getitem__)  # stable: ties by row
         rows.append(order)
-        vals.append([table[r, x] for r in order])
+        vals.append([col[r] for r in order])
     return rows, vals
 
 
@@ -140,6 +167,29 @@ def _splits(sorted_rows: list[int], sorted_vals: list[float], mask: int, margin:
     return out
 
 
+def _point_masks(sorted_rows: list[int], sorted_vals: list[float], margin: float):
+    """(LE, GE) row masks of one point, one pair per distinct value v, ascending.
+
+    LE holds the rows valued <= v and GE the rows valued >= v + 2*margin (less
+    the tolerance, as in `_splits`); pairs with an empty GE are left out.
+    """
+    prefix = [0]  # prefix[i]: the first i rows in value order
+    for r in sorted_rows:
+        prefix.append(prefix[-1] | 1 << r)
+    full = prefix[-1]
+    n = len(sorted_vals)
+    gap = 2.0 * margin
+    out = []
+    for i, v in enumerate(sorted_vals, 1):
+        if i < n and sorted_vals[i] == v:
+            continue  # LE is complete at the last row holding v
+        j = bisect_left(sorted_vals, v + gap - _MARGIN_TOL)
+        if j == n:
+            break
+        out.append((prefix[i], full ^ prefix[j]))
+    return out
+
+
 class SfatCache:
     """Memoized sfat computation for one (class, margin) pair.
 
@@ -160,6 +210,10 @@ class SfatCache:
         self.zeta = float(zeta)
         self._memo: dict[int, int] = {}
         self._sorted_rows, self._sorted_vals = _sorted_columns(cls)
+        self._pairs = [
+            _point_masks(rows, vals, self.zeta)
+            for rows, vals in zip(self._sorted_rows, self._sorted_vals)
+        ]
 
     def full_mask(self) -> int:
         return (1 << len(self.cls)) - 1
@@ -184,14 +238,30 @@ class SfatCache:
         best = 0
         ub = mask.bit_count().bit_length() - 1  # floor(log2 |V|)
         if ub > 0:
-            rows, vals, zeta = self._sorted_rows, self._sorted_vals, self.zeta
-            for x in range(self.cls.domain_size):
-                for _, lmask, rmask in _splits(rows[x], vals[x], mask, zeta):
-                    cand = 1 + min(
-                        self.dimension_of_mask(lmask), self.dimension_of_mask(rmask)
-                    )
-                    if cand > best:
-                        best = cand
+            for pairs in self._pairs:
+                prev = 0
+                for le, ge in pairs:
+                    right = mask & ge
+                    if not right:
+                        break  # GE only shrinks as v grows
+                    left = mask & le
+                    if not left or left == prev:
+                        continue  # empty, or dominated by the previous pair
+                    prev = left
+                    # sfat(S) <= floor(log2 |S|) bounds this split by its smaller side
+                    n_right = right.bit_count()
+                    if n_right.bit_length() <= best:
+                        break  # the right side only shrinks from here on
+                    n_left = left.bit_count()
+                    if n_left.bit_length() <= best:
+                        continue
+                    small, large = (left, right) if n_left <= n_right else (right, left)
+                    d = self.dimension_of_mask(small)
+                    if d < best:
+                        continue
+                    d = min(d, self.dimension_of_mask(large))
+                    if d >= best:
+                        best = d + 1
                         if best == ub:
                             break
                 if best == ub:

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from shatterlab import Concept, ConceptClass, Distribution
+
+# derandomized: property tests replay the same examples on every run, and a
+# loaded machine cannot fail them on the per-example deadline
+settings.register_profile("shatterlab", derandomize=True, deadline=None)
+settings.load_profile("shatterlab")
 
 
 @pytest.fixture

@@ -57,6 +57,18 @@ class TestCliRuns:
         assert summary["sfat"] == 2
         assert summary["schema"] == 1
 
+    def test_dims_on_documented_limit_corner(self, tmp_path):
+        # the largest generated class (8 points, 64 concepts) on the finest
+        # grid the benchmark uses, 1/20, at margin 1/10
+        cls_cfg = {"domain_size": 8, "n_concepts": 64, "zeta": 1 / 20, "seed": 1}
+        cfg = write_config(tmp_path, {"seed": 1, "zeta": 1 / 10, "class": {"generated": cls_cfg}})
+        out = str(tmp_path / "corner")
+        assert main(["dims", cfg, "--out", out]) == 0
+        summary = read_summary(out)
+        witness = dimensions.tree_from_json(json.dumps(summary["witness"]))
+        assert witness.depth() == summary["sfat"]
+        dimensions.validate_tree(generate_class(8, 64, 1 / 20, seed=1), witness, 1 / 10)
+
     def test_online_singleton_no_mistakes(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -270,6 +282,18 @@ MALFORMED = {
     ),
     "missing_states_file": ("quantum", {"seed": 1, "states_files": ["no/such/state.json"]}),
     "zero_tol": ("quantum", {"seed": 1, "tol": 0}),
+    # the online learner needs super-bin midpoints, so zeta <= 1/3
+    "online_zeta_half": ("online", {"seed": 1, "zeta": 0.5, "class": {"bundled": "two_constants"}}),
+    "adversary_zeta_half": (
+        "adversary",
+        {"seed": 1, "zeta": 0.5, "class": {"bundled": "two_constants"}},
+    ),
+    "stability_zeta_half": (
+        "stability",
+        {"seed": 1, "zeta": 0.5, "class": {"bundled": "two_constants"}},
+    ),
+    "privacy_too_many_hypotheses": ("privacy", {"seed": 1, "zeta": 0.01, "domain_size": 4}),
+    "shadow_negative_repeats": ("shadow", {"seed": 1, "epsilon": 0.5, "stream_repeats": -1}),
 }
 
 

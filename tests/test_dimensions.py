@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shatterlab import (
     SfatCache,
@@ -87,6 +89,103 @@ class TestSfat:
         cls = make_class([[v] for v in values])
         with pytest.raises(TooLarge):
             sfat(cls, None, 1 / 4)
+
+
+def oracle_sfat(rows: list, margin: float, tol: float = 1e-9) -> int:
+    """sfat of a list of value tuples, straight from the definition; no memo.
+
+    A node at point x with threshold s splits off {f(x) <= s - margin} and
+    {f(x) >= s + margin}; every such pair of sides is {f(x) <= u}, {f(x) >= w}
+    for two of the rows' values u, w at x with w - u >= 2 * margin, so every
+    such pair is tried.  The search stops once it reaches floor(log2 |rows|),
+    the most a tree over |rows| leaves can reach.
+    """
+    cap = len(rows).bit_length() - 1
+    best = 0
+    for x in range(len(rows[0])):
+        values = sorted({f[x] for f in rows})
+        for u in values:
+            for w in values:
+                if best == cap:
+                    return best
+                if w - u >= 2 * margin - tol:
+                    low = oracle_sfat([f for f in rows if f[x] <= u], margin, tol)
+                    high = oracle_sfat([f for f in rows if f[x] >= w], margin, tol)
+                    best = max(best, 1 + min(low, high))
+    return best
+
+
+class TestOracle:
+    def test_hand_classes(self, four_constants):
+        assert oracle_sfat([c.values for c in four_constants], 1 / 6) == 2
+        assert oracle_sfat([(0.0,), (0.39,), (0.41,), (0.8,)], 0.2) == 1
+        assert oracle_sfat([c.values for c in boolean_cube(3)], 1 / 4) == 3
+
+    @pytest.mark.parametrize("boolean", [False, True])
+    @pytest.mark.parametrize("nx,nc", [(1, 8), (2, 7), (2, 8), (3, 6), (3, 8)])
+    def test_every_subset_agrees(self, nx, nc, boolean):
+        for seed in range(3):
+            cls = generate_class(nx, nc, 1 / 4, seed=seed, boolean=boolean)
+            rows = [c.values for c in cls.concepts]
+            for margin in (0.05, 0.1, 0.125, 0.25):
+                cache = SfatCache(cls, margin)
+                for mask in range(1, 1 << nc):
+                    sub = [rows[r] for r in range(nc) if mask >> r & 1]
+                    assert cache.dimension_of_mask(mask) == oracle_sfat(sub, margin), (
+                        seed, margin, mask,
+                    )
+
+
+#: values on the 1/20 grid, so margin boundaries are hit exactly
+GRID_VALUES = st.sampled_from([k / 20 for k in range(21)])
+MARGINS = st.sampled_from([0.05, 0.1, 0.125, 0.25])
+
+
+@st.composite
+def small_tables(draw):
+    nx = draw(st.integers(1, 3))
+    row = st.lists(GRID_VALUES, min_size=nx, max_size=nx)
+    return draw(st.lists(row, min_size=1, max_size=7))
+
+
+def sfat_of(rows, margin):
+    cache = SfatCache(make_class(rows), margin)
+    return cache.dimension_of_mask(cache.full_mask())
+
+
+class TestSfatProperties:
+    @given(small_tables(), MARGINS, st.data())
+    def test_concept_order(self, rows, margin, data):
+        order = data.draw(st.permutations(range(len(rows))))
+        assert sfat_of([rows[r] for r in order], margin) == sfat_of(rows, margin)
+
+    @given(small_tables(), MARGINS, st.data())
+    def test_point_order(self, rows, margin, data):
+        order = data.draw(st.permutations(range(len(rows[0]))))
+        permuted = [[row[x] for x in order] for row in rows]
+        assert sfat_of(permuted, margin) == sfat_of(rows, margin)
+
+    @given(small_tables(), MARGINS, st.data())
+    def test_duplicate_concept(self, rows, margin, data):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        assert sfat_of(rows + [list(rows[r])], margin) == sfat_of(rows, margin)
+
+    @given(small_tables(), MARGINS, st.data())
+    def test_monotone_under_subsets(self, rows, margin, data):
+        cache = SfatCache(make_class(rows), margin)
+        outer = data.draw(st.integers(1, cache.full_mask()))
+        inner = outer & data.draw(st.integers(0, cache.full_mask()))
+        if inner:
+            assert cache.dimension_of_mask(inner) <= cache.dimension_of_mask(outer)
+
+
+class TestDocumentedLimitCorner:
+    @pytest.mark.parametrize("class_seed", [1, 2, 3])
+    def test_subset_count_guard(self, class_seed):
+        # (8, 64, 1/20) at margin 1/10: a count, not a time, so it cannot flake
+        cache = SfatCache(generate_class(8, 64, 1 / 20, seed=class_seed), 1 / 10)
+        cache.dimension_of_mask(cache.full_mask())
+        assert len(cache._memo) <= 5000
 
 
 class TestEmptyConvention:
