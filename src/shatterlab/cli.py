@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -284,6 +285,12 @@ def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
     delta = _param(cfg, "delta", float, 0.0)
     m = _param(cfg, "m", int, 4)
     _require(eps > 0, "epsilon must be positive")
+    try:
+        grow = math.exp(eps)
+    except OverflowError:
+        grow = math.inf
+    _require(grow < math.inf, f"epsilon={eps!r} is too large: e^epsilon overflows")
+    _require(0 <= delta < 1, "delta must lie in [0, 1)")
     _require(trials >= 10_000, "trials must be at least 10^4")
     _require(m >= 1, "m must be at least 1")
     domain_size = _param(cfg, "domain_size", int, 1)

@@ -29,6 +29,19 @@ from .errors import DomainMismatch, NonIntegerReciprocal, OutOfRange
 _RECIP_TOL = 1e-9
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """The normalized CDF that ``Generator.choice(n, size, p=p)`` searches.
+
+    ``cdf.searchsorted(rng.random(size), side="right")`` then draws exactly
+    the indices ``rng.choice(len(p), size, p=p)`` draws, and leaves the
+    generator in the same state.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
 def _grid_order(value: float, name: str = "zeta") -> int:
     """Return n = 1/value, or raise if 1/value is not an integer."""
     if not 0.0 < value <= 1.0:
@@ -178,14 +191,15 @@ class Distribution:
             raise OutOfRange(f"probabilities sum to {sum(self.p)!r}, expected 1")
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        w = np.array(self.p, dtype=float)
-        w.setflags(write=False)
-        return w
+    def _cdf(self) -> np.ndarray:
+        return _choice_cdf(self.p)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` point indices i.i.d. from this distribution."""
-        return rng.choice(len(self.p), size=size, p=self._weights)
+        """Draw `size` point indices i.i.d. from this distribution.
+
+        Same indices and generator state as ``rng.choice(len(p), size, p=p)``.
+        """
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
     @staticmethod
     def uniform(n: int) -> "Distribution":

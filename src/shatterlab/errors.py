@@ -57,6 +57,10 @@ class NonConvergence(ShatterlabError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
+class AllRunsFailed(ShatterlabError, RuntimeError):
+    """Every run of a Monte Carlo experiment failed, so there is nothing to report."""
+
+
 class NotPSD(ShatterlabError, ValueError):
     """A matrix required to be positive semidefinite is not."""
 

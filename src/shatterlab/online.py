@@ -91,6 +91,7 @@ class RsoaState:
             for x in range(cls.domain_size)
         ]
         self.mask = self.cache.full_mask()
+        self._hypotheses: dict[int, Concept] = {}
 
     @property
     def surviving_ids(self) -> frozenset[int]:
@@ -136,10 +137,18 @@ class RsoaState:
         self.mask = new
 
     def final_hypothesis(self) -> Concept:
-        """The prediction rule over the whole domain, materialized (id -1)."""
-        return Concept(
-            id=-1, values=tuple(self.predict(x) for x in range(self.cls.domain_size))
-        )
+        """The prediction rule over the whole domain, materialized (id -1).
+
+        The rule depends on nothing but the surviving mask, so each mask's
+        hypothesis is built once.
+        """
+        hyp = self._hypotheses.get(self.mask)
+        if hyp is None:
+            hyp = Concept(
+                id=-1, values=tuple(self.predict(x) for x in range(self.cls.domain_size))
+            )
+            self._hypotheses[self.mask] = hyp
+        return hyp
 
 
 # ---------------------------------------------------------------------------

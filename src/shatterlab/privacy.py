@@ -31,6 +31,7 @@ from .concepts import (
     Distribution,
     DomainPoint,
     LabeledExample,
+    _choice_cdf,
     cover_new,
     loss,
 )
@@ -53,6 +54,9 @@ class HypothesisCollection:
         for h in self.hypotheses:
             if len(h.values) != n:
                 raise OutOfRange("hypotheses must share one domain")
+        # one-entry memo of the exponential mechanism, (key, cdf), swapped
+        # whole so that no reader pairs one sample's key with another's CDF
+        object.__setattr__(self, "_mechanism_memo", None)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -99,8 +103,15 @@ def generic_private_learner(
         raise OutOfRange("the private learner needs a nonempty sample")
     if epsilon_priv <= 0:
         raise OutOfRange(f"epsilon_priv must be positive, got {epsilon_priv}")
-    w = exponential_weights(collection, sample, epsilon_priv, zeta)
-    idx = int(rng.choice(len(w), p=w))
+    # the weights depend only on (sample, eps, zeta): dp_test and the
+    # harvester run one sample many times in a row, so keep the last CDF
+    key = (tuple(sample), epsilon_priv, zeta)
+    memo = collection._mechanism_memo
+    if memo is None or memo[0] != key:
+        memo = (key, _choice_cdf(exponential_weights(collection, sample, epsilon_priv, zeta)))
+        object.__setattr__(collection, "_mechanism_memo", memo)
+    # the same index rng.choice(len(w), p=w) draws
+    idx = int(memo[1].searchsorted(rng.random(), side="right"))
     return collection.hypotheses[idx]
 
 
@@ -244,11 +255,14 @@ def build_probabilistic_representation(
         raise OutOfRange(f"m must be at least 1, got {m}")
     if not 0 < zeta < 1:
         raise OutOfRange(f"zeta must lie in (0, 1), got {zeta}")
-    reps = representation_repetitions(alpha, epsilon_priv, m)
+    try:
+        reps = representation_repetitions(alpha, epsilon_priv, m)
+    except OverflowError:
+        raise TooLarge("harvest repetitions e^(8 alpha eps m) overflow a float") from None
     grid = cover_new(zeta / 5.0).bin_midpoints
-    total = len(grid) * 4.0 * math.log(4.0) * math.exp(8.0 * alpha * epsilon_priv * m)
+    total = len(grid) * reps
     if total > 10**6:
-        raise TooLarge(f"harvest would run {total:.0f} replays")
+        raise TooLarge(f"harvest would run {total} replays")
     harvested = []
     x0 = DomainPoint(0)
     for zi, z in enumerate(grid):

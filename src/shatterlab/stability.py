@@ -32,7 +32,7 @@ from .concepts import (
     loss,
 )
 from .dimensions import sfat
-from .errors import OutOfRange
+from .errors import AllRunsFailed, OutOfRange
 from .online import RsoaState
 from .seeding import child_rng
 
@@ -83,8 +83,8 @@ def _draw_block(
     m: int,
     rng: np.random.Generator,
 ) -> tuple[tuple[int, float], ...]:
-    xs = dist.sample(rng, m)
-    return tuple((int(x), target.values[int(x)]) for x in xs)
+    values = target.values
+    return tuple((x, values[x]) for x in dist.sample(rng, m).tolist())
 
 
 def sample_ext(
@@ -107,19 +107,31 @@ def sample_ext(
     rng = child_rng(seed, 0xE27)
     budget = _Budget(cutoff)
     # one learner state reused for every attempt: the sfat cache and the bin
-    # membership masks are shared, only the surviving mask is reset
+    # membership masks are shared, only the surviving mask is reset.  An
+    # update depends only on (mask, x, y), so a sub-sample's surviving mask
+    # stands in for replaying its examples from the full class, and each
+    # (mask, x, y) step is computed once.
     runner = RsoaState(cls, zeta, strict=False)
-    full = runner.cache.full_mask()
+    empty = (ExtSample(segments=(), k=0, draws_used=0), runner.mask)
+    steps: dict[tuple[int, int, float], int] = {}
 
-    def rerun(examples: list[tuple[int, float]]) -> Concept:
-        runner.mask = full
+    def resume(mask: int, examples: Sequence[tuple[int, float]]) -> int:
+        """Set the runner to `mask` with `examples` applied; return that mask."""
         for xi, y in examples:
-            runner.update(xi, y)
-        return runner.final_hypothesis()
+            key = (mask, xi, y)
+            nxt = steps.get(key)
+            if nxt is None:
+                runner.mask = mask
+                runner.update(xi, y)
+                nxt = steps[key] = runner.mask
+            mask = nxt
+        runner.mask = mask
+        return mask
 
-    def rec(level: int) -> Optional[ExtSample]:
+    def rec(level: int) -> Optional[tuple[ExtSample, int]]:
+        """A level-`level` sample and the surviving mask after all its examples."""
         if level == 0:
-            return ExtSample(segments=(), k=0, draws_used=0)
+            return empty
         while True:
             pair = []
             for _branch in (0, 1):
@@ -129,9 +141,9 @@ def sample_ext(
                 if not budget.draw(m):
                     return None
                 block = _draw_block(cls, target, dist, m, rng)
-                hyp = rerun(sub.examples() + list(block))
-                pair.append((sub, block, hyp))
-            (s0, b0, f0), (s1, b1, f1) = pair
+                mask = resume(sub[1], block)
+                pair.append((sub[0], block, mask, runner.final_hypothesis()))
+            (s0, b0, v0, f0), (s1, b1, v1, f1) = pair
             diffs = [
                 x
                 for x in range(cls.domain_size)
@@ -142,19 +154,23 @@ def sample_ext(
             x_star = diffs[0]
             alpha = float(rng.choice(bins))
             if abs(alpha - f0.values[x_star]) < abs(alpha - f1.values[x_star]):
-                keep_sub, keep_block = s1, b1
+                keep_sub, keep_block, keep_mask = s1, b1, v1
             else:
-                keep_sub, keep_block = s0, b0
-            return ExtSample(
-                segments=keep_sub.segments + ((keep_block, (x_star, alpha)),),
-                k=level,
-                draws_used=0,
+                keep_sub, keep_block, keep_mask = s0, b0, v0
+            injected = (x_star, alpha)
+            return (
+                ExtSample(
+                    segments=keep_sub.segments + ((keep_block, injected),),
+                    k=level,
+                    draws_used=0,
+                ),
+                resume(keep_mask, (injected,)),
             )
 
     result = rec(k)
     if result is None:
         return Fail(draws_used=budget.used)
-    return ExtSample(segments=result.segments, k=result.k, draws_used=budget.used)
+    return ExtSample(segments=result[0].segments, k=k, draws_used=budget.used)
 
 
 def stable_learner_parameters(
@@ -248,6 +264,8 @@ def stability_experiment(
 
     Fail runs stay in the denominator (they are never ball members).  The
     reported centre is also scored by its loss at 12*zeta against the target.
+    Raises AllRunsFailed when no run returns a hypothesis: there is no ball
+    to report.
     """
     if runs < 100:
         raise OutOfRange("the stability experiment needs at least 100 runs")
@@ -260,9 +278,11 @@ def stability_experiment(
             fails += 1
         else:
             outputs.append(out)
+    if not outputs:
+        raise AllRunsFailed(f"all {runs} runs of the stable learner failed")
     # cluster by 11*zeta balls centred on each distinct output
     radius = 11.0 * zeta
-    best_center = outputs[0] if outputs else cls.by_id(target_id)
+    best_center = outputs[0]
     best_freq = 0.0
     seen: set[tuple[float, ...]] = set()
     for f in outputs:

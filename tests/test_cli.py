@@ -293,6 +293,10 @@ MALFORMED = {
         {"seed": 1, "zeta": 0.5, "class": {"bundled": "two_constants"}},
     ),
     "privacy_too_many_hypotheses": ("privacy", {"seed": 1, "zeta": 0.01, "domain_size": 4}),
+    # delta outside [0, 1) made the verdict meaningless; e^epsilon overflowed in dp_test
+    "privacy_negative_delta": ("privacy", {"seed": 1, "zeta": 0.5, "delta": -1}),
+    "privacy_delta_two": ("privacy", {"seed": 1, "zeta": 0.5, "delta": 2}),
+    "privacy_epsilon_overflow": ("privacy", {"seed": 1, "zeta": 0.5, "epsilon": 1e308}),
     "shadow_negative_repeats": ("shadow", {"seed": 1, "epsilon": 0.5, "stream_repeats": -1}),
 }
 

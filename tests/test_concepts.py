@@ -236,6 +236,39 @@ class TestTypes:
             DomainPoint(-1)
 
 
+def _distributions():
+    """Random distributions with zero entries, point masses and the uniform."""
+    out = [Distribution.uniform(1), Distribution.uniform(5), Distribution.point_mass(4, 0),
+           Distribution.point_mass(4, 3), Distribution((0.0, 0.5, 0.0, 0.5))]
+    gen = np.random.default_rng(2024)
+    while len(out) < 40:
+        n = int(gen.integers(1, 70))
+        w = gen.random(n)
+        w[gen.random(n) < 0.3] = 0.0
+        if w.sum() == 0:
+            continue
+        p = tuple(w / w.sum())
+        if abs(sum(p) - 1.0) <= 1e-12:
+            out.append(Distribution(p))
+    return out
+
+
+class TestDistributionSample:
+    """The cached-CDF draw is stream-identical to Generator.choice."""
+
+    def test_matches_generator_choice(self):
+        for i, d in enumerate(_distributions()):
+            for size in range(9):
+                for seed in range(3):
+                    mine = np.random.default_rng((seed, i, size))
+                    ref = np.random.default_rng((seed, i, size))
+                    got = d.sample(mine, size)
+                    want = ref.choice(len(d.p), size=size, p=np.array(d.p))
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                    assert mine.bit_generator.state == ref.bit_generator.state
+
+
 class TestJson:
     def test_class_round_trip(self):
         cls = make_class([[0.1, 0.9], [0.25, 0.5]])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -89,6 +91,66 @@ class TestExponentialMechanism:
         for k in range(2):
             se = math.sqrt(expect[k] * (1 - expect[k]) / trials)
             assert abs(counts[k] / trials - expect[k]) <= 3 * se + 1e-9
+
+    def test_stream_identical_to_generator_choice(self):
+        # the memoized CDF draws what rng.choice(len(w), p=w) draws, while the
+        # trials switch samples, eps alone and zeta alone
+        coll = discretize_hypotheses(2, 1 / 4)
+        x1 = DomainPoint(1)
+        a = (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.3))
+        b = (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.9))
+        p0, p1, p2 = (1.0, 1 / 4), (2.0, 1 / 4), (2.0, 1 / 8)
+        plan = [(a, p0)] * 5 + [(a, p1)] * 3 + [(a, p2)] * 3 + [(b, p2)] * 2 + [(b, p0)] * 2
+        plan += [(a, p0), (a, p1), (a, p2), (list(b), p2), (b, p1), (b, p0)] * 3
+        for t, (sample, (eps, zeta)) in enumerate(plan):
+            got = generic_private_learner(coll, sample, eps, zeta, child_rng(11, t))
+            rng = child_rng(11, t)
+            w = exponential_weights(coll, sample, eps, zeta)
+            want = coll.hypotheses[int(rng.choice(len(w), p=w))]
+            assert got is want
+
+    def test_memo_is_safe_to_share_between_threads(self):
+        # threads alternating two samples on one collection never draw from
+        # the other sample's CDF
+        coll = discretize_hypotheses(2, 1 / 4)
+        samples = (
+            (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.9)),
+            (LabeledExample(X0, 0.9), LabeledExample(DomainPoint(1), 0.1)),
+        )
+        trials = 400
+
+        def expected(w, t):
+            sample = samples[(w + t) % 2]
+            weights = exponential_weights(coll, sample, 3.0, 0.25)
+            return int(child_rng(w, t).choice(len(weights), p=weights))
+
+        want = {(w, t): expected(w, t) for w in range(6) for t in range(trials)}
+        got = {}
+
+        def work(w):
+            for t in range(trials):
+                h = generic_private_learner(coll, samples[(w + t) % 2], 3.0, 0.25, child_rng(w, t))
+                got[(w, t)] = h.id
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        used, fresh = two_hypotheses(), two_hypotheses()
+        generic_private_learner(used, (LabeledExample(X0, 0.2),), 1.0, 0.25, child_rng(0, 0))
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(OutOfRange):
@@ -248,6 +310,23 @@ class TestRepresentationHarvest:
                 m=1,
                 seed=9,
             )
+
+    def test_guard_counts_the_replays_it_runs(self):
+        # 6 labels times e^(8 alpha eps m) 4 ln 4 just under 10^6 / 6 stays
+        # below 10^6 as a float, but rounding the repetitions up runs more
+        zeta, eps = 5 / 6, 1.0
+        alpha = math.log(166666.5 / (4 * math.log(4))) / 8
+        reps = representation_repetitions(alpha, eps, 1)
+        assert 6 * 4 * math.log(4) * math.exp(8 * alpha * eps) <= 10**6 < 6 * reps
+
+        def learner(sample, rng):
+            raise AssertionError("the guard must trip before any replay")
+
+        with pytest.raises(TooLarge):
+            build_probabilistic_representation(learner, 1, zeta, alpha, eps, m=1, seed=9)
+        # a repetition count past the float range is too large too, not an OverflowError
+        with pytest.raises(TooLarge):
+            build_probabilistic_representation(learner, 1, zeta, 1.0, 100.0, m=10, seed=9)
 
     def test_harvest_hits_good_set(self):
         # the harvested collection intersects the good set in nearly every

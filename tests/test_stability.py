@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from shatterlab import (
+    Concept,
     Distribution,
+    ExtSample,
     Fail,
     loss,
     sample_ext,
@@ -14,11 +16,128 @@ from shatterlab import (
     stability_experiment,
     stable_learner_G,
 )
-from shatterlab.classes import ext_cost_class
-from shatterlab.errors import OutOfRange
+from shatterlab import stability
+from shatterlab.classes import ext_cost_class, generate_class
+from shatterlab.cli import main
+from shatterlab.concepts import cover_new
+from shatterlab.errors import AllRunsFailed, OutOfRange
 from shatterlab.online import RsoaState
+from shatterlab.seeding import child_rng
 from shatterlab.stability import ball_frequency, stable_learner_parameters
 from tests.conftest import make_class
+
+
+# -- a full-prefix replay reference: every attempt replays its whole sample
+# from the full class, draws with Generator.choice, and materializes the
+# hypothesis afresh, so it shares only RsoaState.update/predict with the
+# library's sampler
+
+
+def _reference_block(target, dist, m, rng):
+    xs = rng.choice(len(dist.p), size=m, p=np.array(dist.p))
+    return tuple((int(x), target.values[int(x)]) for x in xs)
+
+
+def _reference_replay(state, examples):
+    state.mask = state.cache.full_mask()
+    for xi, y in examples:
+        state.update(xi, y)
+    values = tuple(state.predict(x) for x in range(state.cls.domain_size))
+    return Concept(-1, values), state.mask
+
+
+def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
+    target = cls.by_id(target_id)
+    bins = cover_new(zeta).bin_midpoints
+    rng = child_rng(seed, 0xE27)
+    state = RsoaState(cls, zeta, strict=False)
+    used = 0
+
+    def rec(level):
+        nonlocal used
+        if level == 0:
+            return ()
+        while True:
+            pair = []
+            for _branch in (0, 1):
+                sub = rec(level - 1)
+                if sub is None:
+                    return None
+                if used + m > cutoff:
+                    used = cutoff + 1
+                    return None
+                used += m
+                block = _reference_block(target, dist, m, rng)
+                prefix = [e for blk, injected in sub for e in (*blk, injected)]
+                pair.append((sub, block, _reference_replay(state, prefix + list(block))[0]))
+            (s0, b0, f0), (s1, b1, f1) = pair
+            diffs = [
+                x for x in range(cls.domain_size) if abs(f0.values[x] - f1.values[x]) > 11.0 * zeta
+            ]
+            if not diffs:
+                continue
+            x_star = diffs[0]
+            alpha = float(rng.choice(bins))
+            if abs(alpha - f0.values[x_star]) < abs(alpha - f1.values[x_star]):
+                keep_sub, keep_block = s1, b1
+            else:
+                keep_sub, keep_block = s0, b0
+            return keep_sub + ((keep_block, (x_star, alpha)),)
+
+    segments = rec(k)
+    if segments is None:
+        return Fail(draws_used=used)
+    return ExtSample(segments=segments, k=k, draws_used=used)
+
+
+def reference_G(cls, target_id, dist, zeta, alpha, seed):
+    d, m, cutoff = stable_learner_parameters(cls, zeta, alpha)
+    rng = child_rng(seed, 0x6)
+    k = int(rng.integers(0, d + 1))
+    s = reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, int(rng.integers(2**63)))
+    if isinstance(s, Fail):
+        return s
+    block = _reference_block(cls.by_id(target_id), dist, m, rng)
+    hyp, mask = _reference_replay(RsoaState(cls, zeta, strict=False), s.examples() + list(block))
+    if mask == 0:
+        return Fail(draws_used=s.draws_used + m)
+    return hyp
+
+
+class TestStreamIdentity:
+    """Resumed masks, cached CDFs and memoized hypotheses move no draw."""
+
+    def test_sample_ext_matches_full_prefix_replay(self):
+        # small cutoffs hit the Fail paths at both levels
+        cls, dist, zeta, m = ext_cost_class()
+        gen = generate_class(4, 8, 1 / 4, seed=1)
+        cases = [
+            (cls, dist, zeta, m, (12, 60, 20_000)),
+            (gen, Distribution.uniform(4), 1 / 32, 2, (12, 60, 1500)),
+        ]
+        seen = {"fail": 0, "ok": 0}
+        for c, d, z, block, cutoffs in cases:
+            for k in (0, 1, 2):
+                for cutoff in cutoffs:
+                    for seed in range(6):
+                        got = sample_ext(c, 0, d, k, block, z, cutoff, seed=seed)
+                        assert got == reference_sample_ext(c, 0, d, k, block, z, cutoff, seed)
+                        seen["fail" if isinstance(got, Fail) else "ok"] += 1
+        assert seen["fail"] >= 10 and seen["ok"] >= 10
+
+    def test_stable_learner_matches_full_prefix_replay(self):
+        cls, dist, zeta, _ = ext_cost_class()
+        for alpha in (0.7, 4.0):
+            for seed in range(12):
+                got = stable_learner_G(cls, 0, dist, zeta, alpha, seed)
+                assert got == reference_G(cls, 0, dist, zeta, alpha, seed)
+
+    def test_stable_learner_fails_like_the_replay(self, two_constants_01):
+        # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
+        dist = Distribution.uniform(1)
+        outs = [stable_learner_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, s) for s in range(6)]
+        assert any(isinstance(o, Fail) for o in outs)
+        assert outs == [reference_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, s) for s in range(6)]
 
 
 class TestSampleExt:
@@ -205,6 +324,18 @@ class TestStabilityExperiment:
             fails += isinstance(out, Fail)
         ceiling = zeta**d / 2
         assert fails / runs <= ceiling + 3 * math.sqrt(ceiling / runs) + 1e-9
+
+    def test_all_runs_failing_is_an_experiment_fault(self, two_constants_01, monkeypatch, tmp_path):
+        # with every run failed there is no ball centre to report
+        monkeypatch.setattr(stability, "stable_learner_G", lambda *a, **kw: Fail(draws_used=0))
+        with pytest.raises(AllRunsFailed):
+            stability_experiment(
+                two_constants_01, 0, Distribution.uniform(1), 1 / 4, 1 / 2, runs=100, seed=1
+            )
+        cfg = tmp_path / "stability.json"
+        cfg.write_text(json.dumps({"seed": 1, "zeta": 0.25, "runs": 100,
+                                   "class": {"bundled": "two_constants"}}))
+        assert main(["stability", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
     def test_report_json(self, two_constants_01):
         rep = stability_experiment(
