@@ -6,8 +6,8 @@ from itertools import product
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Distribution
-from .errors import ConfigError, NonIntegerReciprocal, TooLarge
+from .concepts import Concept, ConceptClass, Distribution, _grid_order
+from .errors import ConfigError, TooLarge
 from .seeding import child_rng
 
 
@@ -86,10 +86,7 @@ def generate_class(
     if boolean:
         values = rng.integers(0, 2, size=(n_concepts, domain_size)).astype(float)
     else:
-        step = zeta / 5.0
-        n = round(1.0 / step)
-        if abs(1.0 / step - n) > 1e-9:
-            raise NonIntegerReciprocal(f"zeta/5 = {step} has no integer reciprocal")
+        n = _grid_order(zeta / 5.0, "zeta/5")
         mids = np.array([(2 * k + 1) / (2 * n) for k in range(n)])
         values = mids[rng.integers(0, n, size=(n_concepts, domain_size))]
     return ConceptClass(

@@ -3,9 +3,12 @@
 Usage: shatterlab <kind> <config.json> [--seed N] [--out DIR]
 
 Kinds: dims, online, adversary, stability, privacy, comm, quantum, shadow.
-Each run validates its config up front (exit 2 on bad config), executes, and
-writes out/summary.json plus an optional out/detail.csv.  Identical config
-and seed produce byte-identical summaries.  Experiment faults exit 1.
+Each runner maps a config and a seed to a summary and an optional detail
+table; `main` writes them as out/summary.json and out/detail.csv.  Identical
+config and seed produce byte-identical reports.  A bad config exits 2: the
+CLI checks the config's shape, and the library's own range checks reject the
+rest (see `_CONFIG_ERRORS`).  Any other library error is an experiment fault
+and exits 1.
 """
 
 from __future__ import annotations
@@ -14,14 +17,20 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import classes as bundled
 from .concepts import ConceptClass, Distribution, _grid_order, class_from_json
 from .dimensions import sfat, tree_to_json, validate_tree
-from .errors import ConfigError, NonIntegerReciprocal, ShatterlabError, TooLarge
+from .errors import (
+    ConfigError,
+    DimMismatch,
+    NonIntegerReciprocal,
+    OutOfRange,
+    ShatterlabError,
+    TooLarge,
+)
 from .online import (
     NOISES,
     RandomAdversary,
@@ -57,16 +66,8 @@ from .concepts import LabeledExample, DomainPoint
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "dims",
-    "online",
-    "adversary",
-    "stability",
-    "privacy",
-    "comm",
-    "quantum",
-    "shadow",
-)
+#: library errors that reject what a config asked for: exit 2, not 1
+_CONFIG_ERRORS = (ConfigError, NonIntegerReciprocal, OutOfRange, TooLarge, DimMismatch)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -84,26 +85,9 @@ def _param(cfg: dict, key: str, kind: type = float, default=None):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
-def _grid_order_of(value: float, name: str) -> int:
-    try:
-        return _grid_order(value, name)
-    except NonIntegerReciprocal as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _zeta_of(cfg: dict) -> float:
     zeta = _param(cfg, "zeta")
-    _require(_grid_order_of(zeta, "zeta") > 1, "zeta must lie in (0, 1)")
-    return zeta
-
-
-def _learner_zeta_of(cfg: dict) -> float:
-    """The zeta of a kind that runs the online learner: its grid needs zeta <= 1/3."""
-    zeta = _param(cfg, "zeta")
-    _require(
-        _grid_order_of(zeta, "zeta") >= 3,
-        "zeta must be at most 1/3: the online learner predicts on super-bin midpoints",
-    )
+    _require(_grid_order(zeta) > 1, "zeta must lie in (0, 1)")
     return zeta
 
 
@@ -151,73 +135,49 @@ def _load_class(cfg: dict, seed: int) -> ConceptClass:
     raise ConfigError("class source must be 'bundled', 'inline', or 'generated'")
 
 
-def _write_summary(out_dir: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema"] = SCHEMA_VERSION
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+#: a runner's result: the summary fields, and the detail table (header, rows) or None
+Report = tuple[dict, "tuple[list[str], list[list]] | None"]
 
 
-def _write_detail(out_dir: str, header: list[str], rows: list[list]) -> None:
-    with open(os.path.join(out_dir, "detail.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def run_dims(cfg: dict, seed: int, out_dir: str) -> None:
+def run_dims(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
     result = sfat(cls, None, zeta)
-    _write_summary(
-        out_dir,
-        {
-            "kind": "dims",
-            "seed": seed,
-            "zeta": zeta,
-            "n_concepts": len(cls),
-            "sfat": result.dimension,
-            "witness": json.loads(tree_to_json(result.witness)),
-        },
-    )
+    summary = {
+        "zeta": zeta,
+        "n_concepts": len(cls),
+        "sfat": result.dimension,
+        "witness": json.loads(tree_to_json(result.witness)),
+    }
+    return summary, None
 
 
-def run_online(cfg: dict, seed: int, out_dir: str) -> None:
-    zeta = _learner_zeta_of(cfg)
+def run_online(cfg: dict, seed: int) -> Report:
+    zeta = _zeta_of(cfg)
     T = _param(cfg, "T", int, 100)
     _require(T >= 1, "T must be at least 1")
     noise_name = cfg.get("noise", "exact")
     _require(isinstance(noise_name, str) and noise_name in NOISES, f"unknown noise {noise_name!r}")
     cls = _load_class(cfg, seed)
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
-    _require(target in cls.ids(), f"target_id {target} not in class")
     mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name](zeta))
     tr = run_online_game(cls, target, RandomAdversary(cls.domain_size), mode, T, seed)
     bound = sfat(cls, None, 2 * zeta).dimension
-    _write_summary(
-        out_dir,
-        {
-            "kind": "online",
-            "seed": seed,
-            "zeta": zeta,
-            "noise": noise_name,
-            "rounds": T,
-            "mistakes": tr.mistakes,
-            "sfat_bound": bound,
-            "within_bound": tr.mistakes <= bound,
-        },
-    )
-    _write_detail(
-        out_dir,
-        ["round", "x", "prediction", "feedback", "mistake", "V"],
-        [[r.t, r.x, r.prediction, r.feedback, r.mistake, r.v_after] for r in tr.rounds],
-    )
+    summary = {
+        "zeta": zeta,
+        "noise": noise_name,
+        "rounds": T,
+        "mistakes": tr.mistakes,
+        "sfat_bound": bound,
+        "within_bound": tr.mistakes <= bound,
+    }
+    header = ["round", "x", "prediction", "feedback", "mistake", "V"]
+    rows = [[r.t, r.x, r.prediction, r.feedback, r.mistake, r.v_after] for r in tr.rounds]
+    return summary, (header, rows)
 
 
-def run_adversary(cfg: dict, seed: int, out_dir: str) -> None:
-    zeta = _learner_zeta_of(cfg)
+def run_adversary(cfg: dict, seed: int) -> Report:
+    zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
     result = sfat(cls, None, zeta)
     rows = []
@@ -235,28 +195,16 @@ def run_adversary(cfg: dict, seed: int, out_dir: str) -> None:
         }
         for xi, pred, right in res.rounds:
             rows.append([name, xi, pred, right])
-    _write_summary(
-        out_dir,
-        {
-            "kind": "adversary",
-            "seed": seed,
-            "zeta": zeta,
-            "sfat": result.dimension,
-            "learners": summary_losses,
-        },
-    )
-    _write_detail(out_dir, ["learner", "x", "prediction", "went_right"], rows)
+    summary = {"zeta": zeta, "sfat": result.dimension, "learners": summary_losses}
+    return summary, (["learner", "x", "prediction", "went_right"], rows)
 
 
-def run_stability(cfg: dict, seed: int, out_dir: str) -> None:
-    zeta = _learner_zeta_of(cfg)
+def run_stability(cfg: dict, seed: int) -> Report:
+    zeta = _zeta_of(cfg)
     runs = _param(cfg, "runs", int, 200)
     alpha = _param(cfg, "alpha", float, 0.5)
-    _require(runs >= 100, "runs must be at least 100")
-    _require(alpha > 0, "alpha must be positive")
     cls = _load_class(cfg, seed)
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
-    _require(target in cls.ids(), f"target_id {target} not in class")
     if "distribution" in cfg:
         p = cfg["distribution"]
         _require(
@@ -271,34 +219,21 @@ def run_stability(cfg: dict, seed: int, out_dir: str) -> None:
         dist = Distribution.uniform(cls.domain_size)
     report = stability_experiment(cls, target, dist, zeta, alpha, runs, seed)
     # the report's fields, with the ball centre flattened to its values
-    payload = dataclasses.asdict(report)
-    payload.update(
-        {"kind": "stability", "seed": seed, "best_ball_center": list(report.best_ball_center.values)}
-    )
-    _write_summary(out_dir, payload)
+    summary = dataclasses.asdict(report)
+    summary["best_ball_center"] = list(report.best_ball_center.values)
+    return summary, None
 
 
-def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
+def run_privacy(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     eps = _param(cfg, "epsilon", float, 1.0)
     trials = _param(cfg, "trials", int, 10_000)
     delta = _param(cfg, "delta", float, 0.0)
     m = _param(cfg, "m", int, 4)
-    _require(eps > 0, "epsilon must be positive")
-    try:
-        grow = math.exp(eps)
-    except OverflowError:
-        grow = math.inf
-    _require(grow < math.inf, f"epsilon={eps!r} is too large: e^epsilon overflows")
-    _require(0 <= delta < 1, "delta must lie in [0, 1)")
-    _require(trials >= 10_000, "trials must be at least 10^4")
     _require(m >= 1, "m must be at least 1")
     domain_size = _param(cfg, "domain_size", int, 1)
     _require(1 <= domain_size <= 4, "domain_size must be in 1..4")
-    try:
-        coll = discretize_hypotheses(domain_size, zeta)
-    except TooLarge as exc:
-        raise ConfigError(str(exc)) from None
+    coll = discretize_hypotheses(domain_size, zeta)
     x = DomainPoint(0)
     base = [LabeledExample(x, 0.1)] * m
     neighbor = list(base)
@@ -307,46 +242,30 @@ def run_privacy(cfg: dict, seed: int, out_dir: str) -> None:
     def learner(sample, rng):
         return generic_private_learner(coll, sample, eps, zeta, rng)
 
-    report = dp_test(
-        learner,
-        tuple(base),
-        tuple(neighbor),
-        eps,
-        delta,
-        trials,
-        seed,
-    )
-    _write_summary(
-        out_dir,
-        {
-            "kind": "privacy",
-            "seed": seed,
-            "zeta": zeta,
-            "epsilon": eps,
-            "trials": trials,
-            "verdict": report.verdict,
-            "max_violation": report.max_violation,
-            "hypotheses": len(coll),
-        },
-    )
-    _write_detail(
-        out_dir,
-        ["event", "freq_s", "freq_s_prime", "slack"],
-        [[e.event, e.freq_s, e.freq_s_prime, e.slack] for e in report.events],
-    )
+    report = dp_test(learner, tuple(base), tuple(neighbor), eps, delta, trials, seed)
+    summary = {
+        "zeta": zeta,
+        "epsilon": eps,
+        "trials": trials,
+        "verdict": report.verdict,
+        "max_violation": report.max_violation,
+        "hypotheses": len(coll),
+    }
+    header = ["event", "freq_s", "freq_s_prime", "slack"]
+    rows = [[e.event, e.freq_s, e.freq_s_prime, e.slack] for e in report.events]
+    return summary, (header, rows)
 
 
-def run_comm(cfg: dict, seed: int, out_dir: str) -> None:
+def run_comm(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     failure_rate = _param(cfg, "failure_rate", float, 0.0)
-    _require(0 <= failure_rate < 1, "failure_rate must lie in [0, 1)")
     cls = _load_class(cfg, seed)
     result = sfat(cls, None, zeta)
     d = min(result.dimension, _param(cfg, "depth", int, result.dimension))
     _require(d >= 1, "class must have sfat >= 1 for a reduction experiment")
     validate_tree(cls, result.witness, zeta)
     base = BaselineEvalProtocol(cls)
-    proto = CorruptedEvalProtocol(base, failure_rate) if failure_rate > 0 else base
+    proto = CorruptedEvalProtocol(base, failure_rate) if failure_rate != 0 else base
     rng = child_rng(seed, 0xC0)
     rows = []
     successes = 0
@@ -356,21 +275,16 @@ def run_comm(cfg: dict, seed: int, out_dir: str) -> None:
         rows.append([inst.x, inst.i, run.bits_sent, run.success])
         successes += run.success
         total += 1
-    _write_summary(
-        out_dir,
-        {
-            "kind": "comm",
-            "seed": seed,
-            "zeta": zeta,
-            "depth": d,
-            "failure_rate": failure_rate,
-            "instances": total,
-            "success_rate": successes / total,
-            "bits_per_run": proto.bits,
-            "lower_bound_eps0": cc_lower_bound(result.dimension, 0.0),
-        },
-    )
-    _write_detail(out_dir, ["x", "i", "bits", "success"], rows)
+    summary = {
+        "zeta": zeta,
+        "depth": d,
+        "failure_rate": failure_rate,
+        "instances": total,
+        "success_rate": successes / total,
+        "bits_per_run": proto.bits,
+        "lower_bound_eps0": cc_lower_bound(result.dimension, 0.0),
+    }
+    return summary, (["x", "i", "bits", "success"], rows)
 
 
 def _load_states(cfg: dict, seed: int):
@@ -386,32 +300,26 @@ def _load_states(cfg: dict, seed: int):
     return [random_density_matrix(dim, rng) for _ in range(count)]
 
 
-def run_quantum(cfg: dict, seed: int, out_dir: str) -> None:
+def run_quantum(cfg: dict, seed: int) -> Report:
     tol = _param(cfg, "tol", float, 1e-6)
-    _require(tol > 0, "tol must be positive")
     states = _load_states(cfg, seed)
     ens = Ensemble.uniform(states)
     chi_uniform = holevo_chi(ens)
     chi_star, weights = max_holevo(states, tol=tol)
-    _write_summary(
-        out_dir,
-        {
-            "kind": "quantum",
-            "seed": seed,
-            "n_states": len(states),
-            "dim": states[0].dim,
-            "chi_uniform": chi_uniform,
-            "chi_star": chi_star,
-            "weights": list(weights),
-            "audenaert_bound": audenaert_bound(ens),
-        },
-    )
+    summary = {
+        "n_states": len(states),
+        "dim": states[0].dim,
+        "chi_uniform": chi_uniform,
+        "chi_star": chi_star,
+        "weights": list(weights),
+        "audenaert_bound": audenaert_bound(ens),
+    }
+    return summary, None
 
 
-def run_shadow(cfg: dict, seed: int, out_dir: str) -> None:
+def run_shadow(cfg: dict, seed: int) -> Report:
     eps = _param(cfg, "epsilon", float, 0.5)
     _require(0 < eps < 1, "epsilon must lie in (0, 1)")
-    _grid_order_of(eps / 5.0, "(epsilon/5)")
     states = _load_states(cfg, seed)
     n_meas = _param(cfg, "n_measurements", int, 4)
     _require(1 <= n_meas <= 16, "n_measurements must be in 1..16")
@@ -424,31 +332,24 @@ def run_shadow(cfg: dict, seed: int, out_dir: str) -> None:
         meas = random_basis_measurements(states[0].dim, rng, n_meas)
     cls = materialize_concept_class(states, meas)
     target = _param(cfg, "target_id", int, 0)
-    _require(target in cls.ids(), "target_id out of range")
     order = list(range(len(meas))) * repeats
     tr, estimates = run_shadow_stream(cls, target, order, eps)
     bound = sfat(cls, None, 2 * eps / 5).dimension
-    _write_summary(
-        out_dir,
-        {
-            "kind": "shadow",
-            "seed": seed,
-            "epsilon": eps,
-            "stream_length": len(order),
-            "updates": tr.updates,
-            "sfat_bound": bound,
-            "within_bound": tr.updates <= bound,
-            "mistakes": tr.mistakes,
-        },
-    )
-    _write_detail(
-        out_dir,
-        ["position", "measurement", "estimate", "truth", "mistake"],
-        [
-            [i, r.x, est, cls.by_id(target).values[r.x], r.mistake]
-            for i, (r, est) in enumerate(zip(tr.rounds, estimates))
-        ],
-    )
+    summary = {
+        "epsilon": eps,
+        "stream_length": len(order),
+        "updates": tr.updates,
+        "sfat_bound": bound,
+        "within_bound": tr.updates <= bound,
+        "mistakes": tr.mistakes,
+    }
+    truth = cls.by_id(target).values
+    header = ["position", "measurement", "estimate", "truth", "mistake"]
+    rows = [
+        [i, r.x, est, truth[r.x], r.mistake]
+        for i, (r, est) in enumerate(zip(tr.rounds, estimates))
+    ]
+    return summary, (header, rows)
 
 
 _RUNNERS = {
@@ -461,6 +362,8 @@ _RUNNERS = {
     "quantum": run_quantum,
     "shadow": run_shadow,
 }
+
+KINDS = tuple(_RUNNERS)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -482,13 +385,23 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.seed is None and cfg.get("seed") is None:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
         seed = args.seed if args.seed is not None else _param(cfg, "seed", int)
-        _RUNNERS[args.kind](cfg, seed, args.out)
-    except ConfigError as exc:
+        summary, detail = _RUNNERS[args.kind](cfg, seed)
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ShatterlabError as exc:
         print(f"experiment fault: {exc}", file=sys.stderr)
         return 1
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
+        json.dump({**summary, "kind": args.kind, "seed": seed, "schema": SCHEMA_VERSION},
+                  fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    if detail is not None:
+        with open(os.path.join(args.out, "detail.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(detail[0])
+            w.writerows(detail[1])
     return 0
 
 

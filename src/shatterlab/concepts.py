@@ -128,10 +128,13 @@ class ConceptClass:
         return {c.id: row for row, c in enumerate(self.concepts)}
 
     def row_of(self, concept_id: int) -> int:
-        return self._row_of_id[concept_id]
+        try:
+            return self._row_of_id[concept_id]
+        except KeyError:
+            raise OutOfRange(f"concept id {concept_id!r} is not in the class") from None
 
     def by_id(self, concept_id: int) -> Concept:
-        return self.concepts[self._row_of_id[concept_id]]
+        return self.concepts[self.row_of(concept_id)]
 
     def ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.concepts)

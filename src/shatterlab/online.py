@@ -248,17 +248,9 @@ class MistakeOnly:
 # Adversaries
 # ---------------------------------------------------------------------------
 
-class Adversary:
-    """Chooses the stream of domain points in a game."""
+class RandomAdversary:
+    """Presents a uniformly random domain point each round."""
 
-    def reset(self, rng: np.random.Generator) -> None:
-        pass
-
-    def next_point(self, t: int, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
-
-class RandomAdversary(Adversary):
     def __init__(self, domain_size: int):
         self.domain_size = domain_size
 
@@ -266,7 +258,9 @@ class RandomAdversary(Adversary):
         return int(rng.integers(self.domain_size))
 
 
-class CyclicAdversary(Adversary):
+class CyclicAdversary:
+    """Presents the listed points in order, cycling."""
+
     def __init__(self, points: Sequence[int]):
         self.points = list(points)
 
@@ -346,7 +340,7 @@ class Transcript:
 def run_online_game(
     cls: ConceptClass,
     target_id: int,
-    adversary: Adversary,
+    adversary: "RandomAdversary | CyclicAdversary",
     mode: "StrongFeedback | MistakeOnly",
     T: int,
     seed: int,
@@ -358,7 +352,6 @@ def run_online_game(
     target survives every update.
     """
     rng = child_rng(seed, 0)
-    adversary.reset(rng)
     target = cls.by_id(target_id)
     zeta = mode.zeta
     state = RsoaState(cls, zeta, strict=True)

@@ -179,12 +179,19 @@ def dp_test(
     check_neighbors(s, s_prime)
     if trials < 10_000:
         raise OutOfRange("the indistinguishability test needs at least 10^4 trials")
+    if not 0 <= delta < 1:
+        raise OutOfRange(f"delta must lie in [0, 1), got {delta!r}")
+    try:
+        grow = math.exp(epsilon)
+    except OverflowError:
+        grow = math.inf
+    if not math.isfinite(grow):
+        raise OutOfRange(f"epsilon={epsilon!r} leaves e^epsilon non-finite")
     counts: dict[int, list[int]] = {}
     for side, sample in enumerate((s, s_prime)):
         for t in range(trials):
             out = learner(sample, child_rng(seed, side, t))
             counts.setdefault(out.id, [0, 0])[side] += 1
-    grow = math.exp(epsilon)
     events = []
     worst = -math.inf
     for hid, (a, b) in sorted(counts.items()):

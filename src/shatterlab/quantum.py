@@ -185,8 +185,8 @@ def max_holevo(
         raise OutOfRange("need at least one state")
     if len(states) > 16:
         raise OutOfRange("weight maximization is limited to 16 states")
-    if tol <= 0:
-        raise OutOfRange("tol must be positive")
+    if not tol > 0:
+        raise OutOfRange(f"tol must be positive, got {tol!r}")
     n = len(states)
     if n == 1:
         return 0.0, (1.0,)

@@ -77,11 +77,7 @@ class _Budget:
 
 
 def _draw_block(
-    cls: ConceptClass,
-    target: Concept,
-    dist: Distribution,
-    m: int,
-    rng: np.random.Generator,
+    target: Concept, dist: Distribution, m: int, rng: np.random.Generator
 ) -> tuple[tuple[int, float], ...]:
     values = target.values
     return tuple((x, values[x]) for x in dist.sample(rng, m).tolist())
@@ -140,7 +136,7 @@ def sample_ext(
                     return None
                 if not budget.draw(m):
                     return None
-                block = _draw_block(cls, target, dist, m, rng)
+                block = _draw_block(target, dist, m, rng)
                 mask = resume(sub[1], block)
                 pair.append((sub[0], block, mask, runner.final_hypothesis()))
             (s0, b0, v0, f0), (s1, b1, v1, f1) = pair
@@ -209,7 +205,7 @@ def stable_learner_G(
     if isinstance(s, Fail):
         return s
     target = cls.by_id(target_id)
-    block = _draw_block(cls, target, dist, m, rng)
+    block = _draw_block(target, dist, m, rng)
     state = RsoaState(cls, zeta, strict=False)
     for xi, y in s.examples() + list(block):
         state.update(xi, y)

@@ -7,7 +7,7 @@ import pytest
 from shatterlab import dimensions
 from shatterlab.classes import generate_class
 from shatterlab.cli import main
-from shatterlab.errors import TooLarge
+from shatterlab.errors import NonIntegerReciprocal, TooLarge
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -44,6 +44,11 @@ class TestGenerateClass:
             generate_class(9, 4, 1 / 4, seed=0)
         with pytest.raises(TooLarge):
             generate_class(2, 65, 1 / 4, seed=0)
+
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, 0.3, 6.0])
+    def test_rejects_a_zeta_off_the_grid(self, zeta):
+        with pytest.raises(NonIntegerReciprocal):
+            generate_class(2, 4, zeta, seed=0)
 
 
 class TestCliRuns:
@@ -298,12 +303,98 @@ MALFORMED = {
     "privacy_delta_two": ("privacy", {"seed": 1, "zeta": 0.5, "delta": 2}),
     "privacy_epsilon_overflow": ("privacy", {"seed": 1, "zeta": 0.5, "epsilon": 1e308}),
     "shadow_negative_repeats": ("shadow", {"seed": 1, "epsilon": 0.5, "stream_repeats": -1}),
+    # range rules the library checks itself: OutOfRange, NonIntegerReciprocal,
+    # TooLarge and DimMismatch mean a bad config, not an experiment fault
+    "stability_runs_99": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 99, "class": {"bundled": "two_constants"}},
+    ),
+    "stability_alpha_zero": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "alpha": 0, "class": {"bundled": "two_constants"}},
+    ),
+    "privacy_epsilon_zero": ("privacy", {"seed": 1, "zeta": 0.5, "epsilon": 0}),
+    "privacy_trials_100": ("privacy", {"seed": 1, "zeta": 0.5, "trials": 100}),
+    "comm_negative_failure_rate": (
+        "comm",
+        {"seed": 1, "zeta": 0.25, "failure_rate": -0.5, "class": {"bundled": "boolean_cube_3"}},
+    ),
+    "comm_failure_rate_one": (
+        "comm",
+        {"seed": 1, "zeta": 0.25, "failure_rate": 1, "class": {"bundled": "boolean_cube_3"}},
+    ),
+    "online_unknown_target": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "target_id": 7, "class": {"bundled": "two_constants"}},
+    ),
+    "stability_unknown_target": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "target_id": 7,
+         "class": {"bundled": "two_constants"}},
+    ),
+    "shadow_unknown_target": ("shadow", {"seed": 1, "epsilon": 0.5, "target_id": 7}),
+    # epsilon/5 = 0.06 has no integer reciprocal
+    "shadow_epsilon_off_grid": ("shadow", {"seed": 1, "epsilon": 0.3}),
+    "inline_class_of_65_concepts": (
+        "dims",
+        {"seed": 1, "zeta": 0.25, "class": {"inline": {
+            "domain_size": 1, "concepts": [{"id": i, "values": [0.5]} for i in range(65)]}}},
+    ),
+    "generated_zeta_zero": (
+        "dims",
+        {"seed": 1, "zeta": 0.25,
+         "class": {"generated": {"domain_size": 2, "n_concepts": 4, "zeta": 0}}},
+    ),
+    "generated_zeta_negative": (
+        "dims",
+        {"seed": 1, "zeta": 0.25,
+         "class": {"generated": {"domain_size": 2, "n_concepts": 4, "zeta": -1}}},
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+def write_matrix(tmp_path, name, dim, entries):
+    """A JSON state or effect file: a dim x dim real matrix with the given diagonal."""
+    path = tmp_path / name
+    re = [[entries[i] if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+    path.write_text(json.dumps({"dim": dim, "re": re, "im": [[0.0] * dim for _ in range(dim)]}))
+    return str(path)
+
+
+def _seventeen_states(tmp_path):
+    path = write_matrix(tmp_path, "zero.json", 2, [1.0, 0.0])
+    return "quantum", {"seed": 1, "states_files": [path] * 17}
+
+
+def _mixed_dimension_states(tmp_path):
+    paths = [write_matrix(tmp_path, "q1.json", 2, [1.0, 0.0]),
+             write_matrix(tmp_path, "q2.json", 4, [1.0, 0.0, 0.0, 0.0])]
+    return "quantum", {"seed": 1, "states_files": paths}
+
+
+def _effect_dimension_off_state(tmp_path):
+    state = write_matrix(tmp_path, "state.json", 2, [1.0, 0.0])
+    effect = write_matrix(tmp_path, "effect.json", 4, [1.0, 0.0, 0.0, 0.0])
+    return "shadow", {"seed": 1, "epsilon": 0.5, "states_files": [state],
+                      "measurements_files": [effect]}
+
+
+#: malformed configs that point at files; each builds its files under tmp_path
+MALFORMED_WITH_FILES = {
+    "seventeen_states_files": _seventeen_states,
+    "mixed_dimension_states_files": _mixed_dimension_states,
+    "measurement_dimension_off_state": _effect_dimension_off_state,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(MALFORMED_WITH_FILES))
 def test_malformed_config_exits_2(case, tmp_path, capsys):
-    kind, payload = MALFORMED[case]
+    if case in MALFORMED:
+        kind, payload = MALFORMED[case]
+    else:
+        kind, payload = MALFORMED_WITH_FILES[case](tmp_path)
     cfg = write_config(tmp_path, payload)
-    assert main([kind, cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([kind, cfg, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

@@ -225,6 +225,14 @@ class TestTypes:
         with pytest.raises(DomainMismatch):
             ConceptClass(2, (Concept(0, (0.5,)),))
 
+    def test_unknown_id_is_out_of_range(self):
+        cls = ConceptClass(1, (Concept(3, (0.5,)),))
+        assert cls.by_id(3).values == (0.5,) and cls.row_of(3) == 0
+        with pytest.raises(OutOfRange):
+            cls.by_id(4)
+        with pytest.raises(OutOfRange):
+            cls.row_of(4)
+
     def test_distribution_validation(self):
         with pytest.raises(OutOfRange):
             Distribution((0.5, 0.6))

@@ -1,9 +1,9 @@
-"""Golden summaries: one committed config per CLI kind, pinned by sha256.
+"""Golden reports: one committed config per CLI kind, pinned by sha256.
 
 The digests pin the promise that an identical config and seed give a
-byte-identical ``summary.json``, across code changes and not only within one
-run.  A change that moves a digest changes the random stream or the report,
-and must say so.
+byte-identical ``summary.json`` (and ``detail.csv``, for the kinds that write
+one), across code changes and not only within one run.  A change that moves
+a digest changes the random stream or the report, and must say so.
 """
 
 import hashlib
@@ -26,6 +26,19 @@ DIGESTS = {
     "shadow": "0f074af23e7627ce25697235afcac69266b7de6364f4b1f1d8eea95365aaedf9",
 }
 
+DETAIL_DIGESTS = {
+    "online": "4035c447b5ad1ebe421b2210d505cb93849c1de2be9328b6eaf306d8be75e50e",
+    "adversary": "75cc03aea747bf6a44eec637538772eae89730961a385a4900ac3e2e74c7e241",
+    "privacy": "9b33910dd01653c3ba1f9ae3d86e3a71da1bf1a187efe0d1e341076d432935b4",
+    "comm": "aa96ae08f5d3ca384ca63653a4d21fed1b1cb0f6666cee39f912158ba3732771",
+    "shadow": "64035284185cf8180b9a7c4bda47f3bfa4b0f9b163050e59d8f4f3a5e8f27393",
+}
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
 
 def test_every_kind_has_a_golden():
     assert sorted(DIGESTS) == sorted(KINDS)
@@ -35,5 +48,15 @@ def test_every_kind_has_a_golden():
 def test_summary_digest(kind, tmp_path):
     out = str(tmp_path / kind)
     assert main([kind, os.path.join(CONFIGS, f"{kind}.json"), "--out", out]) == 0
-    with open(os.path.join(out, "summary.json"), "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS[kind]
+    assert sha256_of(os.path.join(out, "summary.json")) == DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_detail_digest(kind, tmp_path):
+    out = str(tmp_path / kind)
+    assert main([kind, os.path.join(CONFIGS, f"{kind}.json"), "--out", out]) == 0
+    detail = os.path.join(out, "detail.csv")
+    if kind in DETAIL_DIGESTS:
+        assert sha256_of(detail) == DETAIL_DIGESTS[kind]
+    else:
+        assert not os.path.exists(detail)

@@ -184,6 +184,21 @@ class TestDpTest:
         with pytest.raises(NotNeighbors):
             check_neighbors(s, (sp[1], sp[1]))
 
+    @pytest.mark.parametrize(
+        "epsilon, delta", [(1.0, -0.1), (1.0, 1.0), (1e308, 0.0), (math.nan, 0.0)]
+    )
+    def test_rejects_bad_delta_and_epsilon_before_any_trial(self, epsilon, delta):
+        s, sp = self.neighbor_pair()
+        calls = []
+
+        def learner(sample, rng):
+            calls.append(sample)
+            return Concept(0, (0.5,))
+
+        with pytest.raises(OutOfRange):
+            dp_test(learner, s, sp, epsilon, delta, trials=10_000, seed=1)
+        assert calls == []
+
     def test_input_oblivious_learner_passes_at_zero(self):
         coll = two_hypotheses()
         s, sp = self.neighbor_pair()

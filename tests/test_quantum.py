@@ -165,6 +165,11 @@ class TestMaxHolevo:
         with pytest.raises(OutOfRange):
             max_holevo([], tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_rejects_a_tol_that_is_not_positive(self, tol):
+        with pytest.raises(OutOfRange):
+            max_holevo([KET0, KET1], tol=tol)
+
 
 class TestBounds:
     @pytest.mark.parametrize(
