@@ -14,6 +14,7 @@ and exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -373,6 +374,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
+    # an earlier run's report must not pass for this run's, whether this run
+    # fails or writes no detail.csv
+    for name in ("summary.json", "detail.csv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, name))
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -36,9 +36,12 @@ from .concepts import (
     loss,
 )
 from .errors import NotNeighbors, OutOfRange, TooLarge
-from .seeding import child_rng
+from .seeding import child_rngs
 
 Sample = Sequence[LabeledExample]
+#: A learner maps a sample and a generator to a hypothesis.  The generator is
+#: valid only during the call: the trial loops hand out bulk child streams
+#: (`seeding.child_rngs`) that share one bit generator.
 Learner = Callable[[Sample, np.random.Generator], Concept]
 
 
@@ -189,8 +192,8 @@ def dp_test(
         raise OutOfRange(f"epsilon={epsilon!r} leaves e^epsilon non-finite")
     counts: dict[int, list[int]] = {}
     for side, sample in enumerate((s, s_prime)):
-        for t in range(trials):
-            out = learner(sample, child_rng(seed, side, t))
+        for rng in child_rngs(seed, side, n=trials):
+            out = learner(sample, rng)
             counts.setdefault(out.id, [0, 0])[side] += 1
     events = []
     worst = -math.inf
@@ -274,6 +277,6 @@ def build_probabilistic_representation(
     x0 = DomainPoint(0)
     for zi, z in enumerate(grid):
         sample = tuple(LabeledExample(x0, z) for _ in range(m))
-        for rep in range(reps):
-            harvested.append(dp_learner(sample, child_rng(seed, zi, rep)))
+        for rng in child_rngs(seed, zi, n=reps):
+            harvested.append(dp_learner(sample, rng))
     return HypothesisCollection(hypotheses=tuple(harvested), provenance="harvested")

@@ -92,8 +92,14 @@ def sample_ext(
     zeta: float,
     cutoff: int,
     seed: int,
+    *,
+    runner: Optional[RsoaState] = None,
 ) -> "ExtSample | Fail":
-    """Draw one curated sample with k injected mistakes, or Fail at the cutoff."""
+    """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
+
+    `runner`, if given, is a non-strict learner state for (cls, zeta) to
+    reuse; its surviving mask is overwritten.
+    """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
     if cutoff < 0:
@@ -107,8 +113,9 @@ def sample_ext(
     # update depends only on (mask, x, y), so a sub-sample's surviving mask
     # stands in for replaying its examples from the full class, and each
     # (mask, x, y) step is computed once.
-    runner = RsoaState(cls, zeta, strict=False)
-    empty = (ExtSample(segments=(), k=0, draws_used=0), runner.mask)
+    if runner is None:
+        runner = RsoaState(cls, zeta, strict=False)
+    empty = (ExtSample(segments=(), k=0, draws_used=0), runner.cache.full_mask())
     steps: dict[tuple[int, int, float], int] = {}
 
     def resume(mask: int, examples: Sequence[tuple[int, float]]) -> int:
@@ -182,6 +189,22 @@ def stable_learner_parameters(
     return d, m, cutoff
 
 
+@dataclass(frozen=True)
+class _Shared:
+    """What every run of G on one (class, zeta, alpha) shares: the parameters
+    and one non-strict learner state, whose surviving mask each use resets."""
+
+    d: int
+    m: int
+    cutoff: int
+    state: RsoaState
+
+    @classmethod
+    def build(cls, concepts: ConceptClass, zeta: float, alpha: float) -> "_Shared":
+        d, m, cutoff = stable_learner_parameters(concepts, zeta, alpha)
+        return cls(d, m, cutoff, RsoaState(concepts, zeta, strict=False))
+
+
 def stable_learner_G(
     cls: ConceptClass,
     target_id: int,
@@ -189,6 +212,8 @@ def stable_learner_G(
     zeta: float,
     alpha: float,
     seed: int,
+    *,
+    shared: Optional[_Shared] = None,
 ) -> "Concept | Fail":
     """One run of the globally-stable learner.
 
@@ -197,16 +222,24 @@ def stable_learner_G(
     injection was invalid — a valid sample never eliminates the target, and
     only surviving-set-backed hypotheses carry the consistency guarantees the
     stability analysis rests on).
+
+    `shared` carries what `stability_experiment` computed once for all its
+    runs; without it, G computes the same itself.
     """
-    d, m, cutoff = stable_learner_parameters(cls, zeta, alpha)
+    if shared is None:
+        shared = _Shared.build(cls, zeta, alpha)
+    m, state = shared.m, shared.state
     rng = child_rng(seed, 0x6)
-    k = int(rng.integers(0, d + 1))
-    s = sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed=int(rng.integers(2**63)))
+    k = int(rng.integers(0, shared.d + 1))
+    s = sample_ext(
+        cls, target_id, dist, k, m, zeta, shared.cutoff,
+        seed=int(rng.integers(2**63)), runner=state,
+    )
     if isinstance(s, Fail):
         return s
     target = cls.by_id(target_id)
     block = _draw_block(target, dist, m, rng)
-    state = RsoaState(cls, zeta, strict=False)
+    state.mask = state.cache.full_mask()
     for xi, y in s.examples() + list(block):
         state.update(xi, y)
     if state.mask == 0:
@@ -265,11 +298,14 @@ def stability_experiment(
     """
     if runs < 100:
         raise OutOfRange("the stability experiment needs at least 100 runs")
-    d, m, cutoff = stable_learner_parameters(cls, zeta, alpha)
+    shared = _Shared.build(cls, zeta, alpha)
+    d, m, cutoff = shared.d, shared.m, shared.cutoff
     outputs: list[Concept] = []
     fails = 0
     for i in range(runs):
-        out = stable_learner_G(cls, target_id, dist, zeta, alpha, seed=int(seed) + i)
+        out = stable_learner_G(
+            cls, target_id, dist, zeta, alpha, seed=int(seed) + i, shared=shared
+        )
         if isinstance(out, Fail):
             fails += 1
         else:

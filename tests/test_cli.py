@@ -267,6 +267,40 @@ class TestCliRuns:
         assert main(["dims", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
 
+ONLINE_CFG = {
+    "seed": 1,
+    "zeta": 1 / 8,
+    "T": 10,
+    "class": {"generated": {"domain_size": 3, "n_concepts": 8, "zeta": 1 / 8, "seed": 5}},
+}
+
+
+class TestNoStaleReports:
+    """A report in --out always belongs to the last run into it."""
+
+    def test_failed_run_leaves_no_report(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["online", write_config(tmp_path, ONLINE_CFG), "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["detail.csv", "summary.json"]
+        bad = write_config(tmp_path, {**ONLINE_CFG, "zeta": 0.3}, name="bad.json")
+        assert main(["online", bad, "--out", out]) == 2
+        assert os.listdir(out) == []
+        # an unreadable config fails before any runner, and clears the report too
+        assert main(["online", write_config(tmp_path, ONLINE_CFG), "--out", out]) == 0
+        assert main(["online", str(tmp_path / "none.json"), "--out", out]) == 2
+        assert os.listdir(out) == []
+
+    def test_run_without_detail_removes_an_earlier_detail(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["online", write_config(tmp_path, ONLINE_CFG), "--out", out]) == 0
+        quantum = write_config(
+            tmp_path, {"seed": 17, "generated_states": {"dim": 2, "count": 3}}, name="q.json"
+        )
+        assert main(["quantum", quantum, "--out", out]) == 0
+        assert os.listdir(out) == ["summary.json"]
+        assert read_summary(out)["kind"] == "quantum"
+
+
 MALFORMED = {
     "privacy_m_zero": ("privacy", {"seed": 1, "zeta": 0.5, "m": 0}),
     "distribution_longer_than_domain": (

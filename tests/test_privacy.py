@@ -18,6 +18,7 @@ from shatterlab import (
     generic_private_learner,
     loss,
 )
+from shatterlab.concepts import cover_new
 from shatterlab.errors import NotNeighbors, OutOfRange, TooLarge
 from shatterlab.privacy import (
     HypothesisCollection,
@@ -367,3 +368,43 @@ class TestRepresentationHarvest:
             got = {h.id for h in built.hypotheses}
             misses += not (got & goods)
         assert misses / trials <= 1 / 4 + 3 * math.sqrt(0.25 * 0.75 / trials)
+
+
+class TestBulkStreams:
+    """The trial loops give every learner call the stream of `child_rng(seed,
+    side, t)` / `child_rng(seed, zi, rep)`, whatever the learner draws."""
+
+    @staticmethod
+    def mixed_draw_learner(coll):
+        def learner(sample, rng):
+            u, k, z = rng.random(), int(rng.integers(0, len(coll))), rng.normal()
+            return coll.hypotheses[(k + int(7 * u) + int(3 * abs(z))) % len(coll)]
+
+        return learner
+
+    def test_dp_test_matches_a_per_trial_replay(self):
+        learner = self.mixed_draw_learner(discretize_hypotheses(2, 1 / 4))
+        s = (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.6))
+        sp = (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.9))
+        seed, trials = 2**40 + 3, 10_000
+        got = dp_test(learner, s, sp, 1.0, 0.0, trials, seed)
+        replay = iter([
+            learner(sample, child_rng(seed, side, t))
+            for side, sample in enumerate((s, sp))
+            for t in range(trials)
+        ])
+        assert got == dp_test(lambda sample, rng: next(replay), s, sp, 1.0, 0.0, trials, seed)
+        assert len(got.events) == 16
+
+    def test_harvest_matches_a_per_trial_replay(self):
+        learner = self.mixed_draw_learner(discretize_hypotheses(2, 1 / 4))
+        zeta, alpha, eps, m, seed = 1 / 2, 1 / 4, 1.0, 1, 12
+        got = build_probabilistic_representation(learner, 1, zeta, alpha, eps, m, seed)
+        reps = representation_repetitions(alpha, eps, m)
+        replay = [
+            learner((LabeledExample(X0, z),) * m, child_rng(seed, zi, rep))
+            for zi, z in enumerate(cover_new(zeta / 5).bin_midpoints)
+            for rep in range(reps)
+        ]
+        assert got == HypothesisCollection(tuple(replay), "harvested")
+        assert len(got) == 10 * 41 and len({h.id for h in got.hypotheses}) == 16

@@ -132,6 +132,15 @@ class TestStreamIdentity:
                 got = stable_learner_G(cls, 0, dist, zeta, alpha, seed)
                 assert got == reference_G(cls, 0, dist, zeta, alpha, seed)
 
+    def test_experiment_matches_the_replay_run_by_run(self):
+        # the experiment hands every run one shared learner state
+        cls, dist, zeta, _ = ext_cost_class()
+        rep = stability_experiment(cls, 0, dist, zeta, 4.0, runs=100, seed=40)
+        outs = [reference_G(cls, 0, dist, zeta, 4.0, 40 + i) for i in range(100)]
+        hyps = [o for o in outs if not isinstance(o, Fail)]
+        assert rep.fails == 100 - len(hyps) and 0 < rep.fails < 100
+        assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
+
     def test_stable_learner_fails_like_the_replay(self, two_constants_01):
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
         dist = Distribution.uniform(1)
