@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Distribution, _grid_order
+from .concepts import Concept, ConceptClass, Distribution, _grid_order, cover_new
 from .errors import ConfigError, TooLarge
 from .seeding import child_rng
 
@@ -86,9 +86,9 @@ def generate_class(
     if boolean:
         values = rng.integers(0, 2, size=(n_concepts, domain_size)).astype(float)
     else:
-        n = _grid_order(zeta / 5.0, "zeta/5")
-        mids = np.array([(2 * k + 1) / (2 * n) for k in range(n)])
-        values = mids[rng.integers(0, n, size=(n_concepts, domain_size))]
+        _grid_order(zeta / 5.0, "zeta/5")  # names the generator's grid in the error
+        mids = np.array(cover_new(zeta / 5.0).bin_midpoints)
+        values = mids[rng.integers(0, len(mids), size=(n_concepts, domain_size))]
     return ConceptClass(
         domain_size,
         tuple(Concept(i, tuple(row)) for i, row in enumerate(values)),

@@ -161,7 +161,7 @@ def run_online(cfg: dict, seed: int) -> Report:
     _require(isinstance(noise_name, str) and noise_name in NOISES, f"unknown noise {noise_name!r}")
     cls = _load_class(cfg, seed)
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
-    mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name](zeta))
+    mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name])
     tr = run_online_game(cls, target, RandomAdversary(cls.domain_size), mode, T, seed)
     bound = sfat(cls, None, 2 * zeta).dimension
     summary = {

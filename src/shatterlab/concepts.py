@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class DomainPoint:
     """A point of the finite input domain, addressed by index."""
 
     index: int
-    label: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -93,7 +92,6 @@ class ConceptClass:
 
     domain_size: int
     concepts: tuple[Concept, ...]
-    point_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "concepts", tuple(self.concepts))
@@ -138,10 +136,6 @@ class ConceptClass:
 
     def ids(self) -> frozenset[int]:
         return frozenset(c.id for c in self.concepts)
-
-    def points(self) -> list[DomainPoint]:
-        labels = self.point_labels or (None,) * self.domain_size
-        return [DomainPoint(i, labels[i]) for i in range(self.domain_size)]
 
 
 @dataclass(frozen=True)

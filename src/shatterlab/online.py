@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .concepts import (
     Concept,
     ConceptClass,
-    cover_new,
     round_to_grid,
     _grid_order,
 )
@@ -54,10 +53,7 @@ def prediction_grid(zeta: float) -> tuple[float, ...]:
         raise OutOfRange(
             f"zeta={zeta} leaves no super-bin midpoints; the learner needs zeta <= 1/3"
         )
-    if n % 2 == 0:
-        return cover_new(2.0 / n).superbin_midpoints
-    count = math.ceil(n / 2) - 1
-    return tuple(2 * k / n for k in range(1, count + 1))
+    return tuple(2 * k / n for k in range(1, math.ceil(n / 2)))
 
 
 class RsoaState:
@@ -152,68 +148,48 @@ class RsoaState:
 
 
 # ---------------------------------------------------------------------------
-# Noise strategies and feedback modes
+# Noises and feedback modes
 # ---------------------------------------------------------------------------
 
-class NoiseStrategy:
-    """Produces feedback c_hat from the true value; must stay within accuracy."""
-
-    name = "noise"
-
-    def apply(self, c_val: float, y_hat: float, zeta: float, rng: np.random.Generator) -> float:
-        raise NotImplementedError
+#: a noise maps (c_val, y_hat, zeta, rng) to feedback c_hat with
+#: |c_hat - c_val| <= zeta, inside [0, 1]
+Noise = Callable[[float, float, float, np.random.Generator], float]
 
 
-class ExactNoise(NoiseStrategy):
-    name = "exact"
-
-    def apply(self, c_val, y_hat, zeta, rng):
-        return c_val
+def exact_noise(c_val, y_hat, zeta, rng):
+    return c_val
 
 
-class RoundToGridNoise(NoiseStrategy):
-    """Deterministic rounding to the step-grid midpoints (error <= step/2)."""
-
-    def __init__(self, step: float):
-        self.step = step
-        self.name = f"round_to_grid({step})"
-
-    def apply(self, c_val, y_hat, zeta, rng):
-        return round_to_grid(c_val, self.step)
+def grid_noise(c_val, y_hat, zeta, rng):
+    """Deterministic rounding to the zeta-grid midpoints (error <= zeta/2)."""
+    return round_to_grid(c_val, zeta)
 
 
-class UniformNoise(NoiseStrategy):
-    name = "uniform_within"
-
-    def apply(self, c_val, y_hat, zeta, rng):
-        offset = rng.uniform(-zeta, zeta)
-        if abs(offset) >= zeta:
-            offset *= 1.0 - 1e-9
-        return min(1.0, max(0.0, c_val + offset))
+def uniform_noise(c_val, y_hat, zeta, rng):
+    offset = rng.uniform(-zeta, zeta)
+    if abs(offset) >= zeta:
+        offset *= 1.0 - 1e-9
+    return min(1.0, max(0.0, c_val + offset))
 
 
-class ExtremeNoise(NoiseStrategy):
+def extreme_noise(c_val, y_hat, zeta, rng):
     """Push feedback (almost) the full accuracy budget away from the prediction.
 
     The offset stays a hair inside zeta: the learner's update ball is open, so
     feedback at exactly distance zeta would eliminate the target, which the
     strong-feedback protocol (strictly zeta-accurate feedback) rules out.
     """
-
-    name = "adversarial_extreme"
-
-    def apply(self, c_val, y_hat, zeta, rng):
-        offset = zeta * (1.0 - 1e-9)
-        pushed = c_val + offset if y_hat <= c_val else c_val - offset
-        return min(1.0, max(0.0, pushed))
+    offset = zeta * (1.0 - 1e-9)
+    pushed = c_val + offset if y_hat <= c_val else c_val - offset
+    return min(1.0, max(0.0, pushed))
 
 
-#: noise name -> factory taking zeta; the CLI's `noise` values, in this order
-NOISES: dict[str, Callable[[float], NoiseStrategy]] = {
-    "exact": lambda zeta: ExactNoise(),
-    "round_to_grid": lambda zeta: RoundToGridNoise(zeta),
-    "uniform_within": lambda zeta: UniformNoise(),
-    "adversarial_extreme": lambda zeta: ExtremeNoise(),
+#: noise name -> noise; the CLI's `noise` values, in this order
+NOISES: dict[str, Noise] = {
+    "exact": exact_noise,
+    "round_to_grid": grid_noise,
+    "uniform_within": uniform_noise,
+    "adversarial_extreme": extreme_noise,
 }
 
 
@@ -222,7 +198,7 @@ class StrongFeedback:
     """Feedback every round, accurate to zeta; mistakes are counted at 5*zeta."""
 
     zeta: float
-    noise: NoiseStrategy
+    noise: Noise
 
     @property
     def mistake_threshold(self) -> float:
@@ -306,8 +282,7 @@ class WeakTreeAdversary:
 # Transcripts and game harnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     t: int
     x: int
     prediction: float
@@ -326,7 +301,6 @@ class Transcript:
     target_id: int
     rounds: list[Round] = field(default_factory=list)
     final_hypothesis: Optional[Concept] = None
-    maximizer_spreads: list[float] = field(default_factory=list)
 
     @property
     def mistakes(self) -> int:
@@ -354,23 +328,22 @@ def run_online_game(
     rng = child_rng(seed, 0)
     target = cls.by_id(target_id)
     zeta = mode.zeta
+    threshold = mode.mistake_threshold
+    noise = mode.noise if isinstance(mode, StrongFeedback) else None
     state = RsoaState(cls, zeta, strict=True)
-    tr = Transcript(
-        zeta=zeta, mistake_threshold=mode.mistake_threshold, target_id=target_id
-    )
+    tr = Transcript(zeta=zeta, mistake_threshold=threshold, target_id=target_id)
     for t in range(T):
         xi = adversary.next_point(t, rng)
         v_before = state.size()
-        y_hat, maxs = state.predict_with_maximizers(xi)
-        tr.maximizer_spreads.append(max(maxs) - min(maxs))
+        y_hat = state.predict(xi)
         c_val = target.values[xi]
-        mistake = abs(y_hat - c_val) > mode.mistake_threshold
+        mistake = abs(y_hat - c_val) > threshold
         feedback: Optional[float] = None
-        if isinstance(mode, StrongFeedback):
-            feedback = mode.noise.apply(c_val, y_hat, zeta, rng)
+        if noise is not None:
+            feedback = noise(c_val, y_hat, zeta, rng)
             if abs(feedback - c_val) > zeta + 1e-12:
                 raise InvalidFeedback(
-                    f"noise {mode.noise.name} produced |c_hat - c| = "
+                    f"noise {noise.__name__} produced |c_hat - c| = "
                     f"{abs(feedback - c_val)} > zeta = {zeta}"
                 )
             state.update(xi, feedback)
@@ -379,17 +352,7 @@ def run_online_game(
             if abs(feedback - c_val) > mode.epsilon / 10.0 + 1e-12:
                 raise InvalidFeedback("mistake-only feedback out of contract")
             state.update(xi, feedback)
-        tr.rounds.append(
-            Round(
-                t=t,
-                x=xi,
-                prediction=y_hat,
-                feedback=feedback,
-                mistake=mistake,
-                v_before=v_before,
-                v_after=state.size(),
-            )
-        )
+        tr.rounds.append(Round(t, xi, y_hat, feedback, mistake, v_before, state.size()))
     tr.final_hypothesis = state.final_hypothesis()
     return tr
 

@@ -246,7 +246,6 @@ def representation_repetitions(alpha: float, epsilon_priv: float, m: int) -> int
 
 def build_probabilistic_representation(
     dp_learner: Learner,
-    domain_size: int,
     zeta: float,
     alpha: float,
     epsilon_priv: float,

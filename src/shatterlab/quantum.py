@@ -332,18 +332,10 @@ class SracCode:
     ) -> bool:
         """Exact per-level separation: every codeword clears every ancestor
         threshold by the margin, on the side its bit dictates."""
-        for word, sid in self.code.items():
-            node = self.tree
-            for bit in word:
-                val = expectation(states[sid], measurements[node.x])
-                if bit == "1":
-                    if not val >= node.a + self.zeta - 1e-9:
-                        return False
-                    node = node.right
-                else:
-                    if not val <= node.a - self.zeta + 1e-9:
-                        return False
-                    node = node.left
+        try:
+            validate_tree(materialize_concept_class(states, measurements), self.tree, self.zeta)
+        except InvalidTree:
+            return False
         return True
 
 
@@ -408,39 +400,31 @@ def computational_projector(dim: int, index: int) -> Measurement:
     return Measurement(e)
 
 
-def state_to_json(rho: DensityMatrix) -> str:
+def _matrix_to_json(m: np.ndarray) -> str:
     return json.dumps(
-        {
-            "dim": rho.dim,
-            "re": rho.matrix.real.tolist(),
-            "im": rho.matrix.imag.tolist(),
-        },
-        sort_keys=True,
+        {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}, sort_keys=True
     )
+
+
+def _matrix_from_json(text: str) -> np.ndarray:
+    data = json.loads(text)
+    m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
+    if m.shape != (data["dim"], data["dim"]):
+        raise DimMismatch("matrix entries do not match the declared dimension")
+    return m
+
+
+def state_to_json(rho: DensityMatrix) -> str:
+    return _matrix_to_json(rho.matrix)
 
 
 def state_from_json(text: str) -> DensityMatrix:
-    data = json.loads(text)
-    m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    if m.shape != (data["dim"], data["dim"]):
-        raise DimMismatch("matrix entries do not match the declared dimension")
-    return DensityMatrix(m)
+    return DensityMatrix(_matrix_from_json(text))
 
 
 def measurement_to_json(e: Measurement) -> str:
-    return json.dumps(
-        {
-            "dim": e.dim,
-            "re": e.effect.real.tolist(),
-            "im": e.effect.imag.tolist(),
-        },
-        sort_keys=True,
-    )
+    return _matrix_to_json(e.effect)
 
 
 def measurement_from_json(text: str) -> Measurement:
-    data = json.loads(text)
-    m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    if m.shape != (data["dim"], data["dim"]):
-        raise DimMismatch("matrix entries do not match the declared dimension")
-    return Measurement(m)
+    return Measurement(_matrix_from_json(text))

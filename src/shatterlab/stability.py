@@ -106,8 +106,6 @@ def sample_ext(
         raise OutOfRange(f"cutoff must be nonnegative, got {cutoff}")
     target = cls.by_id(target_id)
     bins = cover_new(zeta).bin_midpoints
-    rng = child_rng(seed, 0xE27)
-    budget = _Budget(cutoff)
     # one learner state reused for every attempt: the sfat cache and the bin
     # membership masks are shared, only the surviving mask is reset.  An
     # update depends only on (mask, x, y), so a sub-sample's surviving mask
@@ -115,6 +113,12 @@ def sample_ext(
     # (mask, x, y) step is computed once.
     if runner is None:
         runner = RsoaState(cls, zeta, strict=False)
+    if k > 0 and 11.0 * zeta >= 1.0:
+        # values lie in [0, 1], so no two hypotheses differ by more than
+        # 11*zeta: every attempt would fail, and the draws run to the cutoff
+        return Fail(draws_used=cutoff + 1)
+    rng = child_rng(seed, 0xE27)
+    budget = _Budget(cutoff)
     empty = (ExtSample(segments=(), k=0, draws_used=0), runner.cache.full_mask())
     steps: dict[tuple[int, int, float], int] = {}
 

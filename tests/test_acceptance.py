@@ -73,12 +73,12 @@ def test_criterion_1_mistake_bound():
         cls = generate_class(nx, nc, zeta, seed=trial)
         bound = sfat(cls, None, 2 * zeta).dimension
         target = int(rng.integers(nc))
-        for make_noise in NOISES.values():
+        for noise in NOISES.values():
             tr = run_online_game(
                 cls,
                 target,
                 RandomAdversary(nx),
-                StrongFeedback(zeta, make_noise(zeta)),
+                StrongFeedback(zeta, noise),
                 200,
                 seed=trial,
             )
@@ -221,7 +221,7 @@ def test_criterion_7_representation_harvest():
     misses = 0
     for t in range(trials):
         built = build_probabilistic_representation(
-            learner, 1, zeta=zeta, alpha=alpha, epsilon_priv=eps, m=m, seed=7000 + t
+            learner, zeta=zeta, alpha=alpha, epsilon_priv=eps, m=m, seed=7000 + t
         )
         misses += not ({h.id for h in built.hypotheses} & goods)
     limit = 1 / 4 + 3 * math.sqrt(0.25 * 0.75 / trials)

@@ -20,12 +20,12 @@ from shatterlab.errors import (
 from shatterlab.online import (
     NOISES,
     CyclicAdversary,
-    ExactNoise,
-    ExtremeNoise,
     RandomAdversary,
     RsoaState,
-    UniformNoise,
     WeakTreeAdversary,
+    exact_noise,
+    extreme_noise,
+    uniform_noise,
     rsoa_as_weak_learner,
 )
 from tests.conftest import make_class
@@ -96,7 +96,7 @@ class TestStrongGame:
     def test_singleton_never_mistakes(self):
         cls = make_class([[0.3, 0.7]])
         tr = run_online_game(
-            cls, 0, RandomAdversary(2), StrongFeedback(1 / 8, ExactNoise()), 50, seed=1
+            cls, 0, RandomAdversary(2), StrongFeedback(1 / 8, exact_noise), 50, seed=1
         )
         assert tr.mistakes == 0
 
@@ -105,7 +105,7 @@ class TestStrongGame:
             two_constants_19,
             0,
             CyclicAdversary([0]),
-            StrongFeedback(1 / 8, ExactNoise()),
+            StrongFeedback(1 / 8, exact_noise),
             3,
             seed=0,
         )
@@ -121,12 +121,12 @@ class TestStrongGame:
             zeta = 1 / 8
             cls = generate_class(nx, nc, zeta, seed=1000 + trial)
             bound = sfat(cls, None, 2 * zeta).dimension
-            for make_noise in NOISES.values():
+            for noise in NOISES.values():
                 tr = run_online_game(
                     cls,
                     int(rng.integers(nc)),
                     RandomAdversary(nx),
-                    StrongFeedback(zeta, make_noise(zeta)),
+                    StrongFeedback(zeta, noise),
                     60,
                     seed=trial,
                 )
@@ -137,7 +137,7 @@ class TestStrongGame:
         zeta = 1 / 8
         cls = generate_class(3, 8, zeta, seed=77)
         tr = run_online_game(
-            cls, 0, RandomAdversary(3), StrongFeedback(zeta, UniformNoise()), 40, seed=5
+            cls, 0, RandomAdversary(3), StrongFeedback(zeta, uniform_noise), 40, seed=5
         )
         final_state = RsoaState(cls, zeta)
         for r in tr.rounds:
@@ -154,7 +154,7 @@ class TestStrongGame:
                 cls,
                 1,
                 RandomAdversary(3),
-                StrongFeedback(zeta, ExtremeNoise()),
+                StrongFeedback(zeta, extreme_noise),
                 40,
                 seed=trial,
             )
@@ -168,11 +168,19 @@ class TestStrongGame:
                 cls,
                 0,
                 RandomAdversary(3),
-                StrongFeedback(zeta, ExactNoise()),
+                StrongFeedback(zeta, exact_noise),
                 30,
                 seed=trial,
             )
-            assert max(tr.maximizer_spreads) <= 4 * zeta + 1e-12
+            # replay the game's rounds to see every round's maximizers
+            state = RsoaState(cls, zeta)
+            spreads = []
+            for r in tr.rounds:
+                y_hat, maxs = state.predict_with_maximizers(r.x)
+                assert y_hat == r.prediction
+                spreads.append(max(maxs) - min(maxs))
+                state.update(r.x, r.feedback)
+            assert max(spreads) <= 4 * zeta + 1e-12
 
     def test_surviving_set_never_grows(self):
         zeta = 1 / 8
@@ -182,7 +190,7 @@ class TestStrongGame:
                 cls,
                 0,
                 RandomAdversary(3),
-                StrongFeedback(zeta, UniformNoise()),
+                StrongFeedback(zeta, uniform_noise),
                 40,
                 seed=trial,
             )
@@ -193,10 +201,10 @@ class TestStrongGame:
         zeta = 1 / 8
         cls = generate_class(4, 10, zeta, seed=55)
         a = run_online_game(
-            cls, 2, RandomAdversary(4), StrongFeedback(zeta, UniformNoise()), 50, seed=9
+            cls, 2, RandomAdversary(4), StrongFeedback(zeta, uniform_noise), 50, seed=9
         )
         b = run_online_game(
-            cls, 2, RandomAdversary(4), StrongFeedback(zeta, UniformNoise()), 50, seed=9
+            cls, 2, RandomAdversary(4), StrongFeedback(zeta, uniform_noise), 50, seed=9
         )
         assert [(r.x, r.prediction, r.feedback) for r in a.rounds] == [
             (r.x, r.prediction, r.feedback) for r in b.rounds
@@ -204,16 +212,15 @@ class TestStrongGame:
         assert a.final_hypothesis.values == b.final_hypothesis.values
 
     def test_invalid_feedback_detected(self, two_constants_19):
-        class BadNoise(ExactNoise):
-            def apply(self, c_val, y_hat, zeta, rng):
-                return min(1.0, c_val + 3 * zeta)
+        def bad_noise(c_val, y_hat, zeta, rng):
+            return min(1.0, c_val + 3 * zeta)
 
         with pytest.raises(InvalidFeedback):
             run_online_game(
                 two_constants_19,
                 0,
                 CyclicAdversary([0]),
-                StrongFeedback(1 / 8, BadNoise()),
+                StrongFeedback(1 / 8, bad_noise),
                 3,
                 seed=0,
             )
@@ -221,14 +228,20 @@ class TestStrongGame:
     def test_noise_contract_holds(self):
         rng = np.random.default_rng(0)
         zeta = 1 / 8
-        for make_noise in NOISES.values():
-            noise = make_noise(zeta)
+        for noise in NOISES.values():
             for _ in range(200):
                 c = float(rng.uniform())
                 y = float(rng.uniform())
-                fb = noise.apply(c, y, zeta, rng)
+                fb = noise(c, y, zeta, rng)
                 assert 0.0 <= fb <= 1.0
                 assert abs(fb - c) <= zeta
+
+    def test_grid_noise_lands_on_the_zeta_grid(self):
+        rng = np.random.default_rng(1)
+        for n in (5, 8):
+            mids = {(2 * k + 1) / (2 * n) for k in range(n)}
+            for c in rng.uniform(size=100):
+                assert NOISES["round_to_grid"](float(c), 0.5, 1 / n, rng) in mids
 
 
 class TestWeakForcing:
@@ -337,7 +350,7 @@ class TestRunOnSample:
             two_constants_19,
             0,
             CyclicAdversary([0]),
-            StrongFeedback(1 / 8, ExactNoise()),
+            StrongFeedback(1 / 8, exact_noise),
             2,
             seed=0,
         )

@@ -291,7 +291,6 @@ class TestRepresentationHarvest:
         coll = discretize_hypotheses(1, 1 / 2)
         built = build_probabilistic_representation(
             lambda s, rng: generic_private_learner(coll, s, 1.0, 1 / 2, rng),
-            1,
             zeta=1 / 2,
             alpha=1 / 4,
             epsilon_priv=1.0,
@@ -306,7 +305,6 @@ class TestRepresentationHarvest:
         with pytest.raises(OutOfRange):
             build_probabilistic_representation(
                 lambda s, rng: generic_private_learner(coll, s, 1.0, 1 / 2, rng),
-                1,
                 zeta=1 / 2,
                 alpha=1 / 4,
                 epsilon_priv=1.0,
@@ -319,7 +317,6 @@ class TestRepresentationHarvest:
         with pytest.raises(TooLarge):
             build_probabilistic_representation(
                 lambda s, rng: generic_private_learner(coll, s, 1.0, 1 / 2, rng),
-                1,
                 zeta=1 / 2,
                 alpha=1.0,
                 epsilon_priv=2.0,
@@ -339,10 +336,10 @@ class TestRepresentationHarvest:
             raise AssertionError("the guard must trip before any replay")
 
         with pytest.raises(TooLarge):
-            build_probabilistic_representation(learner, 1, zeta, alpha, eps, m=1, seed=9)
+            build_probabilistic_representation(learner, zeta, alpha, eps, m=1, seed=9)
         # a repetition count past the float range is too large too, not an OverflowError
         with pytest.raises(TooLarge):
-            build_probabilistic_representation(learner, 1, zeta, 1.0, 100.0, m=10, seed=9)
+            build_probabilistic_representation(learner, zeta, 1.0, 100.0, m=10, seed=9)
 
     def test_harvest_hits_good_set(self):
         # the harvested collection intersects the good set in nearly every
@@ -358,7 +355,6 @@ class TestRepresentationHarvest:
         for t in range(trials):
             built = build_probabilistic_representation(
                 lambda s, rng: generic_private_learner(coll, s, 1.0, zeta, rng),
-                1,
                 zeta=zeta,
                 alpha=1 / 4,
                 epsilon_priv=1.0,
@@ -399,7 +395,7 @@ class TestBulkStreams:
     def test_harvest_matches_a_per_trial_replay(self):
         learner = self.mixed_draw_learner(discretize_hypotheses(2, 1 / 4))
         zeta, alpha, eps, m, seed = 1 / 2, 1 / 4, 1.0, 1, 12
-        got = build_probabilistic_representation(learner, 1, zeta, alpha, eps, m, seed)
+        got = build_probabilistic_representation(learner, zeta, alpha, eps, m, seed)
         reps = representation_repetitions(alpha, eps, m)
         replay = [
             learner((LabeledExample(X0, z),) * m, child_rng(seed, zi, rep))

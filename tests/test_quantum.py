@@ -22,7 +22,7 @@ from shatterlab import (
     srac_from_tree,
     von_neumann_entropy,
 )
-from shatterlab.errors import DimMismatch, InvalidTree, NotPSD, OutOfRange
+from shatterlab.errors import DimMismatch, InvalidTree, NonConvergence, NotPSD, OutOfRange
 from shatterlab.quantum import (
     computational_projector,
     helstrom_probability,
@@ -165,6 +165,10 @@ class TestMaxHolevo:
         with pytest.raises(OutOfRange):
             max_holevo([], tol=1e-6)
 
+    def test_iteration_cap_raises(self):
+        with pytest.raises(NonConvergence):
+            max_holevo([KET0, PLUS], tol=1e-9, max_iter=1)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_rejects_a_tol_that_is_not_positive(self, tol):
         with pytest.raises(OutOfRange):
@@ -260,6 +264,10 @@ class TestSrac:
         assert code.k == 1
         assert code.tree.a == pytest.approx(0.5)
         assert code.verify_separation(states, meas)
+        # swapped states put each codeword on the wrong side of the threshold
+        assert not code.verify_separation([KET1, KET0], meas)
+        # mixed states sit on the threshold, inside the margin
+        assert not code.verify_separation([DensityMatrix(np.eye(2) / 2)] * 2, meas)
         for word, sid in code.code.items():
             assert code.decode(states, meas, sid) == word
 

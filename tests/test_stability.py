@@ -17,7 +17,7 @@ from shatterlab import (
     stable_learner_G,
 )
 from shatterlab import stability
-from shatterlab.classes import ext_cost_class, generate_class
+from shatterlab.classes import ext_cost_class, generate_class, two_constants
 from shatterlab.cli import main
 from shatterlab.concepts import cover_new
 from shatterlab.errors import AllRunsFailed, OutOfRange
@@ -114,6 +114,8 @@ class TestStreamIdentity:
         cases = [
             (cls, dist, zeta, m, (12, 60, 20_000)),
             (gen, Distribution.uniform(4), 1 / 32, 2, (12, 60, 1500)),
+            # 11*zeta >= 1: levels 1 and 2 can only fail
+            (two_constants(), Distribution.uniform(1), 1 / 4, 3, (12, 60)),
         ]
         seen = {"fail": 0, "ok": 0}
         for c, d, z, block, cutoffs in cases:
@@ -182,6 +184,16 @@ class TestSampleExt:
         )
         assert isinstance(out, Fail)
         assert out.draws_used > 60
+
+    def test_hopeless_level_fails_before_drawing(self, two_constants_01, monkeypatch):
+        # with 11*zeta >= 1 no attempt can succeed, so no block is drawn
+        def no_draws(*args):
+            raise AssertionError("sample_ext drew a block")
+
+        monkeypatch.setattr(stability, "_draw_block", no_draws)
+        for k in (1, 2):
+            out = sample_ext(two_constants_01, 0, Distribution.uniform(1), k, 3, 1 / 4, 60, seed=4)
+            assert out == Fail(draws_used=61)
 
     def test_injected_label_is_a_bin_midpoint(self):
         cls, dist, zeta, m = ext_cost_class()
