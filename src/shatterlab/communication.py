@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .concepts import Concept, ConceptClass, binary_entropy
 from .dimensions import ShatterTree
 from .errors import DepthMismatch, OutOfRange
-from .seeding import child_rng
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ class BaselineEvalProtocol:
         self.cls = cls
         self.bits = math.ceil(math.log2(len(cls))) if len(cls) > 1 else 0
 
-    def run(self, concept: Concept, x: int, rng: Optional[np.random.Generator] = None) -> float:
+    def run(self, concept: Concept, x: int, rng: np.random.Generator) -> float:
         return concept.values[x]
 
 
@@ -90,7 +88,7 @@ def augindex_via_eval(
     tree: ShatterTree,
     instance: AugIndexInstance,
     protocol,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> ProtocolRun:
     """Solve one next-bit instance through an evaluation protocol.
 
@@ -106,7 +104,6 @@ def augindex_via_eval(
         raise DepthMismatch(
             f"tree depth {tree.depth()} cannot host a depth-{instance.d} instance"
         )
-    rng = rng if rng is not None else child_rng(0, 0)
     alice_leaf = _descend_to_leaf(tree, instance.x)
     bob_node = tree.node_at(instance.x[: instance.i - 1])
     b = protocol.run(cls.by_id(alice_leaf.leaf), bob_node.x, rng)

@@ -6,25 +6,15 @@ split it into nonempty V_L = {f : f(x) <= a - zeta} and
 V_R = {f : f(x) >= a + zeta}; sfat(V) is the best such value, or 0 when no
 admissible split exists.
 
-Witness trees come from `_splits`, which searches thresholds among V's own
-values: for a value v of V at x, let w(v) be the smallest value >= v + 2*zeta.
-The candidate a = (v + w(v)) / 2 dominates every admissible threshold whose
-low side tops out at v (its two sides are supersets of that threshold's
-sides), so scanning one candidate per value is complete.  (Scanning only
-consecutive value pairs is not: values packed less than 2*zeta apart between a
-far pair would hide the split.)
-
-The dimension itself comes from split masks built once per cache.  For each
-point x and each value v of the *whole class* at x, LE = {f : f(x) <= v} and
-GE = {f : f(x) >= v + 2*zeta}; a split of V is (V & LE, V & GE).  These give
-the same maximal splits as `_splits`:
-
-- the split `_splits` makes from V's value v has the high side
-  {f : f(x) >= w(v)}; with u the largest value of V on its low side, it is
-  the pair at u (up to `_MARGIN_TOL`), since V has no value in
-  [u + 2*zeta, w(v)): such a value would lie above v but below v + 2*zeta;
-- the pair at a class value v outside V is dominated by the pair at the
-  largest value u <= v of V: the same low side and a larger high side.
+Every split comes from masks built once per (class, margin).  For each point
+x and each value v of the *whole class* at x, with w the smallest class value
+>= v + 2*zeta, the pair is LE = {f : f(x) <= v}, GE = {f : f(x) >= w} at the
+threshold a = (v + w) / 2, and a split of V is (V & LE, V & GE).  Its low side
+lies at or below v <= a - zeta and its high side at or above w >= a + zeta
+(up to `_MARGIN_TOL`), so every split is admissible.  The pairs are also
+complete: an admissible split at x whose low side tops out at u is dominated
+by the pair at u, whose low side is the same and whose high side, everything
+at or above u + 2*zeta, is a superset.
 
 sfat is monotone under taking subsets, so dominated splits never win and the
 recursion is exact.  Within one point LE grows and GE shrinks as v grows, so
@@ -40,7 +30,7 @@ the search; none can change a value, and only exact values are memoized:
 - the search of V stops once it reaches floor(log2 |V|).
 
 Also here: the non-sequential fat-shattering dimension, by brute force over
-point sets with the same split enumerator, and a Littlestone oracle that
+point sets with the same split pairs, and a Littlestone oracle that
 shares no code with sfat; both cross-check sfat.
 """
 
@@ -59,7 +49,8 @@ from .errors import EmptySubset, InvalidTree, NotBoolean, OutOfRange, TooLarge
 #: classified inclusively despite float rounding
 _MARGIN_TOL = 1e-12
 
-#: bitmask-based memoization supports at most this many concepts
+#: cap on the concepts of an exact sfat or ldim; the row masks are Python ints
+#: of any width, so this only stands in for the cost of the search
 MAX_CONCEPTS = 64
 
 
@@ -117,76 +108,29 @@ def sfat_empty_convention() -> int:
     return -1
 
 
-def _sorted_columns(cls: ConceptClass) -> tuple[list[list[int]], list[list[float]]]:
-    """Per point: the concept rows sorted by (value, row), and their values."""
-    rows, vals = [], []
-    for col in cls.table.T.tolist():
-        order = sorted(range(len(col)), key=col.__getitem__)  # stable: ties by row
-        rows.append(order)
-        vals.append([col[r] for r in order])
-    return rows, vals
+def _point_masks(col: list[float], margin: float) -> list[tuple[float, int, int]]:
+    """(a, LE, GE) of one point: one triple per distinct value v, ascending.
 
-
-def _splits(sorted_rows: list[int], sorted_vals: list[float], mask: int, margin: float):
-    """Dominating (a, left_mask, right_mask) splits of `mask` at one point.
-
-    `sorted_rows` and `sorted_vals` are that point's column from
-    `_sorted_columns`.  Splits come in ascending a, each (left, right) pair once.
+    `col` holds the point's value under each concept row.  LE holds the rows
+    valued <= v, GE the rows valued >= w, the smallest value >= v + 2*margin
+    (less `_MARGIN_TOL`), and a = (v + w) / 2; values with no w are left out.
     """
-    rows = []
-    vals = []
-    for r, v in zip(sorted_rows, sorted_vals):
-        if mask >> r & 1:
-            rows.append(r)
-            vals.append(v)
-    # distinct values in ascending order
-    distinct = []
-    for v in vals:
-        if not distinct or v > distinct[-1]:
-            distinct.append(v)
-    gap = 2.0 * margin
-    out = []
-    seen = set()
-    j = 0
-    for v in distinct:
-        while j < len(distinct) and distinct[j] < v + gap - _MARGIN_TOL:
-            j += 1
-        if j >= len(distinct):
-            break
-        a = (v + distinct[j]) / 2.0
-        lo, hi = a - margin + _MARGIN_TOL, a + margin - _MARGIN_TOL
-        lmask = rmask = 0
-        for r, fv in zip(rows, vals):
-            if fv <= lo:
-                lmask |= 1 << r
-            elif fv >= hi:
-                rmask |= 1 << r
-        if lmask and rmask and (lmask, rmask) not in seen:
-            seen.add((lmask, rmask))
-            out.append((a, lmask, rmask))
-    return out
-
-
-def _point_masks(sorted_rows: list[int], sorted_vals: list[float], margin: float):
-    """(LE, GE) row masks of one point, one pair per distinct value v, ascending.
-
-    LE holds the rows valued <= v and GE the rows valued >= v + 2*margin (less
-    the tolerance, as in `_splits`); pairs with an empty GE are left out.
-    """
+    rows = sorted(range(len(col)), key=col.__getitem__)
+    vals = [col[r] for r in rows]
     prefix = [0]  # prefix[i]: the first i rows in value order
-    for r in sorted_rows:
+    for r in rows:
         prefix.append(prefix[-1] | 1 << r)
     full = prefix[-1]
-    n = len(sorted_vals)
+    n = len(vals)
     gap = 2.0 * margin
     out = []
-    for i, v in enumerate(sorted_vals, 1):
-        if i < n and sorted_vals[i] == v:
+    for i, v in enumerate(vals, 1):
+        if i < n and vals[i] == v:
             continue  # LE is complete at the last row holding v
-        j = bisect_left(sorted_vals, v + gap - _MARGIN_TOL)
+        j = bisect_left(vals, v + gap - _MARGIN_TOL)
         if j == n:
             break
-        out.append((prefix[i], full ^ prefix[j]))
+        out.append(((v + vals[j]) / 2.0, prefix[i], full ^ prefix[j]))
     return out
 
 
@@ -202,18 +146,15 @@ class SfatCache:
     def __init__(self, cls: ConceptClass, zeta: float):
         if len(cls) > MAX_CONCEPTS:
             raise TooLarge(
-                f"sfat memoization supports at most {MAX_CONCEPTS} concepts, got {len(cls)}"
+                f"sfat is capped at {MAX_CONCEPTS} concepts to bound its cost "
+                f"(not by its masks), got {len(cls)}"
             )
         if zeta <= 0:
             raise OutOfRange(f"margin must be positive, got {zeta}")
         self.cls = cls
         self.zeta = float(zeta)
         self._memo: dict[int, int] = {}
-        self._sorted_rows, self._sorted_vals = _sorted_columns(cls)
-        self._pairs = [
-            _point_masks(rows, vals, self.zeta)
-            for rows, vals in zip(self._sorted_rows, self._sorted_vals)
-        ]
+        self._pairs = [_point_masks(col, self.zeta) for col in cls.table.T.tolist()]
 
     def full_mask(self) -> int:
         return (1 << len(self.cls)) - 1
@@ -240,7 +181,7 @@ class SfatCache:
         if ub > 0:
             for pairs in self._pairs:
                 prev = 0
-                for le, ge in pairs:
+                for _, le, ge in pairs:
                     right = mask & ge
                     if not right:
                         break  # GE only shrinks as v grows
@@ -274,7 +215,11 @@ class SfatCache:
         return sfat_empty_convention() if mask == 0 else self.dimension_of_mask(mask)
 
     def witness_of_mask(self, mask: int) -> ShatterTree:
-        """Extract the first witness tree in (domain order, ascending a) order."""
+        """Extract the first witness tree.
+
+        Split pairs are tried in domain order, then ascending class value; a
+        leaf is the lowest row of its subset.
+        """
         d = self.dimension_of_mask(mask)
         return self._build(mask, d)
 
@@ -282,31 +227,27 @@ class SfatCache:
         if depth == 0:
             row = (mask & -mask).bit_length() - 1
             return ShatterTree(leaf=self.cls.concepts[row].id)
-        for x in range(self.cls.domain_size):
-            for a, lmask, rmask in _splits(
-                self._sorted_rows[x], self._sorted_vals[x], mask, self.zeta
-            ):
+        for x, pairs in enumerate(self._pairs):
+            for a, le, ge in pairs:
+                left, right = mask & le, mask & ge
                 if (
-                    self.dimension_of_mask(lmask) >= depth - 1
-                    and self.dimension_of_mask(rmask) >= depth - 1
+                    left
+                    and right
+                    and self.dimension_of_mask(left) >= depth - 1
+                    and self.dimension_of_mask(right) >= depth - 1
                 ):
                     return ShatterTree(
                         x=x,
                         a=a,
-                        left=self._build(lmask, depth - 1),
-                        right=self._build(rmask, depth - 1),
+                        left=self._build(left, depth - 1),
+                        right=self._build(right, depth - 1),
                     )
         raise AssertionError("witness extraction disagreed with memoized dimension")
 
 
-def sfat(
-    cls: ConceptClass,
-    subset: Optional[Iterable[int]],
-    zeta: float,
-    cache: Optional[SfatCache] = None,
-) -> DimensionResult:
+def sfat(cls: ConceptClass, subset: Optional[Iterable[int]], zeta: float) -> DimensionResult:
     """Exact sfat at margin zeta of `subset` (concept ids; None = whole class)."""
-    cache = cache or SfatCache(cls, zeta)
+    cache = SfatCache(cls, zeta)
     ids = cls.ids() if subset is None else frozenset(subset)
     if not ids:
         raise EmptySubset("sfat needs a nonempty subset")
@@ -350,10 +291,7 @@ def fat(cls: ConceptClass, gamma: float) -> int:
         raise OutOfRange(f"margin must be positive, got {gamma}")
     n = len(cls)
     full = (1 << n) - 1
-    splits = [
-        [(lmask, rmask) for _, lmask, rmask in _splits(rows, vals, full, gamma)]
-        for rows, vals in zip(*_sorted_columns(cls))
-    ]
+    splits = [_point_masks(col, gamma) for col in cls.table.T.tolist()]
 
     def shatters(points: tuple[int, ...]) -> bool:
         # cells = one concept mask per sign pattern over the points chosen so far;
@@ -363,7 +301,7 @@ def fat(cls: ConceptClass, gamma: float) -> int:
                 return True
             x, rest = remaining[0], remaining[1:]
             need = 1 << len(rest)
-            for lmask, rmask in splits[x]:
+            for _, lmask, rmask in splits[x]:
                 nxt = []
                 ok = True
                 for cell in cells:
@@ -395,9 +333,12 @@ def ldim_oracle(cls: ConceptClass) -> int:
     table = cls.table
     if not ((table == 0.0) | (table == 1.0)).all():
         raise NotBoolean("ldim_oracle needs all concept values in {0, 1}")
-    if len(cls) > MAX_CONCEPTS:
-        raise TooLarge(f"ldim memoization supports at most {MAX_CONCEPTS} concepts")
     n = len(cls)
+    if n > MAX_CONCEPTS:
+        raise TooLarge(
+            f"ldim is capped at {MAX_CONCEPTS} concepts to bound its cost "
+            f"(not by its masks), got {n}"
+        )
     zero_masks = []
     one_masks = []
     for x in range(cls.domain_size):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -269,14 +269,11 @@ def helstrom_probability(sigma0: DensityMatrix, sigma1: DensityMatrix) -> float:
     return 0.5 + 0.5 * trace_distance(sigma0, sigma1)
 
 
-def nayak_inequality_check(
-    sigma0: DensityMatrix, sigma1: DensityMatrix, p: Optional[float] = None
-) -> bool:
+def nayak_inequality_check(sigma0: DensityMatrix, sigma1: DensityMatrix) -> bool:
     """S(mix) >= avg entropy + (1 - H(p)) with p the Helstrom optimum."""
     if sigma0.dim != sigma1.dim:
         raise DimMismatch("the two states must share a dimension")
-    if p is None:
-        p = helstrom_probability(sigma0, sigma1)
+    p = helstrom_probability(sigma0, sigma1)
     mix = 0.5 * (sigma0.matrix + sigma1.matrix)
     lhs = von_neumann_entropy(mix)
     rhs = 0.5 * (von_neumann_entropy(sigma0) + von_neumann_entropy(sigma1)) + (
@@ -359,12 +356,9 @@ def srac_from_tree(
 # Random generation and JSON interchange
 # ---------------------------------------------------------------------------
 
-def random_density_matrix(
-    dim: int, rng: np.random.Generator, rank: Optional[int] = None
-) -> DensityMatrix:
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Ginibre-induced random state of the given (power-of-two) dimension."""
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
     m = 0.5 * (m + m.conj().T)

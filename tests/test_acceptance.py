@@ -237,6 +237,7 @@ def test_criterion_8_communication_reduction():
     zeta = 1 / 4
     exhaustive_failures = 0
     total = 0
+    clean_rng = child_rng(808, 1)  # the exact protocol draws nothing from it
     for d in (1, 2, 3, 4):
         cls = generate_class(d, 2**d, zeta, seed=800 + d, boolean=True)
         res = sfat(cls, None, zeta)
@@ -251,7 +252,7 @@ def test_criterion_8_communication_reduction():
             res = sfat(cls, None, zeta)
         proto = BaselineEvalProtocol(cls)
         for inst in all_instances(d):
-            run = augindex_via_eval(cls, res.witness, inst, proto)
+            run = augindex_via_eval(cls, res.witness, inst, proto, clean_rng)
             exhaustive_failures += not run.success
             total += 1
     # noisy side on the depth-4 cube

@@ -37,7 +37,7 @@ class TestBaseline:
 
     def test_exact_evaluation(self, four_constants):
         proto = BaselineEvalProtocol(four_constants)
-        assert proto.run(four_constants.by_id(2), 0) == pytest.approx(2 / 3)
+        assert proto.run(four_constants.by_id(2), 0, child_rng(0, 0)) == pytest.approx(2 / 3)
 
     def test_cost_never_below_lower_bound(self):
         # ceil(log2 |C|) >= (1 - H(0)) * sfat, since sfat <= log2 |C|
@@ -54,7 +54,7 @@ class TestReduction:
         res = sfat(cube, None, 1 / 4)
         proto = BaselineEvalProtocol(cube)
         for inst in all_instances(k):
-            run = augindex_via_eval(cube, res.witness, inst, proto)
+            run = augindex_via_eval(cube, res.witness, inst, proto, child_rng(0, 0))
             assert run.success
             assert run.bits_sent == proto.bits
 
@@ -62,7 +62,7 @@ class TestReduction:
         res = sfat(two_constants_01, None, 1 / 4)
         proto = BaselineEvalProtocol(two_constants_01)
         run = augindex_via_eval(
-            two_constants_01, res.witness, AugIndexInstance(1, "1", 1), proto
+            two_constants_01, res.witness, AugIndexInstance(1, "1", 1), proto, child_rng(0, 0)
         )
         assert run.bob_output == 1
         assert run.success
@@ -72,15 +72,32 @@ class TestReduction:
         res = sfat(cube, None, 1 / 4)
         proto = BaselineEvalProtocol(cube)
         for inst in all_instances(2):
-            assert augindex_via_eval(cube, res.witness, inst, proto).success
+            assert augindex_via_eval(cube, res.witness, inst, proto, child_rng(0, 0)).success
 
     def test_depth_mismatch(self, two_constants_01):
         res = sfat(two_constants_01, None, 1 / 4)
         proto = BaselineEvalProtocol(two_constants_01)
         with pytest.raises(DepthMismatch):
             augindex_via_eval(
-                two_constants_01, res.witness, AugIndexInstance(2, "10", 1), proto
+                two_constants_01,
+                res.witness,
+                AugIndexInstance(2, "10", 1),
+                proto,
+                child_rng(0, 0),
             )
+
+    def test_rng_is_required(self, two_constants_01):
+        # a default stream would restart at the same first uniform (0.637) on
+        # every call, so a corruption rate below it would never fire
+        res = sfat(two_constants_01, None, 1 / 4)
+        proto = BaselineEvalProtocol(two_constants_01)
+        f = two_constants_01.by_id(1)
+        with pytest.raises(TypeError):
+            augindex_via_eval(two_constants_01, res.witness, AugIndexInstance(1, "1", 1), proto)
+        with pytest.raises(TypeError):
+            proto.run(f, 0)
+        with pytest.raises(TypeError):
+            CorruptedEvalProtocol(proto, 0.6).run(f, 0)
 
     def test_noisy_protocol_success_rate(self):
         cube = boolean_cube(3)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -168,7 +169,13 @@ class TestSfatProperties:
     @given(small_tables(), MARGINS, st.data())
     def test_duplicate_concept(self, rows, margin, data):
         r = data.draw(st.integers(0, len(rows) - 1))
-        assert sfat_of(rows + [list(rows[r])], margin) == sfat_of(rows, margin)
+        doubled = rows + [list(rows[r])]
+        assert sfat_of(doubled, margin) == sfat_of(rows, margin)
+        # the witness holds on values packed closer than 2*margin, and ties
+        cls = make_class(doubled)
+        res = sfat(cls, None, margin)
+        validate_tree(cls, res.witness, margin)
+        assert res.witness.depth() == res.dimension
 
     @given(small_tables(), MARGINS, st.data())
     def test_monotone_under_subsets(self, rows, margin, data):
@@ -228,6 +235,52 @@ class TestBooleanAgreement:
             ldim_oracle(two_constants_19)
 
 
+def oracle_fat(rows, gamma, tol=1e-9):
+    """fat by brute force over threshold vectors, sharing no code with `fat`.
+
+    A point's candidate thresholds are the midpoints of two of its values at
+    least 2*gamma apart; any admissible threshold is dominated by the midpoint
+    of its low side's largest value and its high side's smallest.  Each candidate
+    labels every concept 0 (at least gamma below), 1 (at least gamma above) or
+    None.  A point set is shattered when some choice of one labelling per point
+    realizes every sign pattern; a choice whose prefix already misses a
+    pattern is abandoned, since a full choice realizes every prefix pattern.
+    """
+    nx = len(rows[0])
+    labellings = []
+    for x in range(nx):
+        values = sorted({f[x] for f in rows})
+        found = set()
+        for u in values:
+            for w in values:
+                if w - u >= 2 * gamma - tol:
+                    a = (u + w) / 2
+                    found.add(tuple(
+                        0 if f[x] <= a - gamma + tol else 1 if f[x] >= a + gamma - tol else None
+                        for f in rows
+                    ))
+        labellings.append(found)
+
+    def shattered(points, patterns, depth):
+        if len({p for p in patterns if p is not None}) < 2**depth:
+            return False
+        if not points:
+            return True
+        x, rest = points[0], points[1:]
+        return any(
+            shattered(rest, [
+                None if p is None or b is None else p + (b,) for p, b in zip(patterns, lab)
+            ], depth + 1)
+            for lab in labellings[x]
+        )
+
+    best = 0
+    for k in range(1, nx + 1):
+        if any(shattered(s, [()] * len(rows), 0) for s in combinations(range(nx), k)):
+            best = k
+    return best
+
+
 class TestFat:
     def test_singleton(self):
         assert fat(make_class([[0.5, 0.5]]), 1 / 4) == 0
@@ -236,6 +289,17 @@ class TestFat:
     def test_equals_vc_on_cube(self, k):
         # the cube's VC dimension is k, and fat at any margin <= 1/2 matches
         assert fat(boolean_cube(k), 1 / 4) == k
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zinv", [4, 5, 8])
+    def test_matches_oracle(self, nx, zinv):
+        zeta = 1 / zinv
+        for nc in (2, 4, 7, 10):
+            for seed in range(4):
+                cls = generate_class(nx, nc, zeta, seed=seed)
+                rows = [c.values for c in cls.concepts]
+                for gamma in (zeta, zeta / 2):
+                    assert fat(cls, gamma) == oracle_fat(rows, gamma), (nc, seed, gamma)
 
     def test_fat_below_sfat(self):
         for trial in range(15):

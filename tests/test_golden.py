@@ -16,7 +16,7 @@ from shatterlab.cli import KINDS, main
 CONFIGS = os.path.join(os.path.dirname(__file__), "golden", "configs")
 
 DIGESTS = {
-    "dims": "d0b28c15fab5d300da12a1f555b7916a8d71bd235aee1b8f7d11d8722d86ba8c",
+    "dims": "b4c303dca534e0cbd2e34eab072fd3424b95cee632b9463b29bd278ce5b1c2c8",
     "online": "2c43ac4904a9f20273cd75a4f24722ee29a05390ee546e18300d5edba2ea0460",
     "adversary": "0cff4c346ba74754ed0d3fe72b62620e0c96a76eb2e69589b8cdd375026b4517",
     "stability": "71077a632060bca52390beba1a153202377eae83c948d61e9d8c4cedc4b9aa82",
