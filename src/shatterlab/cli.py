@@ -77,9 +77,16 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _param(cfg: dict, key: str, kind: type = float, default=None):
-    """cfg[key] (or `default` when absent) converted by `kind`; no default = required."""
+    """cfg[key] (or `default` when absent) converted by `kind`; no default = required.
+
+    An int parameter takes no bool and no number with a fractional part, which
+    `int` would accept and truncate.
+    """
     value = cfg.get(key, default)
     _require(value is not None, f"missing parameter {key!r}")
+    fractional = isinstance(value, float) and not value.is_integer()
+    if kind is int and (isinstance(value, bool) or fractional):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -121,12 +128,14 @@ def _load_class(cfg: dict, seed: int) -> ConceptClass:
         if "generated" in src:
             g = src["generated"]
             _require(isinstance(g, dict), "class: 'generated' must be an object")
+            boolean = g.get("boolean", False)
+            _require(isinstance(boolean, bool), "class: 'boolean' must be true or false")
             return bundled.generate_class(
                 _param(g, "domain_size", int),
                 _param(g, "n_concepts", int),
                 _param(g, "zeta", float, cfg.get("zeta", 0.25)),
                 seed=_param(g, "seed", int, seed),
-                boolean=bool(g.get("boolean", False)),
+                boolean=boolean,
             )
     except ConfigError:
         raise

@@ -182,9 +182,9 @@ class Distribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if any(v < 0 for v in self.p):
+        if not all(v >= 0 for v in self.p):
             raise OutOfRange("probabilities must be nonnegative")
-        if abs(sum(self.p) - 1.0) > 1e-12:
+        if not abs(sum(self.p) - 1.0) <= 1e-12:
             raise OutOfRange(f"probabilities sum to {sum(self.p)!r}, expected 1")
 
     @cached_property

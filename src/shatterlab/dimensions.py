@@ -149,7 +149,7 @@ class SfatCache:
                 f"sfat is capped at {MAX_CONCEPTS} concepts to bound its cost "
                 f"(not by its masks), got {len(cls)}"
             )
-        if zeta <= 0:
+        if not zeta > 0:
             raise OutOfRange(f"margin must be positive, got {zeta}")
         self.cls = cls
         self.zeta = float(zeta)
@@ -287,7 +287,7 @@ def fat(cls: ConceptClass, gamma: float) -> int:
     """Non-sequential fat-shattering dimension by brute force (|X| <= 12)."""
     if cls.domain_size > 12:
         raise TooLarge("fat-shattering brute force is limited to 12 domain points")
-    if gamma <= 0:
+    if not gamma > 0:
         raise OutOfRange(f"margin must be positive, got {gamma}")
     n = len(cls)
     full = (1 << n) - 1

@@ -36,12 +36,11 @@ from .concepts import (
     loss,
 )
 from .errors import NotNeighbors, OutOfRange, TooLarge
-from .seeding import child_rngs
+from .seeding import child_rng
 
 Sample = Sequence[LabeledExample]
-#: A learner maps a sample and a generator to a hypothesis.  The generator is
-#: valid only during the call: the trial loops hand out bulk child streams
-#: (`seeding.child_rngs`) that share one bit generator.
+#: A learner maps a sample and a generator to a hypothesis.  A trial loop
+#: passes one generator to all its calls, so each trial continues the stream.
 Learner = Callable[[Sample, np.random.Generator], Concept]
 
 
@@ -104,7 +103,7 @@ def generic_private_learner(
     """Select a hypothesis via the exponential mechanism; (eps, 0)-DP."""
     if not sample:
         raise OutOfRange("the private learner needs a nonempty sample")
-    if epsilon_priv <= 0:
+    if not epsilon_priv > 0:
         raise OutOfRange(f"epsilon_priv must be positive, got {epsilon_priv}")
     # the weights depend only on (sample, eps, zeta): dp_test and the
     # harvester run one sample many times in a row, so keep the last CDF
@@ -192,7 +191,8 @@ def dp_test(
         raise OutOfRange(f"epsilon={epsilon!r} leaves e^epsilon non-finite")
     counts: dict[int, list[int]] = {}
     for side, sample in enumerate((s, s_prime)):
-        for rng in child_rngs(seed, side, n=trials):
+        rng = child_rng(seed, side)
+        for _ in range(trials):
             out = learner(sample, rng)
             counts.setdefault(out.id, [0, 0])[side] += 1
     events = []
@@ -276,6 +276,6 @@ def build_probabilistic_representation(
     x0 = DomainPoint(0)
     for zi, z in enumerate(grid):
         sample = tuple(LabeledExample(x0, z) for _ in range(m))
-        for rng in child_rngs(seed, zi, n=reps):
-            harvested.append(dp_learner(sample, rng))
+        rng = child_rng(seed, zi)
+        harvested.extend(dp_learner(sample, rng) for _ in range(reps))
     return HypothesisCollection(hypotheses=tuple(harvested), provenance="harvested")

@@ -99,9 +99,9 @@ class Ensemble:
                 raise DimMismatch("ensemble states must share one dimension")
         if len(self.weights) != len(self.states):
             raise OutOfRange("one weight per state required")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):
             raise OutOfRange("ensemble weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise OutOfRange(f"ensemble weights sum to {sum(self.weights)!r}")
 
     @staticmethod

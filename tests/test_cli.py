@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 
@@ -383,6 +384,33 @@ MALFORMED = {
         "dims",
         {"seed": 1, "zeta": 0.25,
          "class": {"generated": {"domain_size": 2, "n_concepts": 4, "zeta": -1}}},
+    ),
+    # numpy's SeedSequence raised an uncaught ValueError on a negative seed
+    "privacy_negative_seed": ("privacy", {"seed": -3, "zeta": 0.25, "trials": 10_000}),
+    "generated_negative_seed": (
+        "dims",
+        {"seed": 1, "zeta": 0.25,
+         "class": {"generated": {"domain_size": 2, "n_concepts": 4, "seed": -3}}},
+    ),
+    # NaN slipped past guards written as `v < 0` and `abs(s - 1) > tol`
+    "stability_nan_distribution": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "distribution": [math.nan],
+         "class": {"bundled": "two_constants"}},
+    ),
+    # bool("false") is true, and int(2.5) and int(True) truncate silently
+    "generated_boolean_string": (
+        "dims",
+        {"seed": 1, "zeta": 0.25,
+         "class": {"generated": {"domain_size": 2, "n_concepts": 4, "boolean": "false"}}},
+    ),
+    "T_fractional": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "T": 2.5, "class": {"bundled": "four_constants"}},
+    ),
+    "T_a_bool": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "T": True, "class": {"bundled": "four_constants"}},
     ),
 }
 

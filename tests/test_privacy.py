@@ -367,8 +367,9 @@ class TestRepresentationHarvest:
 
 
 class TestBulkStreams:
-    """The trial loops give every learner call the stream of `child_rng(seed,
-    side, t)` / `child_rng(seed, zi, rep)`, whatever the learner draws."""
+    """Each trial loop draws all its trials, in order, from one stream:
+    `child_rng(seed, side)` in `dp_test`, `child_rng(seed, zi)` in the
+    harvester, whatever the learner draws."""
 
     @staticmethod
     def mixed_draw_learner(coll):
@@ -384,10 +385,11 @@ class TestBulkStreams:
         sp = (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.9))
         seed, trials = 2**40 + 3, 10_000
         got = dp_test(learner, s, sp, 1.0, 0.0, trials, seed)
+        streams = [child_rng(seed, side) for side in range(2)]
         replay = iter([
-            learner(sample, child_rng(seed, side, t))
+            learner(sample, streams[side])
             for side, sample in enumerate((s, sp))
-            for t in range(trials)
+            for _ in range(trials)
         ])
         assert got == dp_test(lambda sample, rng: next(replay), s, sp, 1.0, 0.0, trials, seed)
         assert len(got.events) == 16
@@ -397,10 +399,12 @@ class TestBulkStreams:
         zeta, alpha, eps, m, seed = 1 / 2, 1 / 4, 1.0, 1, 12
         got = build_probabilistic_representation(learner, zeta, alpha, eps, m, seed)
         reps = representation_repetitions(alpha, eps, m)
+        grid = cover_new(zeta / 5).bin_midpoints
+        streams = [child_rng(seed, zi) for zi in range(len(grid))]
         replay = [
-            learner((LabeledExample(X0, z),) * m, child_rng(seed, zi, rep))
-            for zi, z in enumerate(cover_new(zeta / 5).bin_midpoints)
-            for rep in range(reps)
+            learner((LabeledExample(X0, z),) * m, streams[zi])
+            for zi, z in enumerate(grid)
+            for _ in range(reps)
         ]
         assert got == HypothesisCollection(tuple(replay), "harvested")
         assert len(got) == 10 * 41 and len({h.id for h in got.hypotheses}) == 16
