@@ -315,13 +315,15 @@ def run_quantum(cfg: dict, seed: int) -> Report:
     states = _load_states(cfg, seed)
     ens = Ensemble.uniform(states)
     chi_uniform = holevo_chi(ens)
-    chi_star, weights = max_holevo(states, tol=tol)
+    chi_star, weights, gap, iterations = max_holevo(states, tol=tol)
     summary = {
         "n_states": len(states),
         "dim": states[0].dim,
         "chi_uniform": chi_uniform,
         "chi_star": chi_star,
         "weights": list(weights),
+        "gap": gap,
+        "iterations": iterations,
         "audenaert_bound": audenaert_bound(ens),
     }
     return summary, None

@@ -211,7 +211,7 @@ def loss(h: Concept, c: Concept, r: float, d: Distribution) -> float:
     """Probability mass of {x : |h(x) - c(x)| > r} under d (strict inequality)."""
     if len(h.values) != len(c.values) or len(h.values) != len(d.p):
         raise DomainMismatch("loss requires h, c, and D over the same domain")
-    if r < 0:
+    if not r >= 0:
         raise OutOfRange("loss radius must be nonnegative")
     return float(
         sum(p for hv, cv, p in zip(h.values, c.values, d.p) if abs(hv - cv) > r)

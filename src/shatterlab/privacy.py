@@ -119,7 +119,7 @@ def generic_private_learner(
 
 def generic_learner_sample_size(h_count: int, alpha: float, epsilon_priv: float) -> int:
     """Sample size C log|H| / (alpha eps) with the declared constant C = 8."""
-    if h_count < 1 or alpha <= 0 or epsilon_priv <= 0:
+    if h_count < 1 or not alpha > 0 or not epsilon_priv > 0:
         raise OutOfRange("need h_count >= 1 and positive alpha, epsilon")
     return max(1, math.ceil(8.0 * math.log(h_count) / (alpha * epsilon_priv)))
 

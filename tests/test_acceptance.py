@@ -295,7 +295,7 @@ def test_criterion_9_holevo_suite():
     for s in range(20):
         rng = child_rng(9000, s)
         states = [random_density_matrix(2, rng) for _ in range(2)]
-        chi, _ = max_holevo(states, tol=1e-9)
+        chi, _, _, _ = max_holevo(states, tol=1e-9)
         grid = max(
             holevo_chi(Ensemble((states[0], states[1]), (p, 1 - p)))
             for p in np.linspace(0.0, 1.0, 101)
@@ -320,7 +320,7 @@ def test_criterion_9_holevo_suite():
         states = [random_density_matrix(dim, rng) for _ in range(n_states)]
         meas = random_basis_measurements(dim, rng, n_meas)
         cls = materialize_concept_class(states, meas)
-        chi_star, _ = max_holevo(states, tol=1e-7)
+        chi_star, _, _, _ = max_holevo(states, tol=1e-7)
         for p in (0.8, 0.9):
             lhs = sfat(cls, None, p).dimension
             if lhs > sfat_holevo_bound(chi_star, p) + 1e-9:

@@ -223,6 +223,17 @@ class TestCliRuns:
         assert summary["chi_star"] >= summary["chi_uniform"] - 1e-6
         assert summary["chi_uniform"] <= summary["audenaert_bound"] + 1e-9
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_quantum_summary_certifies_chi_star(self, tmp_path, tol):
+        cfg = write_config(
+            tmp_path, {"seed": 5, "tol": tol, "generated_states": {"dim": 4, "count": 6}}
+        )
+        out = str(tmp_path / "qc")
+        assert main(["quantum", cfg, "--out", out]) == 0
+        summary = read_summary(out)
+        assert 0.0 <= summary["gap"] < tol
+        assert isinstance(summary["iterations"], int) and summary["iterations"] >= 1
+
     def test_shadow_run(self, tmp_path):
         cfg = write_config(
             tmp_path,

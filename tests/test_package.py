@@ -5,6 +5,7 @@ import pytest
 
 import shatterlab
 from shatterlab import (
+    Concept,
     DensityMatrix,
     Distribution,
     DomainPoint,
@@ -14,9 +15,11 @@ from shatterlab import (
     discretize_hypotheses,
     fat,
     generic_private_learner,
+    loss,
 )
 from shatterlab.classes import four_constants
 from shatterlab.errors import OutOfRange
+from shatterlab.privacy import generic_learner_sample_size
 from shatterlab.seeding import child_rng
 
 
@@ -40,7 +43,11 @@ KET0 = DensityMatrix(np.array([[1, 0], [0, 0]], dtype=complex))
     lambda: generic_private_learner(
         discretize_hypotheses(1, 1 / 2), (LabeledExample(DomainPoint(0), 0.5),),
         math.nan, 1 / 2, child_rng(0)),
-], ids=["distribution", "ensemble_weight", "fat_margin", "sfat_margin", "private_epsilon"])
+    lambda: loss(Concept(0, (0.2,)), Concept(1, (0.9,)), math.nan, Distribution((1.0,))),
+    lambda: generic_learner_sample_size(4, math.nan, 1.0),
+    lambda: generic_learner_sample_size(4, 0.5, math.nan),
+], ids=["distribution", "ensemble_weight", "fat_margin", "sfat_margin", "private_epsilon",
+        "loss_radius", "sample_size_alpha", "sample_size_epsilon"])
 def test_range_guards_reject_nan(build):
     with pytest.raises(OutOfRange):
         build()

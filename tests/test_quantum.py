@@ -136,17 +136,57 @@ class TestHolevo:
             assert holevo_chi(Ensemble(tuple(states), tuple(w))) >= 0.0
 
 
+#: the benchmark's Holevo cells: (state dim, states), states drawn as the
+#: quantum CLI draws them for seed 1
+QUANTUM_CELLS = ((2, 4), (4, 16), (4, 8), (8, 16), (8, 3), (16, 16), (16, 6), (8, 8))
+
+
+def cell_states(dim, count):
+    rng = child_rng(1, 0x57A7E5)
+    return [random_density_matrix(dim, rng) for _ in range(count)]
+
+
+def random_ensemble(s):
+    rng = child_rng(32, s)
+    dim = int(rng.choice([2, 4, 8, 16]))
+    count = int(rng.integers(2, 17))
+    draw = random_pure_state if s % 3 == 0 else random_density_matrix
+    return [draw(dim, rng) for _ in range(count)]
+
+
+def reference_chi(states, tol=1e-13):
+    """Plain Blahut-Arimoto steps stopped on the duality gap, written apart
+    from the library: returns (chi, gap) with chi <= chi* <= chi + gap."""
+    rho = np.array([s.matrix for s in states])
+
+    def log2_of(m):
+        eig, vec = np.linalg.eigh(m)
+        keep = eig > 1e-14
+        return (vec[:, keep] * np.log2(eig[keep])) @ vec[:, keep].conj().T
+
+    own = np.einsum("ijk,ikj->i", rho, np.array([log2_of(r) for r in rho])).real
+    q = np.full(len(rho), 1 / len(rho))
+    for _ in range(10**5):
+        div = own - np.einsum("ijk,kj->i", rho, log2_of(np.einsum("i,ijk->jk", q, rho))).real
+        chi = float(q @ div)
+        if div.max() - chi < tol:
+            return chi, float(div.max() - chi)
+        q = q * np.exp(div - div.max())
+        q /= q.sum()
+    raise AssertionError("reference solve did not converge")
+
+
 class TestMaxHolevo:
     def test_single_state(self):
-        assert max_holevo([KET0]) == (0.0, (1.0,))
+        assert max_holevo([KET0]) == (0.0, (1.0,), 0.0, 0)
 
     def test_orthogonal_pair(self):
-        chi, w = max_holevo([KET0, KET1], tol=1e-9)
+        chi, w, _, _ = max_holevo([KET0, KET1], tol=1e-9)
         assert chi == pytest.approx(1.0, abs=1e-6)
         assert w == pytest.approx((0.5, 0.5), abs=1e-3)
 
     def test_zero_plus_pair_matches_grid(self):
-        chi, w = max_holevo([KET0, PLUS], tol=1e-9)
+        chi, w, _, _ = max_holevo([KET0, PLUS], tol=1e-9)
         grid = max(
             holevo_chi(Ensemble((KET0, PLUS), (p, 1 - p)))
             for p in np.linspace(0, 1, 101)
@@ -158,16 +198,62 @@ class TestMaxHolevo:
         for s in range(20):
             rng = child_rng(31, s)
             states = [random_density_matrix(2, rng) for _ in range(3)]
-            chi, _ = max_holevo(states, tol=1e-8)
+            chi, _, _, _ = max_holevo(states, tol=1e-8)
             assert chi >= holevo_chi(Ensemble.uniform(states)) - 1e-6
+
+    @pytest.mark.parametrize(
+        "states",
+        [cell_states(dim, count) for dim, count in QUANTUM_CELLS]
+        + [random_ensemble(s) for s in range(30)],
+        ids=[f"cell-{dim}-{count}" for dim, count in QUANTUM_CELLS]
+        + [f"random-{s}" for s in range(30)],
+    )
+    def test_gap_certifies_chi_star(self, states):
+        tol = 1e-9
+        chi, weights, gap, iterations = max_holevo(states, tol=tol)
+        assert 0.0 <= gap < tol
+        assert iterations >= 1
+        # the lower end is realized by the reported weights
+        assert chi == pytest.approx(holevo_chi(Ensemble(tuple(states), weights)), abs=1e-12)
+        # both brackets hold chi*: [chi, chi + gap] and [ref, ref + ref_gap]
+        ref, ref_gap = reference_chi(states)
+        assert chi <= ref + ref_gap
+        assert ref <= chi + gap
+
+    @pytest.mark.parametrize("state", [KET0, PLUS, random_density_matrix(4, child_rng(33, 0))])
+    def test_identical_states_stop_at_the_first_evaluation(self, state):
+        chi, weights, gap, iterations = max_holevo([state] * 3, tol=1e-9)
+        assert chi == pytest.approx(0.0, abs=1e-12)
+        assert gap == pytest.approx(0.0, abs=1e-12)
+        assert iterations == 1
+        assert weights == pytest.approx((1 / 3,) * 3, abs=1e-15)
+
+    def test_iterations_count_every_evaluation_against_the_cap(self, monkeypatch):
+        states = cell_states(4, 8)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        *_, iterations = max_holevo(states, tol=1e-9)
+        assert iterations == len(calls)
+        monkeypatch.undo()
+        assert max_holevo(states, tol=1e-9, max_iter=iterations)[3] == iterations
+        with pytest.raises(NonConvergence):
+            max_holevo(states, tol=1e-9, max_iter=iterations - 1)
 
     def test_guard(self):
         with pytest.raises(OutOfRange):
             max_holevo([], tol=1e-6)
 
+    def test_rejects_states_of_different_dimensions(self):
+        with pytest.raises(DimMismatch):
+            max_holevo([KET0, random_density_matrix(4, child_rng(33, 1))], tol=1e-6)
+
     def test_iteration_cap_raises(self):
+        # uniform weights are optimal for the symmetric pair (KET0, PLUS), so
+        # its first evaluation is already certified; (KET0, MAXMIX) is not
+        assert max_holevo([KET0, PLUS], tol=1e-9, max_iter=1)[3] == 1
         with pytest.raises(NonConvergence):
-            max_holevo([KET0, PLUS], tol=1e-9, max_iter=1)
+            max_holevo([KET0, MAXMIX], tol=1e-9, max_iter=1)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_rejects_a_tol_that_is_not_positive(self, tol):
