@@ -42,7 +42,7 @@ from .online import (
     run_weak_forcing_game,
     rsoa_as_weak_learner,
 )
-from .privacy import discretize_hypotheses, dp_test, generic_private_learner
+from .privacy import ExponentialMechanism, discretize_hypotheses, dp_test
 from .communication import (
     BaselineEvalProtocol,
     CorruptedEvalProtocol,
@@ -248,11 +248,8 @@ def run_privacy(cfg: dict, seed: int) -> Report:
     base = [LabeledExample(x, 0.1)] * m
     neighbor = list(base)
     neighbor[-1] = LabeledExample(x, 0.9)
-
-    def learner(sample, rng):
-        return generic_private_learner(coll, sample, eps, zeta, rng)
-
-    report = dp_test(learner, tuple(base), tuple(neighbor), eps, delta, trials, seed)
+    mechanism = ExponentialMechanism(coll, eps, zeta)
+    report = dp_test(mechanism, tuple(base), tuple(neighbor), eps, delta, trials, seed)
     summary = {
         "zeta": zeta,
         "epsilon": eps,

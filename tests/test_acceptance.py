@@ -15,12 +15,12 @@ from shatterlab import (
     Distribution,
     DomainPoint,
     Ensemble,
+    ExponentialMechanism,
     LabeledExample,
     depolarizing_capacity_bound,
     dp_test,
     discretize_hypotheses,
     gentle_sample_complexity,
-    generic_private_learner,
     holevo_chi,
     ldim_oracle,
     materialize_concept_class,
@@ -185,8 +185,7 @@ def test_criterion_6_dp_ratio_and_tv():
     zeta, eps, trials = 1 / 4, 1.0, 10_000
     coll = discretize_hypotheses(1, zeta)
 
-    def learner(sample, rng):
-        return generic_private_learner(coll, sample, eps, zeta, rng)
+    learner = ExponentialMechanism(coll, eps, zeta)
 
     failures = 0
     worst_tv = 0.0
@@ -214,8 +213,7 @@ def test_criterion_7_representation_harvest():
     dist = Distribution((1.0,))
     goods = good_hypotheses(coll, target, dist, zeta, 1 / 4)
 
-    def learner(sample, rng):
-        return generic_private_learner(coll, sample, eps, zeta, rng)
+    learner = ExponentialMechanism(coll, eps, zeta)
 
     trials = 400
     misses = 0

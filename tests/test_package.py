@@ -8,19 +8,16 @@ from shatterlab import (
     Concept,
     DensityMatrix,
     Distribution,
-    DomainPoint,
     Ensemble,
-    LabeledExample,
+    ExponentialMechanism,
     SfatCache,
     discretize_hypotheses,
     fat,
-    generic_private_learner,
     loss,
 )
 from shatterlab.classes import four_constants
 from shatterlab.errors import OutOfRange
 from shatterlab.privacy import generic_learner_sample_size
-from shatterlab.seeding import child_rng
 
 
 def test_every_export_resolves():
@@ -40,9 +37,7 @@ KET0 = DensityMatrix(np.array([[1, 0], [0, 0]], dtype=complex))
     lambda: Ensemble((KET0,), (math.nan,)),
     lambda: fat(four_constants(), math.nan),
     lambda: SfatCache(four_constants(), math.nan),
-    lambda: generic_private_learner(
-        discretize_hypotheses(1, 1 / 2), (LabeledExample(DomainPoint(0), 0.5),),
-        math.nan, 1 / 2, child_rng(0)),
+    lambda: ExponentialMechanism(discretize_hypotheses(1, 1 / 2), math.nan, 1 / 2),
     lambda: loss(Concept(0, (0.2,)), Concept(1, (0.9,)), math.nan, Distribution((1.0,))),
     lambda: generic_learner_sample_size(4, math.nan, 1.0),
     lambda: generic_learner_sample_size(4, 0.5, math.nan),

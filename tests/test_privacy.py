@@ -15,12 +15,12 @@ from shatterlab import (
     build_probabilistic_representation,
     discretize_hypotheses,
     dp_test,
-    generic_private_learner,
     loss,
 )
-from shatterlab.concepts import cover_new
+from shatterlab.concepts import _choice_cdf, cover_new
 from shatterlab.errors import NotNeighbors, OutOfRange, TooLarge
 from shatterlab.privacy import (
+    ExponentialMechanism,
     HypothesisCollection,
     check_neighbors,
     exponential_weights,
@@ -85,17 +85,15 @@ class TestExponentialMechanism:
         sample = (LabeledExample(X0, 0.2), LabeledExample(X0, 0.3))
         expect = closed_form_distribution(coll, sample, 1.0, 0.25)
         trials = 20_000
-        counts = [0, 0]
-        for t in range(trials):
-            out = generic_private_learner(coll, sample, 1.0, 0.25, child_rng(1, t))
-            counts[out.id] += 1
+        batches = ExponentialMechanism(coll, 1.0, 0.25).draw(sample, child_rng(1), trials)
+        counts = np.bincount(np.concatenate(list(batches)), minlength=2)
         for k in range(2):
             se = math.sqrt(expect[k] * (1 - expect[k]) / trials)
             assert abs(counts[k] / trials - expect[k]) <= 3 * se + 1e-9
 
     def test_stream_identical_to_generator_choice(self):
-        # the memoized CDF draws what rng.choice(len(w), p=w) draws, while the
-        # trials switch samples, eps alone and zeta alone
+        # a call draws what rng.choice(len(w), p=w) draws, while the trials
+        # switch samples, eps alone and zeta alone
         coll = discretize_hypotheses(2, 1 / 4)
         x1 = DomainPoint(1)
         a = (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.3))
@@ -104,16 +102,17 @@ class TestExponentialMechanism:
         plan = [(a, p0)] * 5 + [(a, p1)] * 3 + [(a, p2)] * 3 + [(b, p2)] * 2 + [(b, p0)] * 2
         plan += [(a, p0), (a, p1), (a, p2), (list(b), p2), (b, p1), (b, p0)] * 3
         for t, (sample, (eps, zeta)) in enumerate(plan):
-            got = generic_private_learner(coll, sample, eps, zeta, child_rng(11, t))
+            got = ExponentialMechanism(coll, eps, zeta)(sample, child_rng(11, t))
             rng = child_rng(11, t)
             w = exponential_weights(coll, sample, eps, zeta)
             want = coll.hypotheses[int(rng.choice(len(w), p=w))]
             assert got is want
 
-    def test_memo_is_safe_to_share_between_threads(self):
-        # threads alternating two samples on one collection never draw from
+    def test_mechanism_is_safe_to_share_between_threads(self):
+        # threads alternating two samples on one mechanism never draw from
         # the other sample's CDF
         coll = discretize_hypotheses(2, 1 / 4)
+        mechanism = ExponentialMechanism(coll, 3.0, 0.25)
         samples = (
             (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.9)),
             (LabeledExample(X0, 0.9), LabeledExample(DomainPoint(1), 0.1)),
@@ -130,7 +129,7 @@ class TestExponentialMechanism:
 
         def work(w):
             for t in range(trials):
-                h = generic_private_learner(coll, samples[(w + t) % 2], 3.0, 0.25, child_rng(w, t))
+                h = mechanism(samples[(w + t) % 2], child_rng(w, t))
                 got[(w, t)] = h.id
 
         old = sys.getswitchinterval()
@@ -146,26 +145,25 @@ class TestExponentialMechanism:
         assert not any(th.is_alive() for th in threads)
         assert got == want
 
-    def test_memo_leaves_equality_hash_and_repr_alone(self):
-        used, fresh = two_hypotheses(), two_hypotheses()
-        generic_private_learner(used, (LabeledExample(X0, 0.2),), 1.0, 0.25, child_rng(0, 0))
-        assert used == fresh
-        assert hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
-
     def test_empty_sample_rejected(self):
+        mechanism = ExponentialMechanism(two_hypotheses(), 1.0, 0.25)
         with pytest.raises(OutOfRange):
-            generic_private_learner(two_hypotheses(), (), 1.0, 0.25, child_rng(0, 0))
+            mechanism((), child_rng(0, 0))
+        with pytest.raises(OutOfRange):
+            mechanism.draw((), child_rng(0, 0), 10)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive_at_construction(self, epsilon):
+        with pytest.raises(OutOfRange):
+            ExponentialMechanism(two_hypotheses(), epsilon, 0.25)
 
     def test_total_variation_against_oracle(self):
         coll = discretize_hypotheses(1, 1 / 4)  # 4 hypotheses
         sample = tuple(LabeledExample(X0, y) for y in (0.1, 0.3, 0.6, 0.6, 0.9))
         expect = closed_form_distribution(coll, sample, 1.0, 0.25)
         trials = 100_000
-        counts = np.zeros(len(coll))
-        for t in range(trials):
-            out = generic_private_learner(coll, sample, 1.0, 0.25, child_rng(2, t))
-            counts[out.id] += 1
+        batches = ExponentialMechanism(coll, 1.0, 0.25).draw(sample, child_rng(2), trials)
+        counts = np.bincount(np.concatenate(list(batches)), minlength=len(coll))
         tv = 0.5 * np.abs(counts / trials - np.array(expect)).sum()
         assert tv <= 0.02
 
@@ -218,7 +216,7 @@ class TestDpTest:
         coll = two_hypotheses()
         s, sp = self.neighbor_pair()
         rep = dp_test(
-            lambda sample, rng: generic_private_learner(coll, sample, 1.0, 0.25, rng),
+            ExponentialMechanism(coll, 1.0, 0.25),
             s,
             sp,
             epsilon=1.0,
@@ -246,7 +244,7 @@ class TestDpTest:
         coll = two_hypotheses()
         s, sp = self.neighbor_pair()
         rep = dp_test(
-            lambda sample, rng: generic_private_learner(coll, sample, 1.0, 0.25, rng),
+            ExponentialMechanism(coll, 1.0, 0.25),
             s,
             sp,
             1.0,
@@ -269,6 +267,7 @@ class TestLossAmplification:
             loss(h, target, zeta, dist) <= alpha for h in coll.hypotheses
         )
         m = generic_learner_sample_size(len(coll), alpha, eps)
+        mechanism = ExponentialMechanism(coll, eps, zeta)
         rng = child_rng(7, 0)
         good = 0
         trials = 300
@@ -277,7 +276,7 @@ class TestLossAmplification:
                 LabeledExample(X0, float(np.clip(target.values[0] + rng.uniform(-zeta / 5, zeta / 5), 0, 1)))
                 for _ in range(m)
             )
-            out = generic_private_learner(coll, sample, eps, zeta, child_rng(8, t))
+            out = mechanism(sample, child_rng(8, t))
             good += loss(out, target, zeta, dist) <= 2 * alpha
         frac = good / trials
         assert frac >= 2 / 3 - 3 * math.sqrt((2 / 3) * (1 / 3) / trials)
@@ -290,7 +289,7 @@ class TestRepresentationHarvest:
     def test_collection_size(self):
         coll = discretize_hypotheses(1, 1 / 2)
         built = build_probabilistic_representation(
-            lambda s, rng: generic_private_learner(coll, s, 1.0, 1 / 2, rng),
+            ExponentialMechanism(coll, 1.0, 1 / 2),
             zeta=1 / 2,
             alpha=1 / 4,
             epsilon_priv=1.0,
@@ -304,7 +303,7 @@ class TestRepresentationHarvest:
         coll = discretize_hypotheses(1, 1 / 2)
         with pytest.raises(OutOfRange):
             build_probabilistic_representation(
-                lambda s, rng: generic_private_learner(coll, s, 1.0, 1 / 2, rng),
+                ExponentialMechanism(coll, 1.0, 1 / 2),
                 zeta=1 / 2,
                 alpha=1 / 4,
                 epsilon_priv=1.0,
@@ -316,7 +315,7 @@ class TestRepresentationHarvest:
         coll = discretize_hypotheses(1, 1 / 2)
         with pytest.raises(TooLarge):
             build_probabilistic_representation(
-                lambda s, rng: generic_private_learner(coll, s, 1.0, 1 / 2, rng),
+                ExponentialMechanism(coll, 1.0, 1 / 2),
                 zeta=1 / 2,
                 alpha=1.0,
                 epsilon_priv=2.0,
@@ -354,7 +353,7 @@ class TestRepresentationHarvest:
         trials = 40
         for t in range(trials):
             built = build_probabilistic_representation(
-                lambda s, rng: generic_private_learner(coll, s, 1.0, zeta, rng),
+                ExponentialMechanism(coll, 1.0, zeta),
                 zeta=zeta,
                 alpha=1 / 4,
                 epsilon_priv=1.0,
@@ -408,3 +407,55 @@ class TestBulkStreams:
         ]
         assert got == HypothesisCollection(tuple(replay), "harvested")
         assert len(got) == 10 * 41 and len({h.id for h in got.hypotheses}) == 16
+
+
+class TestBatchedMechanism:
+    """`ExponentialMechanism.draw` draws what as many calls draw, and the trial
+    loops that batch it keep every report and collection of the plain loop."""
+
+    # a call costs about 25 us, so each seed runs on one domain
+    @pytest.mark.parametrize("domain_size, seed", [(1, 0), (2, 2**40 + 3)])
+    def test_draw_matches_per_trial_calls_across_a_batch(self, domain_size, seed):
+        coll = discretize_hypotheses(domain_size, 1 / 2)
+        mechanism = ExponentialMechanism(coll, 2.0, 1 / 4)
+        sample = (LabeledExample(DomainPoint(domain_size - 1), 0.1),)
+        trials = 70_001  # one full batch of 2^16 and a partial one
+        batched, looped = child_rng(seed), child_rng(seed)
+        batches = list(mechanism.draw(sample, batched, trials))
+        assert [len(b) for b in batches] == [2**16, trials - 2**16]
+        want = [mechanism(sample, looped).id for _ in range(trials)]
+        got = np.concatenate(batches)
+        assert got.tolist() == want
+        assert batched.random() == looped.random()  # both streams end level
+
+    def test_harvest_matches_a_per_trial_replay(self):
+        mechanism = ExponentialMechanism(discretize_hypotheses(2, 1 / 4), 1.0, 1 / 4)
+        zeta, alpha, eps, m, seed = 1 / 2, 1 / 4, 1.0, 2, 21
+        got = build_probabilistic_representation(mechanism, zeta, alpha, eps, m, seed)
+        reps = representation_repetitions(alpha, eps, m)
+        grid = cover_new(zeta / 5).bin_midpoints
+        streams = [child_rng(seed, zi) for zi in range(len(grid))]
+        replay = [
+            mechanism((LabeledExample(X0, z),) * m, streams[zi])
+            for zi, z in enumerate(grid)
+            for _ in range(reps)
+        ]
+        assert got == HypothesisCollection(tuple(replay), "harvested")
+
+    def test_dp_test_folds_repeated_ids_as_the_plain_loop_does(self):
+        coll = discretize_hypotheses(1, 1 / 2)
+        harvested = build_probabilistic_representation(
+            ExponentialMechanism(coll, 1.0, 1 / 2), 1 / 2, 1 / 4, 1.0, 1, seed=5
+        )
+        assert len(harvested) == 410 and len({h.id for h in harvested.hypotheses}) == 2
+        mechanism = ExponentialMechanism(harvested, 1.0, 1 / 4)
+        s = (LabeledExample(X0, 0.1), LabeledExample(X0, 0.1))
+        sp = (LabeledExample(X0, 0.1), LabeledExample(X0, 0.9))
+        cdfs = {x: _choice_cdf(exponential_weights(harvested, x, 1.0, 1 / 4)) for x in (s, sp)}
+
+        def looped(sample, rng):  # a plain callable, so dp_test calls it per trial
+            return harvested.hypotheses[int(cdfs[sample].searchsorted(rng.random(), side="right"))]
+
+        got = dp_test(mechanism, s, sp, 1.0, 0.0, 10_000, seed=13)
+        assert got == dp_test(looped, s, sp, 1.0, 0.0, 10_000, seed=13)
+        assert [e.event for e in got.events] == [0, 1]
