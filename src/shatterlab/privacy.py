@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -60,6 +61,11 @@ class HypothesisCollection:
     def __len__(self) -> int:
         return len(self.hypotheses)
 
+    @cached_property
+    def by_point(self) -> np.ndarray:
+        """Point-by-hypothesis table of values, built on first use."""
+        return np.array([h.values for h in self.hypotheses]).T
+
 
 def discretize_hypotheses(domain_size: int, zeta: float) -> HypothesisCollection:
     """All functions from the domain into the zeta-grid bin midpoints."""
@@ -73,18 +79,14 @@ def discretize_hypotheses(domain_size: int, zeta: float) -> HypothesisCollection
     return HypothesisCollection(hypotheses=hyps, provenance="discretized")
 
 
-def empirical_misses(h: Concept, sample: Sample, zeta: float) -> int:
-    """Sample points where h is off by more than zeta (strict)."""
-    return sum(1 for ex in sample if abs(h.values[ex.x.index] - ex.y) > zeta)
-
-
 def exponential_weights(
     collection: HypothesisCollection, sample: Sample, epsilon_priv: float, zeta: float
 ) -> np.ndarray:
-    """Normalized exponential-mechanism weights exp(-eps * misses / 2)."""
-    scores = np.array(
-        [-0.5 * epsilon_priv * empirical_misses(h, sample, zeta) for h in collection.hypotheses]
-    )
+    """Normalized exponential-mechanism weights exp(-eps * misses / 2), where
+    a miss is a sample point the hypothesis is off by more than zeta."""
+    table, zero = collection.by_point, np.zeros(len(collection), int)
+    misses = sum((np.abs(table[ex.x.index] - ex.y) > zeta for ex in sample), zero)
+    scores = -0.5 * epsilon_priv * misses
     scores -= scores.max()
     w = np.exp(scores)
     return w / w.sum()

@@ -22,7 +22,7 @@ DIGESTS = {
     "stability": "71077a632060bca52390beba1a153202377eae83c948d61e9d8c4cedc4b9aa82",
     "privacy": "be000d8c46c9122e9218b007f0c3ff27df2a5bb8384af432f7e70d76231f9d99",
     "comm": "aae681d1b677918698794b758f4e6f174edb19229b83315e3f64dba8dd433c44",
-    "quantum": "57c1c794fce0b802c68888af83da12f1957382f80b04181b2e2e19b5102ae009",
+    "quantum": "9c184cba5b1413fdd7e5193121f418954ff7862a83f9ee493c72b81177346a33",
     "shadow": "0f074af23e7627ce25697235afcac69266b7de6364f4b1f1d8eea95365aaedf9",
 }
 

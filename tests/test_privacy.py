@@ -67,7 +67,38 @@ class TestDiscretize:
         )
 
 
+def loop_weights(coll, sample, eps, zeta):
+    # exponential_weights as a per-hypothesis loop, scored in the same order
+    scores = np.array([
+        -0.5 * eps * sum(1 for ex in sample if abs(h.values[ex.x.index] - ex.y) > zeta)
+        for h in coll.hypotheses
+    ])
+    scores -= scores.max()
+    w = np.exp(scores)
+    return w / w.sum()
+
+
 class TestExponentialMechanism:
+    def test_weights_are_bit_identical_to_the_per_hypothesis_loop(self):
+        mechanism = ExponentialMechanism(discretize_hypotheses(1, 1 / 2), 1.0, 1 / 2)
+        harvested = build_probabilistic_representation(mechanism, 1 / 2, 1 / 4, 1.0, 1, seed=5)
+        grids = ((1, 1 / 2), (2, 1 / 2), (2, 1 / 4), (2, 1 / 20))
+        collections = [two_hypotheses(), harvested]
+        collections += [discretize_hypotheses(d, z) for d, z in grids]
+        x1 = DomainPoint(1)
+        samples = [
+            (LabeledExample(X0, 0.5),),
+            (LabeledExample(X0, 0.2), LabeledExample(X0, 0.3)),
+            (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.3)),
+            (LabeledExample(x1, 0.9), LabeledExample(X0, 0.1)) * 3,
+        ]
+        for coll in collections:
+            for sample in samples:
+                if max(ex.x.index for ex in sample) >= len(coll.hypotheses[0].values):
+                    continue
+                for eps, zeta in ((1.0, 0.25), (1e-12, 0.25), (3.0, 1 / 8), (2.0, 1 / 4)):
+                    got = exponential_weights(coll, sample, eps, zeta)
+                    assert np.array_equal(got, loop_weights(coll, sample, eps, zeta))
     def test_equal_losses_give_uniform(self):
         coll = two_hypotheses()
         sample = (LabeledExample(X0, 0.5),)  # both hypotheses miss by 0.25 = zeta
