@@ -375,13 +375,16 @@ _RUNNERS = {
 KINDS = tuple(_RUNNERS)
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(prog="shatterlab", description=__doc__)
+_PARSER.add_argument("kind", choices=KINDS)
+_PARSER.add_argument("config", help="path to the experiment config JSON")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+_PARSER.add_argument("--out", default="out", help="output directory")
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = argparse.ArgumentParser(prog="shatterlab", description=__doc__)
-    parser.add_argument("kind", choices=KINDS)
-    parser.add_argument("config", help="path to the experiment config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # an earlier run's report must not pass for this run's, whether this run
     # fails or writes no detail.csv
     for name in ("summary.json", "detail.csv"):

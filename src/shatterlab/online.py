@@ -87,6 +87,7 @@ class RsoaState:
             for x in range(cls.domain_size)
         ]
         self.mask = self.cache.full_mask()
+        self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
 
     @property
@@ -111,7 +112,14 @@ class RsoaState:
         return sum(maximizers) / len(maximizers), maximizers
 
     def predict(self, xi: int) -> float:
-        return self.predict_with_maximizers(xi)[0]
+        """The prediction at xi, computed once per (mask, xi): it depends on
+        nothing else.  Under strict updates the masks of a game form a chain,
+        so it holds at most (len(cls) + 1) * domain_size answers."""
+        key = (self.mask, xi)
+        y_hat = self._predictions.get(key)
+        if y_hat is None:
+            y_hat = self._predictions[key] = self.predict_with_maximizers(xi)[0]
+        return y_hat
 
     def update(self, xi: int, feedback: float) -> None:
         if not 0.0 <= feedback <= 1.0:
@@ -191,6 +199,9 @@ NOISES: dict[str, Noise] = {
     "uniform_within": uniform_noise,
     "adversarial_extreme": extreme_noise,
 }
+
+#: the noises that never read their generator (a tuple: `in` needs no hash)
+DRAWLESS_NOISES = (exact_noise, grid_noise, extreme_noise)
 
 
 @dataclass(frozen=True)
@@ -332,9 +343,16 @@ def run_online_game(
     noise = mode.noise if isinstance(mode, StrongFeedback) else None
     state = RsoaState(cls, zeta, strict=True)
     tr = Transcript(zeta=zeta, mistake_threshold=threshold, target_id=target_id)
-    for t in range(T):
-        xi = adversary.next_point(t, rng)
-        v_before = state.size()
+    if type(adversary) is RandomAdversary and (noise is None or noise in DRAWLESS_NOISES):
+        # the points are the stream's only draws, and one call takes what T
+        # scalar calls take: PCG64 serves bounded ints from its buffered
+        # 32-bit halves either way
+        points = rng.integers(adversary.domain_size, size=max(T, 0)).tolist()
+    else:  # drawn round by round, between the noise's draws
+        points = (adversary.next_point(t, rng) for t in range(T))
+    v_after = state.size()
+    for t, xi in enumerate(points):
+        v_before = v_after
         y_hat = state.predict(xi)
         c_val = target.values[xi]
         mistake = abs(y_hat - c_val) > threshold
@@ -343,16 +361,17 @@ def run_online_game(
             feedback = noise(c_val, y_hat, zeta, rng)
             if abs(feedback - c_val) > zeta + 1e-12:
                 raise InvalidFeedback(
-                    f"noise {noise.__name__} produced |c_hat - c| = "
+                    f"noise {getattr(noise, '__name__', noise)} produced |c_hat - c| = "
                     f"{abs(feedback - c_val)} > zeta = {zeta}"
                 )
-            state.update(xi, feedback)
         elif mistake:
             feedback = round_to_grid(c_val, 2.0 * (mode.epsilon / 10.0))
             if abs(feedback - c_val) > mode.epsilon / 10.0 + 1e-12:
                 raise InvalidFeedback("mistake-only feedback out of contract")
+        if feedback is not None:
             state.update(xi, feedback)
-        tr.rounds.append(Round(t, xi, y_hat, feedback, mistake, v_before, state.size()))
+            v_after = state.size()
+        tr.rounds.append(Round(t, xi, y_hat, feedback, mistake, v_before, v_after))
     tr.final_hypothesis = state.final_hypothesis()
     return tr
 

@@ -110,16 +110,20 @@ class ExponentialMechanism:
         if not self.epsilon > 0:
             raise OutOfRange(f"epsilon must be positive, got {self.epsilon}")
 
-    def draw(self, sample: Sample, rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-        """Indices of n trials into the collection: batches of at most 2^16, drawn as read."""
+    def _cdf(self, sample: Sample) -> np.ndarray:
         if not sample:
             raise OutOfRange("the private learner needs a nonempty sample")
-        cdf = _choice_cdf(exponential_weights(self.collection, sample, self.epsilon, self.zeta))
+        return _choice_cdf(exponential_weights(self.collection, sample, self.epsilon, self.zeta))
+
+    def draw(self, sample: Sample, rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
+        """Indices of n trials into the collection: batches of at most 2^16, drawn as read."""
+        cdf = self._cdf(sample)
         sizes = (min(_CHUNK, n - i) for i in range(0, n, _CHUNK))
         return (cdf.searchsorted(rng.random(k), side="right") for k in sizes)
 
     def __call__(self, sample: Sample, rng: np.random.Generator) -> Concept:
-        return self.collection.hypotheses[next(self.draw(sample, rng, 1))[0]]
+        index = self._cdf(sample).searchsorted(rng.random(), side="right")
+        return self.collection.hypotheses[index]
 
 
 def _trials(learner: Learner, sample: Sample, rng: np.random.Generator, n: int):

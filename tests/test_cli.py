@@ -123,6 +123,24 @@ class TestCliRuns:
         assert main(["online", cfg, "--seed", "99", "--out", out2]) == 0
         assert read_summary(out1)["seed"] == 99
 
+    def test_consecutive_runs_share_no_arguments(self, tmp_path, monkeypatch):
+        # the parser is built once; a second call must not see the first's flags
+        cfg = write_config(
+            tmp_path,
+            {
+                "seed": 1,
+                "zeta": 1 / 8,
+                "T": 10,
+                "class": {"generated": {"domain_size": 3, "n_concepts": 8, "zeta": 1 / 8, "seed": 5}},
+            },
+        )
+        monkeypatch.chdir(tmp_path)
+        first = str(tmp_path / "a")
+        assert main(["online", cfg, "--seed", "99", "--out", first]) == 0
+        assert main(["online", cfg]) == 0
+        assert read_summary(first)["seed"] == 99
+        assert read_summary(tmp_path / "out")["seed"] == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from shatterlab import (
     sfat,
 )
 from shatterlab.classes import generate_class
+from shatterlab.concepts import round_to_grid
 from shatterlab.errors import (
     EmptySurvivingSet,
     InvalidFeedback,
@@ -18,6 +21,7 @@ from shatterlab.errors import (
     TreeExhausted,
 )
 from shatterlab.online import (
+    DRAWLESS_NOISES,
     NOISES,
     CyclicAdversary,
     RandomAdversary,
@@ -28,6 +32,7 @@ from shatterlab.online import (
     uniform_noise,
     rsoa_as_weak_learner,
 )
+from shatterlab.seeding import child_rng
 from tests.conftest import make_class
 
 
@@ -356,3 +361,122 @@ class TestRunOnSample:
         )
         assert hyp.values == tr.final_hypothesis.values
 
+
+
+def reference_game(cls, target_id, adversary, mode, T, seed):
+    """The plain harness: one scalar draw per point, no prediction memo.
+
+    Returns (rounds as tuples, final hypothesis values)."""
+    rng = child_rng(seed, 0)
+    target = cls.by_id(target_id)
+    zeta = mode.zeta
+    noise = mode.noise if isinstance(mode, StrongFeedback) else None
+    state = RsoaState(cls, zeta, strict=True)
+    rounds = []
+    for t in range(T):
+        xi = adversary.next_point(t, rng)
+        v_before = state.size()
+        y_hat = state.predict_with_maximizers(xi)[0]
+        c_val = target.values[xi]
+        mistake = abs(y_hat - c_val) > mode.mistake_threshold
+        feedback = None
+        if noise is not None:
+            feedback = noise(c_val, y_hat, zeta, rng)
+            state.update(xi, feedback)
+        elif mistake:
+            feedback = round_to_grid(c_val, 2.0 * (mode.epsilon / 10.0))
+            state.update(xi, feedback)
+        rounds.append((t, xi, y_hat, feedback, mistake, v_before, state.size()))
+    final = tuple(state.predict_with_maximizers(x)[0] for x in range(cls.domain_size))
+    return rounds, final
+
+
+def drawing_noise(c_val, y_hat, zeta, rng):
+    """A noise that reads its generator between the adversary's draws."""
+    return min(1.0, max(0.0, c_val + 0.5 * zeta * (rng.random() - 0.5)))
+
+
+class TestBatchedGame:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_batched_integers_match_scalar_calls(self, seed):
+        for d in range(1, 9):
+            for T in (1, 249, 250, 351):
+                a, b = child_rng(seed, 0), child_rng(seed, 0)
+                assert a.integers(d, size=T).tolist() == [int(b.integers(d)) for _ in range(T)]
+                assert a.bit_generator.state == b.bit_generator.state
+                assert a.random() == b.random()
+                assert a.integers(d) == b.integers(d)
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_drawless_noises_leave_the_stream_untouched(self):
+        assert set(DRAWLESS_NOISES) < set(NOISES.values())
+        rng = child_rng(3, 0)
+        state = rng.bit_generator.state
+        for noise in DRAWLESS_NOISES:
+            for zeta in (1 / 8, 1 / 5):
+                for c_val in (0.0, 0.05, 0.3, 0.5, 0.95, 1.0):
+                    for y_hat in (0.0, c_val - 0.2, c_val, c_val + 0.2, 1.0):
+                        noise(c_val, min(1.0, max(0.0, y_hat)), zeta, rng)
+                        assert rng.bit_generator.state == state
+        uniform_noise(0.5, 0.5, 1 / 8, rng)
+        assert rng.bit_generator.state != state
+
+    def test_unhashable_noise_plays(self):
+        @dataclasses.dataclass
+        class Offset:  # eq=True without frozen=True: no __hash__, no __name__
+            scale: float
+
+            def __call__(self, c_val, y_hat, zeta, rng):
+                return c_val + self.scale * zeta * (1 if c_val < 0.5 else -1)
+
+        cls = generate_class(2, 6, 1 / 8, seed=3)
+        mode = StrongFeedback(1 / 8, Offset(0.5))
+        tr = run_online_game(cls, 1, RandomAdversary(2), mode, 50, seed=2)
+        assert [tuple(r) for r in tr.rounds] == reference_game(
+            cls, 1, RandomAdversary(2), mode, 50, 2
+        )[0]
+        with pytest.raises(InvalidFeedback, match="Offset"):
+            run_online_game(cls, 1, RandomAdversary(2), StrongFeedback(1 / 8, Offset(3)), 5, 2)
+
+    @pytest.mark.parametrize("nx,nc", [(1, 1), (1, 6), (3, 10), (6, 20)])
+    def test_game_matches_the_plain_harness(self, nx, nc):
+        for zinv in (5, 8):
+            zeta = 1 / zinv
+            cls = generate_class(nx, nc, zeta, seed=100 * nx + nc)
+            modes = [StrongFeedback(zeta, noise) for noise in NOISES.values()]
+            modes += [StrongFeedback(zeta, drawing_noise), MistakeOnly(5 * zeta)]
+            for i, mode in enumerate(modes):
+                for adversary in (RandomAdversary(nx), CyclicAdversary([nx - 1, 0])):
+                    target = i % nc
+                    tr = run_online_game(cls, target, adversary, mode, 300, seed=i)
+                    rounds, final = reference_game(cls, target, adversary, mode, 300, i)
+                    assert [tuple(r) for r in tr.rounds] == rounds
+                    assert tr.final_hypothesis.values == final
+
+
+class TestPredictionMemo:
+    def test_memo_matches_fresh_predictions(self):
+        zeta = 1 / 8
+        cls = generate_class(4, 16, zeta, seed=8)
+        state = RsoaState(cls, zeta, strict=False)
+        rng = np.random.default_rng(4)
+        masks = [state.mask]
+        for _ in range(6):
+            for x in range(4):
+                assert state.predict(x) == state.predict_with_maximizers(x)[0]
+            state.update(int(rng.integers(4)), float(cls.concepts[3].values[0]))
+            masks.append(state.mask)
+        # masks set from outside, as the stability sampler does, revisited
+        for mask in masks[::-1] + [int(rng.integers(1, 1 << 16)), 0]:
+            state.mask = mask
+            for x in range(4):
+                assert state.predict(x) == state.predict_with_maximizers(x)[0]
+
+    def test_strict_empty_set_still_raises(self, two_constants_19):
+        state = RsoaState(two_constants_19, 1 / 8)
+        state.predict(0)
+        state.mask = 0
+        with pytest.raises(EmptySurvivingSet):
+            state.predict(0)
+        with pytest.raises(EmptySurvivingSet):
+            state.final_hypothesis()
