@@ -152,7 +152,7 @@ Report = tuple[dict, "tuple[list[str], list[list]] | None"]
 def run_dims(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
-    result = sfat(cls, None, zeta)
+    result = sfat(cls, zeta)
     summary = {
         "zeta": zeta,
         "n_concepts": len(cls),
@@ -172,14 +172,13 @@ def run_online(cfg: dict, seed: int) -> Report:
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
     mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name])
     tr = run_online_game(cls, target, RandomAdversary(cls.domain_size), mode, T, seed)
-    bound = sfat(cls, None, 2 * zeta).dimension
     summary = {
         "zeta": zeta,
         "noise": noise_name,
         "rounds": T,
         "mistakes": tr.mistakes,
-        "sfat_bound": bound,
-        "within_bound": tr.mistakes <= bound,
+        "sfat_bound": tr.sfat_bound,
+        "within_bound": tr.mistakes <= tr.sfat_bound,
     }
     header = ["round", "x", "prediction", "feedback", "mistake", "V"]
     rows = [[r.t, r.x, r.prediction, r.feedback, r.mistake, r.v_after] for r in tr.rounds]
@@ -189,7 +188,7 @@ def run_online(cfg: dict, seed: int) -> Report:
 def run_adversary(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
-    result = sfat(cls, None, zeta)
+    result = sfat(cls, zeta)
     rows = []
     summary_losses = {}
     for name, learner in (
@@ -267,7 +266,7 @@ def run_comm(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     failure_rate = _param(cfg, "failure_rate", float, 0.0)
     cls = _load_class(cfg, seed)
-    result = sfat(cls, None, zeta)
+    result = sfat(cls, zeta)
     d = min(result.dimension, _param(cfg, "depth", int, result.dimension))
     _require(d >= 1, "class must have sfat >= 1 for a reduction experiment")
     validate_tree(cls, result.witness, zeta)
@@ -343,13 +342,12 @@ def run_shadow(cfg: dict, seed: int) -> Report:
     target = _param(cfg, "target_id", int, 0)
     order = list(range(len(meas))) * repeats
     tr, estimates = run_shadow_stream(cls, target, order, eps)
-    bound = sfat(cls, None, 2 * eps / 5).dimension
     summary = {
         "epsilon": eps,
         "stream_length": len(order),
         "updates": tr.updates,
-        "sfat_bound": bound,
-        "within_bound": tr.updates <= bound,
+        "sfat_bound": tr.sfat_bound,
+        "within_bound": tr.updates <= tr.sfat_bound,
         "mistakes": tr.mistakes,
     }
     truth = cls.by_id(target).values

@@ -49,6 +49,10 @@ from .errors import EmptySubset, InvalidTree, NotBoolean, OutOfRange, TooLarge
 #: classified inclusively despite float rounding
 _MARGIN_TOL = 1e-12
 
+#: slack of `validate_tree`'s margin checks: a witness's split values may sit
+#: exactly 2*zeta apart up to float rounding
+_TREE_TOL = 1e-9
+
 #: cap on the concepts of an exact sfat or ldim; the row masks are Python ints
 #: of any width, so this only stands in for the cost of the search
 MAX_CONCEPTS = 64
@@ -245,20 +249,18 @@ class SfatCache:
         raise AssertionError("witness extraction disagreed with memoized dimension")
 
 
-def sfat(cls: ConceptClass, subset: Optional[Iterable[int]], zeta: float) -> DimensionResult:
-    """Exact sfat at margin zeta of `subset` (concept ids; None = whole class)."""
+def sfat(cls: ConceptClass, zeta: float) -> DimensionResult:
+    """Exact sfat at margin zeta of the whole class, with its first witness tree.
+
+    A subset's dimension is `SfatCache.dimension_of_mask` of its mask.
+    """
     cache = SfatCache(cls, zeta)
-    ids = cls.ids() if subset is None else frozenset(subset)
-    if not ids:
-        raise EmptySubset("sfat needs a nonempty subset")
-    mask = cache.mask_of_ids(ids)
+    mask = cache.full_mask()
     d = cache.dimension_of_mask(mask)
     return DimensionResult(dimension=d, witness=cache.witness_of_mask(mask))
 
 
-def validate_tree(
-    cls: ConceptClass, tree: ShatterTree, zeta: float, tol: float = 1e-9
-) -> None:
+def validate_tree(cls: ConceptClass, tree: ShatterTree, zeta: float) -> None:
     """Check completeness and every leaf's margin constraints; raise InvalidTree."""
     paths = tree.leaf_paths()
     depth = tree.depth()
@@ -270,13 +272,13 @@ def validate_tree(
         for bit in path:
             v = f.values[node.x]
             if bit == "0":
-                if not v <= node.a - zeta + tol:
+                if not v <= node.a - zeta + _TREE_TOL:
                     raise InvalidTree(
                         f"leaf {cid}: value {v} at x={node.x} exceeds {node.a} - {zeta}"
                     )
                 node = node.left
             else:
-                if not v >= node.a + zeta - tol:
+                if not v >= node.a + zeta - _TREE_TOL:
                     raise InvalidTree(
                         f"leaf {cid}: value {v} at x={node.x} is below {node.a} + {zeta}"
                     )

@@ -90,6 +90,11 @@ class RsoaState:
         self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
 
+    def mistake_bound(self) -> int:
+        """sfat at margin 2*zeta of the whole class: the bound on the
+        learner's 5*zeta-mistakes, and G's level cap d."""
+        return self.cache.dimension_of_mask(self.cache.full_mask())
+
     @property
     def surviving_ids(self) -> frozenset[int]:
         return self.cache.ids_of_mask(self.mask)
@@ -310,6 +315,7 @@ class Transcript:
     zeta: float
     mistake_threshold: float
     target_id: int
+    sfat_bound: int
     rounds: list[Round] = field(default_factory=list)
     final_hypothesis: Optional[Concept] = None
 
@@ -342,7 +348,12 @@ def run_online_game(
     threshold = mode.mistake_threshold
     noise = mode.noise if isinstance(mode, StrongFeedback) else None
     state = RsoaState(cls, zeta, strict=True)
-    tr = Transcript(zeta=zeta, mistake_threshold=threshold, target_id=target_id)
+    tr = Transcript(
+        zeta=zeta,
+        mistake_threshold=threshold,
+        target_id=target_id,
+        sfat_bound=state.mistake_bound(),
+    )
     if type(adversary) is RandomAdversary and (noise is None or noise in DRAWLESS_NOISES):
         # the points are the stream's only draws, and one call takes what T
         # scalar calls take: PCG64 serves bounded ints from its buffered

@@ -283,6 +283,8 @@ def build_probabilistic_representation(
         raise OutOfRange(f"m must be at least 1, got {m}")
     if not 0 < zeta < 1:
         raise OutOfRange(f"zeta must lie in (0, 1), got {zeta}")
+    if not (alpha > 0 and epsilon_priv > 0):
+        raise OutOfRange(f"need positive alpha and epsilon, got {alpha} and {epsilon_priv}")
     try:
         reps = representation_repetitions(alpha, epsilon_priv, m)
     except OverflowError:

@@ -282,7 +282,7 @@ def sfat_holevo_bound(chi_star: float, p: float) -> float:
     """chi / (1 - H(p)) for p in (1/2, 1]."""
     if not 0.5 < p <= 1.0:
         raise OutOfRange(f"p must lie in (1/2, 1], got {p}")
-    if chi_star < 0:
+    if not chi_star >= 0:
         raise OutOfRange(f"chi must be nonnegative, got {chi_star}")
     return chi_star / (1.0 - binary_entropy(p))
 

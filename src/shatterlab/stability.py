@@ -31,7 +31,6 @@ from .concepts import (
     cover_new,
     loss,
 )
-from .dimensions import sfat
 from .errors import AllRunsFailed, OutOfRange
 from .online import RsoaState
 from .seeding import child_rng
@@ -84,55 +83,53 @@ def _draw_block(
 
 
 def sample_ext(
-    cls: ConceptClass,
+    state: RsoaState,
     target_id: int,
     dist: Distribution,
     k: int,
     m: int,
-    zeta: float,
     cutoff: int,
     seed: int,
-    *,
-    runner: Optional[RsoaState] = None,
 ) -> "ExtSample | Fail":
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
-    `runner`, if given, is a non-strict learner state for (cls, zeta) to
-    reuse; its surviving mask is overwritten.
+    `state` is a non-strict learner state; the class and zeta are its own.
+    It runs every attempt, and its surviving mask is overwritten.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
     if cutoff < 0:
         raise OutOfRange(f"cutoff must be nonnegative, got {cutoff}")
+    if state.strict:
+        raise OutOfRange("the sampler needs a non-strict learner state")
+    cls, zeta = state.cls, state.zeta
     target = cls.by_id(target_id)
     bins = cover_new(zeta).bin_midpoints
-    # one learner state reused for every attempt: the sfat cache and the bin
-    # membership masks are shared, only the surviving mask is reset.  An
-    # update depends only on (mask, x, y), so a sub-sample's surviving mask
-    # stands in for replaying its examples from the full class, and each
-    # (mask, x, y) step is computed once.
-    if runner is None:
-        runner = RsoaState(cls, zeta, strict=False)
     if k > 0 and 11.0 * zeta >= 1.0:
         # values lie in [0, 1], so no two hypotheses differ by more than
         # 11*zeta: every attempt would fail, and the draws run to the cutoff
         return Fail(draws_used=cutoff + 1)
     rng = child_rng(seed, 0xE27)
     budget = _Budget(cutoff)
-    empty = (ExtSample(segments=(), k=0, draws_used=0), runner.cache.full_mask())
+    empty = (ExtSample(segments=(), k=0, draws_used=0), state.cache.full_mask())
+    # one learner state serves every attempt: the sfat cache and the bin
+    # membership masks are shared, only the surviving mask is reset.  An
+    # update depends only on (mask, x, y), so a sub-sample's surviving mask
+    # stands in for replaying its examples from the full class, and each
+    # (mask, x, y) step is computed once.
     steps: dict[tuple[int, int, float], int] = {}
 
     def resume(mask: int, examples: Sequence[tuple[int, float]]) -> int:
-        """Set the runner to `mask` with `examples` applied; return that mask."""
+        """Set the state to `mask` with `examples` applied; return that mask."""
         for xi, y in examples:
             key = (mask, xi, y)
             nxt = steps.get(key)
             if nxt is None:
-                runner.mask = mask
-                runner.update(xi, y)
-                nxt = steps[key] = runner.mask
+                state.mask = mask
+                state.update(xi, y)
+                nxt = steps[key] = state.mask
             mask = nxt
-        runner.mask = mask
+        state.mask = mask
         return mask
 
     def rec(level: int) -> Optional[tuple[ExtSample, int]]:
@@ -149,7 +146,7 @@ def sample_ext(
                     return None
                 block = _draw_block(target, dist, m, rng)
                 mask = resume(sub[1], block)
-                pair.append((sub[0], block, mask, runner.final_hypothesis()))
+                pair.append((sub[0], block, mask, state.final_hypothesis()))
             (s0, b0, v0, f0), (s1, b1, v1, f1) = pair
             diffs = [
                 x
@@ -180,75 +177,46 @@ def sample_ext(
     return ExtSample(segments=result[0].segments, k=k, draws_used=budget.used)
 
 
-def stable_learner_parameters(
-    cls: ConceptClass, zeta: float, alpha: float
-) -> tuple[int, int, int]:
-    """(d, m, cutoff) used by the stable learner: d = sfat at margin 2*zeta,
-    m = ceil(d ln(1/zeta) / alpha), cutoff = 2 (4/zeta)^(d+1) m."""
-    if not 0 < alpha:
-        raise OutOfRange(f"alpha must be positive, got {alpha}")
-    d = sfat(cls, None, 2.0 * zeta).dimension
-    m = math.ceil(d * math.log(1.0 / zeta) / alpha)
-    cutoff = int(2 * (4.0 / zeta) ** (d + 1) * m)
-    return d, m, cutoff
+class StableLearner:
+    """The globally-stable learner G on one (class, zeta, alpha).
 
-
-@dataclass(frozen=True)
-class _Shared:
-    """What every run of G on one (class, zeta, alpha) shares: the parameters
-    and one non-strict learner state, whose surviving mask each use resets."""
-
-    d: int
-    m: int
-    cutoff: int
-    state: RsoaState
-
-    @classmethod
-    def build(cls, concepts: ConceptClass, zeta: float, alpha: float) -> "_Shared":
-        d, m, cutoff = stable_learner_parameters(concepts, zeta, alpha)
-        return cls(d, m, cutoff, RsoaState(concepts, zeta, strict=False))
-
-
-def stable_learner_G(
-    cls: ConceptClass,
-    target_id: int,
-    dist: Distribution,
-    zeta: float,
-    alpha: float,
-    seed: int,
-    *,
-    shared: Optional[_Shared] = None,
-) -> "Concept | Fail":
-    """One run of the globally-stable learner.
-
-    Fail covers two events: the sampler hit its draw cutoff, or the curated
-    sample's injected examples wiped the surviving set (possible only when an
-    injection was invalid — a valid sample never eliminates the target, and
-    only surviving-set-backed hypotheses carry the consistency guarantees the
-    stability analysis rests on).
-
-    `shared` carries what `stability_experiment` computed once for all its
-    runs; without it, G computes the same itself.
+    d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
+    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one non-strict learner
+    state, whose surviving mask each run resets.
     """
-    if shared is None:
-        shared = _Shared.build(cls, zeta, alpha)
-    m, state = shared.m, shared.state
-    rng = child_rng(seed, 0x6)
-    k = int(rng.integers(0, shared.d + 1))
-    s = sample_ext(
-        cls, target_id, dist, k, m, zeta, shared.cutoff,
-        seed=int(rng.integers(2**63)), runner=state,
-    )
-    if isinstance(s, Fail):
-        return s
-    target = cls.by_id(target_id)
-    block = _draw_block(target, dist, m, rng)
-    state.mask = state.cache.full_mask()
-    for xi, y in s.examples() + list(block):
-        state.update(xi, y)
-    if state.mask == 0:
-        return Fail(draws_used=s.draws_used + m)
-    return state.final_hypothesis()
+
+    def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
+        if not 0 < alpha:
+            raise OutOfRange(f"alpha must be positive, got {alpha}")
+        self.state = RsoaState(cls, zeta, strict=False)
+        self.d = self.state.mistake_bound()
+        self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)
+        self.cutoff = int(2 * (4.0 / zeta) ** (self.d + 1) * self.m)
+
+    def __call__(self, target_id: int, dist: Distribution, seed: int) -> "Concept | Fail":
+        """One run of G.
+
+        Fail covers two events: the sampler hit its draw cutoff, or the
+        curated sample's injected examples wiped the surviving set (possible
+        only when an injection was invalid — a valid sample never eliminates
+        the target, and only surviving-set-backed hypotheses carry the
+        consistency guarantees the stability analysis rests on).
+        """
+        state, m = self.state, self.m
+        rng = child_rng(seed, 0x6)
+        k = int(rng.integers(0, self.d + 1))
+        s = sample_ext(
+            state, target_id, dist, k, m, self.cutoff, seed=int(rng.integers(2**63))
+        )
+        if isinstance(s, Fail):
+            return s
+        block = _draw_block(state.cls.by_id(target_id), dist, m, rng)
+        state.mask = state.cache.full_mask()
+        for xi, y in s.examples() + list(block):
+            state.update(xi, y)
+        if state.mask == 0:
+            return Fail(draws_used=s.draws_used + m)
+        return state.final_hypothesis()
 
 
 @dataclass(frozen=True)
@@ -302,14 +270,12 @@ def stability_experiment(
     """
     if runs < 100:
         raise OutOfRange("the stability experiment needs at least 100 runs")
-    shared = _Shared.build(cls, zeta, alpha)
-    d, m, cutoff = shared.d, shared.m, shared.cutoff
+    learner = StableLearner(cls, zeta, alpha)
+    d, m, cutoff = learner.d, learner.m, learner.cutoff
     outputs: list[Concept] = []
     fails = 0
     for i in range(runs):
-        out = stable_learner_G(
-            cls, target_id, dist, zeta, alpha, seed=int(seed) + i, shared=shared
-        )
+        out = learner(target_id, dist, seed=int(seed) + i)
         if isinstance(out, Fail):
             fails += 1
         else:

@@ -44,6 +44,7 @@ from shatterlab.communication import (
 from shatterlab.online import (
     NOISES,
     RandomAdversary,
+    RsoaState,
     StrongFeedback,
     WeakTreeAdversary,
     rsoa_as_weak_learner,
@@ -71,7 +72,7 @@ def test_criterion_1_mistake_bound():
         nx = int(rng.integers(1, 7))
         nc = int(rng.integers(1, 21))
         cls = generate_class(nx, nc, zeta, seed=trial)
-        bound = sfat(cls, None, 2 * zeta).dimension
+        bound = sfat(cls, 2 * zeta).dimension
         target = int(rng.integers(nc))
         for noise in NOISES.values():
             tr = run_online_game(
@@ -99,7 +100,7 @@ def test_criterion_2_boolean_agreement():
         nx = int(rng.integers(1, 6))
         nc = int(rng.integers(2, 21))
         cls = generate_class(nx, nc, 1 / 4, seed=10_000 + trial, boolean=True)
-        if sfat(cls, None, 1 / 4).dimension != ldim_oracle(cls):
+        if sfat(cls, 1 / 4).dimension != ldim_oracle(cls):
             mismatches += 1
     report(
         2,
@@ -118,7 +119,7 @@ def test_criterion_3_adversarial_forcing():
         nc = int(rng.integers(2, 21))
         zeta = 1 / 4
         cls = generate_class(nx, nc, zeta, seed=20_000 + trial)
-        res = sfat(cls, None, zeta)
+        res = sfat(cls, zeta)
         for learner in (rsoa_as_weak_learner(cls, zeta), lambda x: 0.5):
             out = run_weak_forcing_game(
                 cls, WeakTreeAdversary(res.witness), learner, zeta
@@ -153,13 +154,14 @@ def test_criterion_4_stability():
 
 def test_criterion_5_ext_sampling_cost():
     cls, dist, zeta, m = ext_cost_class()
+    state = RsoaState(cls, zeta, strict=False)
     details = []
     ok = True
     for level in (1, 2):
         bound = 4 ** (level + 1) * m
         draws = []
         for seed in range(1000):
-            out = sample_ext(cls, 0, dist, level, m, zeta, cutoff=100 * bound, seed=seed)
+            out = sample_ext(state, 0, dist, level, m, cutoff=100 * bound, seed=seed)
             draws.append(out.draws_used)
         d = np.array(draws, dtype=float)
         se = d.std(ddof=1) / math.sqrt(len(d))
@@ -238,7 +240,7 @@ def test_criterion_8_communication_reduction():
     clean_rng = child_rng(808, 1)  # the exact protocol draws nothing from it
     for d in (1, 2, 3, 4):
         cls = generate_class(d, 2**d, zeta, seed=800 + d, boolean=True)
-        res = sfat(cls, None, zeta)
+        res = sfat(cls, zeta)
         if res.dimension < d:  # random Boolean classes can fall short; force the cube
             cls = ConceptClass(
                 d,
@@ -247,7 +249,7 @@ def test_criterion_8_communication_reduction():
                     for i in range(2**d)
                 ),
             )
-            res = sfat(cls, None, zeta)
+            res = sfat(cls, zeta)
         proto = BaselineEvalProtocol(cls)
         for inst in all_instances(d):
             run = augindex_via_eval(cls, res.witness, inst, proto, clean_rng)
@@ -260,7 +262,7 @@ def test_criterion_8_communication_reduction():
             Concept(i, tuple(float(b) for b in format(i, "04b"))) for i in range(16)
         ),
     )
-    res4 = sfat(cube4, None, zeta)
+    res4 = sfat(cube4, zeta)
     noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube4), 0.1)
     rng = child_rng(808, 0)
     insts = list(all_instances(4))
@@ -320,7 +322,7 @@ def test_criterion_9_holevo_suite():
         cls = materialize_concept_class(states, meas)
         chi_star, _, _, _ = max_holevo(states, tol=1e-7)
         for p in (0.8, 0.9):
-            lhs = sfat(cls, None, p).dimension
+            lhs = sfat(cls, p).dimension
             if lhs > sfat_holevo_bound(chi_star, p) + 1e-9:
                 sweep_violations += 1
     checks.append(("information bound sweep", sweep_violations == 0))
@@ -354,7 +356,7 @@ def test_criterion_10_shadow_stream():
         meas = random_basis_measurements(2, rng, n_meas)
         cls = materialize_concept_class(states, meas)
         target = int(rng.integers(n_states))
-        bound = sfat(cls, None, 2 * eps / 5).dimension
+        bound = sfat(cls, 2 * eps / 5).dimension
         order = list(range(n_meas)) * 3
         tr, estimates = run_shadow_stream(cls, target, order, eps)
         violations += tr.updates > bound

@@ -214,6 +214,26 @@ class TestCliRuns:
         assert read_summary(out)["instances"] == 24
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("online", {"seed": 3, "zeta": 1 / 8, "T": 40,
+                    "class": {"generated": {"domain_size": 3, "n_concepts": 8, "zeta": 1 / 4}}}),
+        ("shadow", {"seed": 19, "epsilon": 0.5, "generated_states": {"dim": 2, "count": 3}}),
+        ("stability", {"seed": 5, "zeta": 1 / 4, "runs": 100, "class": {"bundled": "two_constants"}}),
+    ])
+    def test_one_sfat_cache_per_run(self, tmp_path, monkeypatch, kind, payload):
+        # the learner state's cache answers the run's sfat bound too
+        original = dimensions.SfatCache.__init__
+        builds = []
+
+        def counting(cache, *args, **kwargs):
+            builds.append(args)
+            original(cache, *args, **kwargs)
+
+        monkeypatch.setattr(dimensions.SfatCache, "__init__", counting)
+        out = str(tmp_path / kind)
+        assert main([kind, write_config(tmp_path, payload), "--out", out]) == 0
+        assert len(builds) == 1
+
     def test_comm_run(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -43,7 +43,7 @@ class TestBaseline:
         # ceil(log2 |C|) >= (1 - H(0)) * sfat, since sfat <= log2 |C|
         for trial in range(20):
             cls = generate_class(4, 12, 1 / 4, seed=600 + trial)
-            d = sfat(cls, None, 1 / 4).dimension
+            d = sfat(cls, 1 / 4).dimension
             assert BaselineEvalProtocol(cls).bits >= cc_lower_bound(d, 0.0)
 
 
@@ -51,7 +51,7 @@ class TestReduction:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exhaustive_success_on_cube(self, k):
         cube = boolean_cube(k)
-        res = sfat(cube, None, 1 / 4)
+        res = sfat(cube, 1 / 4)
         proto = BaselineEvalProtocol(cube)
         for inst in all_instances(k):
             run = augindex_via_eval(cube, res.witness, inst, proto, child_rng(0, 0))
@@ -59,7 +59,7 @@ class TestReduction:
             assert run.bits_sent == proto.bits
 
     def test_single_bit_instance(self, two_constants_01):
-        res = sfat(two_constants_01, None, 1 / 4)
+        res = sfat(two_constants_01, 1 / 4)
         proto = BaselineEvalProtocol(two_constants_01)
         run = augindex_via_eval(
             two_constants_01, res.witness, AugIndexInstance(1, "1", 1), proto, child_rng(0, 0)
@@ -69,13 +69,13 @@ class TestReduction:
 
     def test_shallow_instance_on_deep_tree(self):
         cube = boolean_cube(3)
-        res = sfat(cube, None, 1 / 4)
+        res = sfat(cube, 1 / 4)
         proto = BaselineEvalProtocol(cube)
         for inst in all_instances(2):
             assert augindex_via_eval(cube, res.witness, inst, proto, child_rng(0, 0)).success
 
     def test_depth_mismatch(self, two_constants_01):
-        res = sfat(two_constants_01, None, 1 / 4)
+        res = sfat(two_constants_01, 1 / 4)
         proto = BaselineEvalProtocol(two_constants_01)
         with pytest.raises(DepthMismatch):
             augindex_via_eval(
@@ -89,7 +89,7 @@ class TestReduction:
     def test_rng_is_required(self, two_constants_01):
         # a default stream would restart at the same first uniform (0.637) on
         # every call, so a corruption rate below it would never fire
-        res = sfat(two_constants_01, None, 1 / 4)
+        res = sfat(two_constants_01, 1 / 4)
         proto = BaselineEvalProtocol(two_constants_01)
         f = two_constants_01.by_id(1)
         with pytest.raises(TypeError):
@@ -101,7 +101,7 @@ class TestReduction:
 
     def test_noisy_protocol_success_rate(self):
         cube = boolean_cube(3)
-        res = sfat(cube, None, 1 / 4)
+        res = sfat(cube, 1 / 4)
         noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube), 0.1)
         rng = child_rng(77, 0)
         insts = list(all_instances(3))

@@ -23,10 +23,10 @@ from tests.conftest import make_class
 class TestSfat:
     def test_singleton_is_zero(self):
         cls = make_class([[0.3, 0.7]])
-        assert sfat(cls, None, 1 / 8).dimension == 0
+        assert sfat(cls, 1 / 8).dimension == 0
 
     def test_four_constants_hand_tree(self, four_constants):
-        res = sfat(four_constants, None, 1 / 6)
+        res = sfat(four_constants, 1 / 6)
         assert res.dimension == 2
         validate_tree(four_constants, res.witness, 1 / 6)
         # the first maximizing split: root threshold 1/2, children 1/6 and 5/6
@@ -37,17 +37,18 @@ class TestSfat:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_boolean_cube(self, k):
         cube = boolean_cube(k)
-        assert sfat(cube, None, 1 / 4).dimension == k
+        assert sfat(cube, 1 / 4).dimension == k
 
     def test_split_hidden_behind_close_values(self):
         # the pair (0, 0.8) admits threshold 0.4 at margin 0.2 even though no
         # two consecutive values are 2*margin apart
         cls = make_class([[0.0], [0.39], [0.41], [0.8]])
-        assert sfat(cls, None, 0.2).dimension == 1
+        assert sfat(cls, 0.2).dimension == 1
 
     def test_empty_subset_raises(self, four_constants):
+        cache = SfatCache(four_constants, 1 / 6)
         with pytest.raises(EmptySubset):
-            sfat(four_constants, set(), 1 / 6)
+            cache.dimension_of_mask(cache.mask_of_ids(set()))
 
     def test_subset_monotone(self):
         rng = np.random.default_rng(11)
@@ -57,39 +58,40 @@ class TestSfat:
             sub = set(
                 int(i) for i in rng.choice(ids, size=rng.integers(1, 8), replace=False)
             )
-            assert sfat(cls, sub, 1 / 2).dimension <= sfat(cls, None, 1 / 2).dimension
+            cache = SfatCache(cls, 1 / 2)
+            assert cache.dimension_of_mask(cache.mask_of_ids(sub)) <= sfat(cls, 1 / 2).dimension
 
     def test_margin_monotone(self):
         for trial in range(20):
             cls = generate_class(3, 10, 1 / 4, seed=100 + trial)
-            dims = [sfat(cls, None, z).dimension for z in (1 / 8, 1 / 4, 1 / 2)]
+            dims = [sfat(cls, z).dimension for z in (1 / 8, 1 / 4, 1 / 2)]
             assert dims[0] >= dims[1] >= dims[2]
 
     def test_witness_always_validates(self):
         for trial in range(30):
             cls = generate_class(4, 12, 1 / 4, seed=200 + trial)
             for zeta in (1 / 8, 1 / 4):
-                res = sfat(cls, None, zeta)
+                res = sfat(cls, zeta)
                 validate_tree(cls, res.witness, zeta)
                 assert res.witness.depth() == res.dimension
 
     def test_deterministic_witness(self):
         cls = generate_class(4, 12, 1 / 4, seed=303)
-        a = sfat(cls, None, 1 / 4)
-        b = sfat(cls, None, 1 / 4)
+        a = sfat(cls, 1 / 4)
+        b = sfat(cls, 1 / 4)
         assert a.dimension == b.dimension
         assert tree_to_json(a.witness) == tree_to_json(b.witness)
 
     def test_dimension_bounded_by_log_size(self):
         for trial in range(20):
             cls = generate_class(5, 16, 1 / 4, seed=400 + trial)
-            assert sfat(cls, None, 1 / 8).dimension <= 4
+            assert sfat(cls, 1 / 8).dimension <= 4
 
     def test_too_many_concepts(self):
         values = np.linspace(0.01, 0.99, 65)
         cls = make_class([[v] for v in values])
         with pytest.raises(TooLarge):
-            sfat(cls, None, 1 / 4)
+            sfat(cls, 1 / 4)
 
 
 def oracle_sfat(rows: list, margin: float, tol: float = 1e-9) -> int:
@@ -173,7 +175,7 @@ class TestSfatProperties:
         assert sfat_of(doubled, margin) == sfat_of(rows, margin)
         # the witness holds on values packed closer than 2*margin, and ties
         cls = make_class(doubled)
-        res = sfat(cls, None, margin)
+        res = sfat(cls, margin)
         validate_tree(cls, res.witness, margin)
         assert res.witness.depth() == res.dimension
 
@@ -200,7 +202,8 @@ class TestEmptyConvention:
         assert sfat_empty_convention() == -1
 
     def test_below_singleton(self, four_constants):
-        assert sfat_empty_convention() < sfat(four_constants, {0}, 1 / 6).dimension
+        cache = SfatCache(four_constants, 1 / 6)
+        assert sfat_empty_convention() < cache.dimension_of_mask(cache.mask_of_ids({0}))
 
     def test_cache_score(self, four_constants):
         cache = SfatCache(four_constants, 1 / 3)
@@ -211,7 +214,7 @@ class TestEmptyConvention:
 class TestBooleanAgreement:
     def test_two_constant_booleans(self, two_constants_01):
         assert ldim_oracle(two_constants_01) == 1
-        assert sfat(two_constants_01, None, 1 / 4).dimension == 1
+        assert sfat(two_constants_01, 1 / 4).dimension == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cube(self, k):
@@ -228,7 +231,7 @@ class TestBooleanAgreement:
                 boolean=True,
             )
             for zeta in (1 / 4, 1 / 2):
-                assert sfat(cls, None, zeta).dimension == ldim_oracle(cls)
+                assert sfat(cls, zeta).dimension == ldim_oracle(cls)
 
     def test_rejects_non_boolean(self, two_constants_19):
         with pytest.raises(NotBoolean):
@@ -305,7 +308,7 @@ class TestFat:
         for trial in range(15):
             cls = generate_class(4, 10, 1 / 4, seed=500 + trial)
             for zeta in (1 / 4, 1 / 2):
-                assert fat(cls, zeta) <= sfat(cls, None, zeta).dimension
+                assert fat(cls, zeta) <= sfat(cls, zeta).dimension
 
     def test_domain_guard(self):
         cls = make_class([list(np.full(13, 0.5))])
@@ -315,17 +318,17 @@ class TestFat:
 
 class TestTreeJson:
     def test_round_trip(self, four_constants):
-        res = sfat(four_constants, None, 1 / 6)
+        res = sfat(four_constants, 1 / 6)
         again = tree_from_json(tree_to_json(res.witness))
         assert tree_to_json(again) == tree_to_json(res.witness)
         validate_tree(four_constants, again, 1 / 6)
 
     def test_leaf_shape(self):
         cls = make_class([[0.5]])
-        res = sfat(cls, None, 1 / 4)
+        res = sfat(cls, 1 / 4)
         assert json.loads(tree_to_json(res.witness)) == {"leaf": 0}
 
     def test_validate_rejects_wrong_margin(self, four_constants):
-        res = sfat(four_constants, None, 1 / 6)
+        res = sfat(four_constants, 1 / 6)
         with pytest.raises(InvalidTree):
             validate_tree(four_constants, res.witness, 0.4)

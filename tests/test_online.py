@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shatterlab import (
     MistakeOnly,
@@ -9,6 +11,7 @@ from shatterlab import (
     gentle_sample_complexity,
     prediction_grid,
     run_online_game,
+    run_shadow_stream,
     run_weak_forcing_game,
     sfat,
 )
@@ -125,7 +128,7 @@ class TestStrongGame:
             nc = int(rng.integers(1, 13))
             zeta = 1 / 8
             cls = generate_class(nx, nc, zeta, seed=1000 + trial)
-            bound = sfat(cls, None, 2 * zeta).dimension
+            bound = sfat(cls, 2 * zeta).dimension
             for noise in NOISES.values():
                 tr = run_online_game(
                     cls,
@@ -251,7 +254,7 @@ class TestStrongGame:
 
 class TestWeakForcing:
     def test_forces_depth_against_rsoa(self, four_constants):
-        res = sfat(four_constants, None, 1 / 6)
+        res = sfat(four_constants, 1 / 6)
         adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(
             four_constants, adv, rsoa_as_weak_learner(four_constants, 1 / 4), 1 / 6
@@ -260,7 +263,7 @@ class TestWeakForcing:
         assert out.all_claims_valid
 
     def test_forces_depth_against_constant(self, four_constants):
-        res = sfat(four_constants, None, 1 / 6)
+        res = sfat(four_constants, 1 / 6)
         adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(four_constants, adv, lambda x: 0.5, 1 / 6)
         assert out.claimed_mistakes == 2
@@ -268,14 +271,14 @@ class TestWeakForcing:
 
     def test_depth_zero_commits_immediately(self):
         cls = make_class([[0.5]])
-        res = sfat(cls, None, 1 / 4)
+        res = sfat(cls, 1 / 4)
         adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(cls, adv, lambda x: 0.5, 1 / 4)
         assert out.claimed_mistakes == 0
         assert out.committed_target == 0
 
     def test_exhausted_adversary_raises(self, four_constants):
-        res = sfat(four_constants, None, 1 / 6)
+        res = sfat(four_constants, 1 / 6)
         adv = WeakTreeAdversary(res.witness)
         run_weak_forcing_game(four_constants, adv, lambda x: 0.5, 1 / 6)
         with pytest.raises(TreeExhausted):
@@ -307,7 +310,7 @@ class TestMistakeOnly:
         for trial in range(15):
             cls = generate_class(3, 10, 2 * eps / 5, seed=4000 + trial)
             target = trial % 10
-            bound = sfat(cls, None, 2 * eps / 5).dimension
+            bound = sfat(cls, 2 * eps / 5).dimension
             tr = run_online_game(
                 cls,
                 target,
@@ -322,6 +325,27 @@ class TestMistakeOnly:
             for r in tr.rounds:
                 if not r.mistake:
                     assert r.v_after == r.v_before
+
+
+class TestSfatBound:
+    """A transcript's bound is read from the learner's own cache; it equals a
+    fresh sfat at the margin each caller used to pass."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.integers(0, 2**20),
+        st.sampled_from([1 / 8, 1 / 6, 1 / 4, 1 / 3]),
+        st.sampled_from([5 / 16, 1 / 2, 5 / 8, 5 / 6]),
+    )
+    @settings(max_examples=60)
+    def test_equals_sfat_on_generated_classes(self, nx, nc, seed, zeta, eps):
+        cls = generate_class(nx, nc, 1 / 4, seed=seed)
+        mode = StrongFeedback(zeta, exact_noise)
+        tr = run_online_game(cls, 0, RandomAdversary(nx), mode, 5, seed=seed)
+        assert tr.sfat_bound == sfat(cls, 2 * zeta).dimension
+        shadow, _ = run_shadow_stream(cls, 0, list(range(nx)), eps)
+        assert shadow.sfat_bound == sfat(cls, 2 * eps / 5).dimension
 
 
 class TestGentleComplexity:

@@ -11,9 +11,11 @@ from shatterlab import (
     Ensemble,
     ExponentialMechanism,
     SfatCache,
+    build_probabilistic_representation,
     discretize_hypotheses,
     fat,
     loss,
+    sfat_holevo_bound,
 )
 from shatterlab.classes import four_constants
 from shatterlab.errors import OutOfRange
@@ -32,6 +34,10 @@ def test_exports_are_unique():
 KET0 = DensityMatrix(np.array([[1, 0], [0, 0]], dtype=complex))
 
 
+def _no_replays(sample, rng):
+    raise AssertionError("the range guard must trip before any replay")
+
+
 @pytest.mark.parametrize("build", [
     lambda: Distribution((math.nan,)),
     lambda: Ensemble((KET0,), (math.nan,)),
@@ -41,8 +47,14 @@ KET0 = DensityMatrix(np.array([[1, 0], [0, 0]], dtype=complex))
     lambda: loss(Concept(0, (0.2,)), Concept(1, (0.9,)), math.nan, Distribution((1.0,))),
     lambda: generic_learner_sample_size(4, math.nan, 1.0),
     lambda: generic_learner_sample_size(4, 0.5, math.nan),
+    lambda: sfat_holevo_bound(math.nan, 0.9),
+    lambda: build_probabilistic_representation(_no_replays, 1 / 2, math.nan, 1.0, 1, 0),
+    lambda: build_probabilistic_representation(_no_replays, 1 / 2, 1 / 4, math.nan, 1, 0),
+    lambda: build_probabilistic_representation(_no_replays, 1 / 2, -1.0, 1.0, 1, 0),
+    lambda: build_probabilistic_representation(_no_replays, 1 / 2, 1 / 4, 0.0, 1, 0),
 ], ids=["distribution", "ensemble_weight", "fat_margin", "sfat_margin", "private_epsilon",
-        "loss_radius", "sample_size_alpha", "sample_size_epsilon"])
+        "loss_radius", "sample_size_alpha", "sample_size_epsilon", "holevo_chi",
+        "harvest_alpha", "harvest_epsilon", "harvest_alpha_negative", "harvest_epsilon_zero"])
 def test_range_guards_reject_nan(build):
     with pytest.raises(OutOfRange):
         build()

@@ -377,7 +377,7 @@ class TestSrac:
     def test_depth_zero(self):
         cls_states = [KET0]
         meas = [PROJ0]
-        res = sfat(materialize_concept_class(cls_states, meas), None, 1 / 4)
+        res = sfat(materialize_concept_class(cls_states, meas), 1 / 4)
         code = srac_from_tree(cls_states, meas, res.witness, 1 / 4)
         assert code.k == 0
         assert code.code == {"": 0}
@@ -385,7 +385,7 @@ class TestSrac:
     def test_one_bit_code(self):
         states = [KET0, KET1]
         meas = [PROJ0]
-        res = sfat(materialize_concept_class(states, meas), None, 1 / 4)
+        res = sfat(materialize_concept_class(states, meas), 1 / 4)
         code = srac_from_tree(states, meas, res.witness, 1 / 4)
         assert code.k == 1
         assert code.tree.a == pytest.approx(0.5)
@@ -403,7 +403,7 @@ class TestSrac:
             states = [random_pure_state(2, rng) for _ in range(4)]
             meas = random_basis_measurements(2, rng, 4)
             cls = materialize_concept_class(states, meas)
-            res = sfat(cls, None, 1 / 8)
+            res = sfat(cls, 1 / 8)
             code = srac_from_tree(states, meas, res.witness, 1 / 8)
             assert code.verify_separation(states, meas)
             for word, sid in code.code.items():
@@ -412,7 +412,7 @@ class TestSrac:
     def test_invalid_tree_rejected(self):
         states = [KET0, KET1]
         meas = [PROJ0]
-        res = sfat(materialize_concept_class(states, meas), None, 1 / 4)
+        res = sfat(materialize_concept_class(states, meas), 1 / 4)
         with pytest.raises(InvalidTree):
             srac_from_tree([KET0, PLUS], meas, res.witness, 1 / 4)
 
@@ -467,7 +467,7 @@ class TestShadowOnQuantumClasses:
         eps = 0.5
         from shatterlab import run_shadow_stream
 
-        bound = sfat(cls, None, 2 * eps / 5).dimension
+        bound = sfat(cls, 2 * eps / 5).dimension
         tr, estimates = run_shadow_stream(cls, 0, list(range(4)) * 2, eps)
         assert tr.updates <= bound
         truth = cls.by_id(0).values

@@ -10,11 +10,11 @@ from shatterlab import (
     Distribution,
     ExtSample,
     Fail,
+    StableLearner,
     loss,
     sample_ext,
     sfat,
     stability_experiment,
-    stable_learner_G,
 )
 from shatterlab import stability
 from shatterlab.classes import ext_cost_class, generate_class, two_constants
@@ -23,7 +23,7 @@ from shatterlab.concepts import cover_new
 from shatterlab.errors import AllRunsFailed, OutOfRange
 from shatterlab.online import RsoaState
 from shatterlab.seeding import child_rng
-from shatterlab.stability import ball_frequency, stable_learner_parameters
+from shatterlab.stability import ball_frequency
 from tests.conftest import make_class
 
 
@@ -91,7 +91,9 @@ def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
 
 
 def reference_G(cls, target_id, dist, zeta, alpha, seed):
-    d, m, cutoff = stable_learner_parameters(cls, zeta, alpha)
+    d = sfat(cls, 2 * zeta).dimension
+    m = math.ceil(d * math.log(1 / zeta) / alpha)
+    cutoff = int(2 * (4 / zeta) ** (d + 1) * m)
     rng = child_rng(seed, 0x6)
     k = int(rng.integers(0, d + 1))
     s = reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, int(rng.integers(2**63)))
@@ -119,10 +121,11 @@ class TestStreamIdentity:
         ]
         seen = {"fail": 0, "ok": 0}
         for c, d, z, block, cutoffs in cases:
+            state = RsoaState(c, z, strict=False)  # reused, as G reuses its own
             for k in (0, 1, 2):
                 for cutoff in cutoffs:
                     for seed in range(6):
-                        got = sample_ext(c, 0, d, k, block, z, cutoff, seed=seed)
+                        got = sample_ext(state, 0, d, k, block, cutoff, seed=seed)
                         assert got == reference_sample_ext(c, 0, d, k, block, z, cutoff, seed)
                         seen["fail" if isinstance(got, Fail) else "ok"] += 1
         assert seen["fail"] >= 10 and seen["ok"] >= 10
@@ -130,8 +133,9 @@ class TestStreamIdentity:
     def test_stable_learner_matches_full_prefix_replay(self):
         cls, dist, zeta, _ = ext_cost_class()
         for alpha in (0.7, 4.0):
+            learner = StableLearner(cls, zeta, alpha)
             for seed in range(12):
-                got = stable_learner_G(cls, 0, dist, zeta, alpha, seed)
+                got = learner(0, dist, seed)
                 assert got == reference_G(cls, 0, dist, zeta, alpha, seed)
 
     def test_experiment_matches_the_replay_run_by_run(self):
@@ -146,22 +150,23 @@ class TestStreamIdentity:
     def test_stable_learner_fails_like_the_replay(self, two_constants_01):
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
         dist = Distribution.uniform(1)
-        outs = [stable_learner_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, s) for s in range(6)]
+        learner = StableLearner(two_constants_01, 1 / 4, 1 / 2)
+        outs = [learner(0, dist, s) for s in range(6)]
         assert any(isinstance(o, Fail) for o in outs)
         assert outs == [reference_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, s) for s in range(6)]
 
 
 class TestSampleExt:
     def test_level_zero_is_empty(self, two_constants_01):
-        s = sample_ext(
-            two_constants_01, 0, Distribution.uniform(1), 0, 3, 1 / 4, 100, seed=1
-        )
+        state = RsoaState(two_constants_01, 1 / 4, strict=False)
+        s = sample_ext(state, 0, Distribution.uniform(1), 0, 3, 100, seed=1)
         assert s.segments == ()
         assert s.draws_used == 0
 
     def test_level_one_structure(self):
         cls, dist, zeta, m = ext_cost_class()
-        s = sample_ext(cls, 0, dist, 1, m, zeta, cutoff=10_000, seed=2)
+        state = RsoaState(cls, zeta, strict=False)
+        s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, seed=2)
         assert not isinstance(s, Fail)
         assert s.k == 1
         assert len(s.segments) == 1
@@ -171,7 +176,8 @@ class TestSampleExt:
 
     def test_level_two_structure(self):
         cls, dist, zeta, m = ext_cost_class()
-        s = sample_ext(cls, 0, dist, 2, m, zeta, cutoff=50_000, seed=3)
+        state = RsoaState(cls, zeta, strict=False)
+        s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, seed=3)
         assert s.k == 2
         assert len(s.segments) == 2
         assert len(s.examples()) == 2 * (m + 1)
@@ -179,9 +185,8 @@ class TestSampleExt:
     def test_cutoff_returns_fail(self, two_constants_01):
         # at zeta=1/4 the disagreement threshold 11*zeta exceeds 1, so the
         # retry loop can never succeed and must hit the cutoff
-        out = sample_ext(
-            two_constants_01, 0, Distribution.uniform(1), 1, 3, 1 / 4, 60, seed=4
-        )
+        state = RsoaState(two_constants_01, 1 / 4, strict=False)
+        out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, seed=4)
         assert isinstance(out, Fail)
         assert out.draws_used > 60
 
@@ -191,25 +196,28 @@ class TestSampleExt:
             raise AssertionError("sample_ext drew a block")
 
         monkeypatch.setattr(stability, "_draw_block", no_draws)
+        state = RsoaState(two_constants_01, 1 / 4, strict=False)
         for k in (1, 2):
-            out = sample_ext(two_constants_01, 0, Distribution.uniform(1), k, 3, 1 / 4, 60, seed=4)
+            out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, seed=4)
             assert out == Fail(draws_used=61)
 
     def test_injected_label_is_a_bin_midpoint(self):
         cls, dist, zeta, m = ext_cost_class()
+        state = RsoaState(cls, zeta, strict=False)
         mids = set(round(v, 12) for v in np.arange(1, 2 * round(1 / zeta), 2) / (2 * round(1 / zeta)))
         for seed in range(10):
-            s = sample_ext(cls, 0, dist, 1, m, zeta, cutoff=10_000, seed=seed)
+            s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, seed=seed)
             _, (x_star, alpha) = s.segments[-1]
             assert round(alpha, 12) in mids
 
     def test_mean_draw_cost_within_paper_bound(self):
         cls, dist, zeta, m = ext_cost_class()
+        state = RsoaState(cls, zeta, strict=False)
         for level in (1, 2):
             bound = 4 ** (level + 1) * m
             draws = []
             for seed in range(250):
-                s = sample_ext(cls, 0, dist, level, m, zeta, 100 * bound, seed=seed)
+                s = sample_ext(state, 0, dist, level, m, 100 * bound, seed=seed)
                 draws.append(s.draws_used)
             d = np.array(draws, dtype=float)
             se = d.std(ddof=1) / math.sqrt(len(d))
@@ -219,10 +227,11 @@ class TestSampleExt:
         # when the injected label is the target's own bin midpoint, replaying
         # the sample makes the learner 5*zeta-wrong at the injection round
         cls, dist, zeta, m = ext_cost_class()
+        sampler = RsoaState(cls, zeta, strict=False)
         target = cls.by_id(0)
         checked = 0
         for seed in range(200):
-            s = sample_ext(cls, 0, dist, 1, m, zeta, cutoff=10_000, seed=seed)
+            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, seed=seed)
             examples = s.examples()
             x_star, alpha = examples[-1]
             if abs(alpha - target.values[x_star]) > zeta / 2:
@@ -236,13 +245,18 @@ class TestSampleExt:
         assert checked >= 3
 
     def test_validation(self, two_constants_01):
+        state = RsoaState(two_constants_01, 1 / 4, strict=False)
         with pytest.raises(OutOfRange):
-            sample_ext(two_constants_01, 0, Distribution.uniform(1), -1, 3, 1 / 4, 10, 0)
+            sample_ext(state, 0, Distribution.uniform(1), -1, 3, 10, 0)
+        # a strict state would raise on the first wiped surviving set
+        with pytest.raises(OutOfRange):
+            sample_ext(RsoaState(two_constants_01, 1 / 4), 0, Distribution.uniform(1), 0, 3, 10, 0)
 
 
 class TestStableLearner:
     def test_parameters_match_formulas(self, two_constants_01):
-        d, m, cutoff = stable_learner_parameters(two_constants_01, 1 / 4, 1 / 2)
+        learner = StableLearner(two_constants_01, 1 / 4, 1 / 2)
+        d, m, cutoff = learner.d, learner.m, learner.cutoff
         assert d == 1
         assert m == math.ceil(math.log(4) / 0.5)  # = 3
         assert cutoff == 2 * 16**2 * 3
@@ -250,23 +264,19 @@ class TestStableLearner:
     def test_degenerate_dimension_zero(self, two_constants_19):
         # at zeta=1/4 the margin-1/2 dimension of {0.1, 0.9} is 0: G consumes
         # no examples and is deterministic
-        d, m, cutoff = stable_learner_parameters(two_constants_19, 1 / 4, 1 / 2)
-        assert (d, m, cutoff) == (0, 0, 0)
-        outs = {
-            stable_learner_G(
-                two_constants_19, 0, Distribution.uniform(1), 1 / 4, 1 / 2, seed=s
-            ).values
-            for s in range(5)
-        }
+        learner = StableLearner(two_constants_19, 1 / 4, 1 / 2)
+        assert (learner.d, learner.m, learner.cutoff) == (0, 0, 0)
+        outs = {learner(0, Distribution.uniform(1), seed=s).values for s in range(5)}
         assert len(outs) == 1
 
     def test_output_consistent_with_consumed_examples(self):
         # every final survivor agrees with every consumed example within zeta,
         # and the prediction-rule output stays within 5*zeta of each label
         cls, dist, zeta, m = ext_cost_class()
+        sampler = RsoaState(cls, zeta, strict=False)
         checked = 0
         for seed in range(160):
-            s = sample_ext(cls, 0, dist, 1, m, zeta, cutoff=10_000, seed=seed)
+            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, seed=seed)
             xs = dist.sample(np.random.default_rng(seed), m)
             block = [(int(x), cls.by_id(0).values[int(x)]) for x in xs]
             examples = s.examples() + block
@@ -314,11 +324,12 @@ class TestStabilityExperiment:
         # bounded by d ln(1/zeta) / m plus statistical slack
         cls, dist, zeta, m_tuned = ext_cost_class()
         alpha = 0.7
-        d, m, cutoff = stable_learner_parameters(cls, zeta, alpha)
+        learner = StableLearner(cls, zeta, alpha)
+        d, m = learner.d, learner.m
         runs = 150
         outputs = []
         for s in range(runs):
-            out = stable_learner_G(cls, 0, dist, zeta, alpha, seed=900 + s)
+            out = learner(0, dist, seed=900 + s)
             if not isinstance(out, Fail):
                 outputs.append(out)
         floor = zeta**d
@@ -336,19 +347,20 @@ class TestStabilityExperiment:
     def test_cutoff_soundness(self):
         # Pr[draws exceed the Markov cutoff] <= zeta^d / 2, within 3 sigma
         cls, dist, zeta, m = ext_cost_class()
-        d = sfat(cls, None, 2 * zeta).dimension
+        state = RsoaState(cls, zeta, strict=False)
+        d = sfat(cls, 2 * zeta).dimension
         cutoff = int(2 * (4.0 / zeta) ** (d + 1) * m)
         fails = 0
         runs = 200
         for s in range(runs):
-            out = sample_ext(cls, 0, dist, min(2, d), m, zeta, cutoff, seed=5000 + s)
+            out = sample_ext(state, 0, dist, min(2, d), m, cutoff, seed=5000 + s)
             fails += isinstance(out, Fail)
         ceiling = zeta**d / 2
         assert fails / runs <= ceiling + 3 * math.sqrt(ceiling / runs) + 1e-9
 
     def test_all_runs_failing_is_an_experiment_fault(self, two_constants_01, monkeypatch, tmp_path):
         # with every run failed there is no ball centre to report
-        monkeypatch.setattr(stability, "stable_learner_G", lambda *a, **kw: Fail(draws_used=0))
+        monkeypatch.setattr(stability.StableLearner, "__call__", lambda *a, **kw: Fail(draws_used=0))
         with pytest.raises(AllRunsFailed):
             stability_experiment(
                 two_constants_01, 0, Distribution.uniform(1), 1 / 4, 1 / 2, runs=100, seed=1
