@@ -149,6 +149,16 @@ def _load_class(cfg: dict, seed: int) -> ConceptClass:
 Report = tuple[dict, "tuple[list[str], list[list]] | None"]
 
 
+class _Cells(dict):
+    """A float's detail.csv text, rendered once per run as csv does: str(v)."""
+
+    def __missing__(self, v):
+        text = str(v)
+        if v:  # 0.0 and -0.0 are one key with two texts
+            self[v] = text
+        return text
+
+
 def run_dims(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
@@ -181,7 +191,9 @@ def run_online(cfg: dict, seed: int) -> Report:
         "within_bound": tr.mistakes <= tr.sfat_bound,
     }
     header = ["round", "x", "prediction", "feedback", "mistake", "V"]
-    rows = [[r.t, r.x, r.prediction, r.feedback, r.mistake, r.v_after] for r in tr.rounds]
+    cell = _Cells({None: ""})
+    rows = [[r.t, r.x, cell[r.prediction], cell[r.feedback], r.mistake, r.v_after]
+            for r in tr.rounds]
     return summary, (header, rows)
 
 
@@ -352,8 +364,9 @@ def run_shadow(cfg: dict, seed: int) -> Report:
     }
     truth = cls.by_id(target).values
     header = ["position", "measurement", "estimate", "truth", "mistake"]
+    cell = _Cells()
     rows = [
-        [i, r.x, est, truth[r.x], r.mistake]
+        [i, r.x, cell[est], cell[truth[r.x]], r.mistake]
         for i, (r, est) in enumerate(zip(tr.rounds, estimates))
     ]
     return summary, (header, rows)

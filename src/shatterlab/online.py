@@ -11,11 +11,13 @@ c_hat.  With feedback accurate to zeta, rounds with |prediction - truth| >
 
 A mistake-only variant (parameter epsilon) runs the same machinery at
 zeta = epsilon/5 but updates only on rounds with |prediction - truth| >
-epsilon; it drives the shadow-estimation stream.
+epsilon; it drives the shadow-estimation stream.  A game whose feedback
+draws nothing replays each repeated (surviving mask, x) round from a cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -354,16 +356,9 @@ def run_online_game(
         target_id=target_id,
         sfat_bound=state.mistake_bound(),
     )
-    if type(adversary) is RandomAdversary and (noise is None or noise in DRAWLESS_NOISES):
-        # the points are the stream's only draws, and one call takes what T
-        # scalar calls take: PCG64 serves bounded ints from its buffered
-        # 32-bit halves either way
-        points = rng.integers(adversary.domain_size, size=max(T, 0)).tolist()
-    else:  # drawn round by round, between the noise's draws
-        points = (adversary.next_point(t, rng) for t in range(T))
-    v_after = state.size()
-    for t, xi in enumerate(points):
-        v_before = v_after
+
+    def step(mask: int, xi: int) -> tuple[float, Optional[float], bool, int, int]:
+        state.mask = mask
         y_hat = state.predict(xi)
         c_val = target.values[xi]
         mistake = abs(y_hat - c_val) > threshold
@@ -381,7 +376,24 @@ def run_online_game(
                 raise InvalidFeedback("mistake-only feedback out of contract")
         if feedback is not None:
             state.update(xi, feedback)
-            v_after = state.size()
+        return y_hat, feedback, mistake, state.mask, state.size()
+
+    drawless = noise is None or noise in DRAWLESS_NOISES
+    if drawless:
+        # a round that reads no generator depends on (mask, xi) alone, so a
+        # repeat skips no draw; a new key runs every check, on its own round
+        step = functools.cache(step)
+    if type(adversary) is RandomAdversary and drawless:
+        # the points are the stream's only draws, and one call takes what T
+        # scalar calls take: PCG64 serves bounded ints from its buffered
+        # 32-bit halves either way
+        points = rng.integers(adversary.domain_size, size=max(T, 0)).tolist()
+    else:  # drawn round by round, between the noise's draws
+        points = (adversary.next_point(t, rng) for t in range(T))
+    v_after = state.size()
+    for t, xi in enumerate(points):
+        v_before = v_after
+        y_hat, feedback, mistake, state.mask, v_after = step(state.mask, xi)
         tr.rounds.append(Round(t, xi, y_hat, feedback, mistake, v_before, v_after))
     tr.final_hypothesis = state.final_hypothesis()
     return tr

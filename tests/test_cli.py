@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -5,10 +7,11 @@ import sys
 
 import pytest
 
-from shatterlab import dimensions
+from shatterlab import cli, dimensions
 from shatterlab.classes import generate_class
 from shatterlab.cli import main
 from shatterlab.errors import NonIntegerReciprocal, TooLarge
+from shatterlab.online import NOISES
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -281,6 +284,66 @@ class TestCliRuns:
         assert main(["shadow", cfg, "--out", out]) == 0
         summary = read_summary(out)
         assert summary["within_bound"]
+
+    @staticmethod
+    def capture(monkeypatch, name):
+        """Replace cli.<name> by a wrapper recording (args, result) of each call."""
+        calls = []
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((args, original(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, name, wrapper)
+        return calls
+
+    @staticmethod
+    def csv_bytes(header, rows):
+        """What csv.writer makes of the raw, unrendered row values."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("payload", [
+        *({"seed": 6, "zeta": 1 / 5, "T": 300, "noise": noise,
+           "class": {"generated": {"domain_size": 4, "n_concepts": 14, "zeta": 1 / 10}}}
+          for noise in NOISES),
+        # 0.0 and -0.0 are one dict key but two csv texts
+        {"seed": 2, "zeta": 1 / 8, "T": 30, "noise": "exact",
+         "class": {"inline": {"domain_size": 2, "concepts": [{"id": 0, "values": [0.0, -0.0]},
+                                                             {"id": 1, "values": [-0.0, 0.0]}]}}},
+    ], ids=[*NOISES, "signed-zeros"])
+    def test_online_detail_is_csv_of_the_raw_rounds(self, tmp_path, monkeypatch, payload):
+        games = self.capture(monkeypatch, "run_online_game")
+        out = str(tmp_path / "on")
+        assert main(["online", write_config(tmp_path, payload), "--out", out]) == 0
+        ((_, tr),) = games
+        rows = [[r.t, r.x, r.prediction, r.feedback, r.mistake, r.v_after] for r in tr.rounds]
+        header = ["round", "x", "prediction", "feedback", "mistake", "V"]
+        with open(os.path.join(out, "detail.csv"), "rb") as fh:
+            assert fh.read() == self.csv_bytes(header, rows)
+
+    @pytest.mark.parametrize("payload", [
+        {"seed": 19, "epsilon": 0.5, "generated_states": {"dim": 2, "count": 3}},
+        {"seed": 7, "epsilon": 0.2, "generated_states": {"dim": 4, "count": 6},
+         "n_measurements": 8, "stream_repeats": 3},
+    ])
+    def test_shadow_detail_is_csv_of_the_raw_stream(self, tmp_path, monkeypatch, payload):
+        streams = self.capture(monkeypatch, "run_shadow_stream")
+        out = str(tmp_path / "sh")
+        assert main(["shadow", write_config(tmp_path, payload), "--out", out]) == 0
+        (((cls, target, _, _), (tr, estimates)),) = streams
+        truth = cls.by_id(target).values
+        rows = [
+            [i, r.x, est, truth[r.x], r.mistake]
+            for i, (r, est) in enumerate(zip(tr.rounds, estimates))
+        ]
+        header = ["position", "measurement", "estimate", "truth", "mistake"]
+        with open(os.path.join(out, "detail.csv"), "rb") as fh:
+            assert fh.read() == self.csv_bytes(header, rows)
 
     def test_quantum_from_state_files(self, tmp_path):
         import numpy as np

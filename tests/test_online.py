@@ -504,3 +504,55 @@ class TestPredictionMemo:
             state.predict(0)
         with pytest.raises(EmptySurvivingSet):
             state.final_hypothesis()
+
+
+def recording(monkeypatch, name):
+    """Record (mask, x) of every call of RsoaState.<name> from here on."""
+    calls = []
+    original = getattr(RsoaState, name)
+
+    def wrapper(self, xi, *args):
+        calls.append((self.mask, xi))
+        return original(self, xi, *args)
+
+    monkeypatch.setattr(RsoaState, name, wrapper)
+    return calls
+
+
+def distinct_keys(tr):
+    """The (mask, x) keys of a transcript's rounds: strict updates shrink the
+    mask along a chain, so the surviving count names the mask."""
+    return {(r.v_before, r.x) for r in tr.rounds}
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("noise", DRAWLESS_NOISES, ids=lambda n: n.__name__)
+    def test_drawless_game_updates_once_per_mask_and_point(self, monkeypatch, noise):
+        zeta = 1 / 8
+        cls = generate_class(3, 12, zeta, seed=5)
+        updates = recording(monkeypatch, "update")
+        for adversary in (RandomAdversary(3), CyclicAdversary([2, 0, 1])):
+            updates.clear()
+            tr = run_online_game(cls, 4, adversary, StrongFeedback(zeta, noise), 300, seed=3)
+            assert len(updates) == len(set(updates)) == len(distinct_keys(tr))
+            assert len(updates) < len(tr.rounds)
+
+    @pytest.mark.parametrize("noise", [uniform_noise, drawing_noise], ids=lambda n: n.__name__)
+    def test_drawing_game_updates_every_round(self, monkeypatch, noise):
+        zeta = 1 / 8
+        cls = generate_class(3, 12, zeta, seed=5)
+        updates = recording(monkeypatch, "update")
+        for adversary in (RandomAdversary(3), CyclicAdversary([2, 0, 1])):
+            updates.clear()
+            tr = run_online_game(cls, 4, adversary, StrongFeedback(zeta, noise), 300, seed=3)
+            assert len(updates) == len(tr.rounds) == 300
+
+    def test_mistake_only_game_is_memoized(self, monkeypatch):
+        cls = generate_class(4, 16, 1 / 10, seed=0)
+        predicts = recording(monkeypatch, "predict")
+        updates = recording(monkeypatch, "update")
+        tr = run_online_game(cls, 3, CyclicAdversary([0, 1, 2, 3]), MistakeOnly(0.2), 300, seed=0)
+        mistake_keys = {(r.v_before, r.x) for r in tr.rounds if r.mistake}
+        assert 0 < len(updates) == len(set(updates)) == len(mistake_keys)
+        # one prediction per key, and the final hypothesis's at most one per point
+        assert len(predicts) <= len(distinct_keys(tr)) + cls.domain_size < len(tr.rounds)
