@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Distribution, _grid_order, cover_new
+from .concepts import Concept, ConceptClass, Distribution, _grid_order, bin_midpoints
 from .errors import ConfigError, TooLarge
 from .seeding import child_rng
 
@@ -87,7 +87,7 @@ def generate_class(
         values = rng.integers(0, 2, size=(n_concepts, domain_size)).astype(float)
     else:
         _grid_order(zeta / 5.0, "zeta/5")  # names the generator's grid in the error
-        mids = np.array(cover_new(zeta / 5.0).bin_midpoints)
+        mids = np.array(bin_midpoints(zeta / 5.0))
         values = mids[rng.integers(0, len(mids), size=(n_concepts, domain_size))]
     return ConceptClass(
         domain_size,

@@ -63,7 +63,6 @@ from .quantum import (
 )
 from .seeding import child_rng
 from .stability import stability_experiment
-from .concepts import LabeledExample, DomainPoint
 
 SCHEMA_VERSION = 1
 
@@ -255,10 +254,9 @@ def run_privacy(cfg: dict, seed: int) -> Report:
     domain_size = _param(cfg, "domain_size", int, 1)
     _require(1 <= domain_size <= 4, "domain_size must be in 1..4")
     coll = discretize_hypotheses(domain_size, zeta)
-    x = DomainPoint(0)
-    base = [LabeledExample(x, 0.1)] * m
+    base = [(0, 0.1)] * m
     neighbor = list(base)
-    neighbor[-1] = LabeledExample(x, 0.9)
+    neighbor[-1] = (0, 0.9)
     mechanism = ExponentialMechanism(coll, eps, zeta)
     report = dp_test(mechanism, tuple(base), tuple(neighbor), eps, delta, trials, seed)
     summary = {

@@ -74,9 +74,7 @@ class CorruptedEvalProtocol:
 
 
 def _descend_to_leaf(tree: ShatterTree, bits: str) -> ShatterTree:
-    node = tree
-    for b in bits:
-        node = node.right if b == "1" else node.left
+    node = tree.node_at(bits)
     # deeper trees than the instance: finish along the leftmost branch
     while not node.is_leaf:
         node = node.left

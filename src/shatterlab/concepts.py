@@ -1,8 +1,10 @@
-"""Finite domains, real-valued concept classes, covers, and scalar utilities.
+"""Finite domains, real-valued concept classes, bin midpoints, and scalar utilities.
 
 Everything downstream (learners, adversaries, samplers, reductions) works on
 the types defined here.  All types are immutable after construction and all
-operations are pure functions, so unrestricted parallel use is safe.
+operations are pure functions, so unrestricted parallel use is safe.  A
+labeled example is a plain ``(x, y)`` pair: a domain index and a value in
+[0, 1].
 
 Conventions, fixed once for the whole package:
 
@@ -54,22 +56,6 @@ def _grid_order(value: float, name: str = "zeta") -> int:
 
 
 @dataclass(frozen=True)
-class DomainPoint:
-    """A point of the finite input domain, addressed by index."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise OutOfRange(f"domain index must be nonnegative, got {self.index}")
-
-
-def point_index(x: "DomainPoint | int") -> int:
-    """Accept a DomainPoint or a raw index; return the index."""
-    return x.index if isinstance(x, DomainPoint) else int(x)
-
-
-@dataclass(frozen=True)
 class Concept:
     """A function X -> [0,1], materialized as one value per domain point."""
 
@@ -81,9 +67,6 @@ class Concept:
         for v in self.values:
             if not 0.0 <= v <= 1.0:
                 raise OutOfRange(f"concept {self.id} has value {v} outside [0,1]")
-
-    def __call__(self, x: "DomainPoint | int") -> float:
-        return self.values[point_index(x)]
 
 
 @dataclass(frozen=True)
@@ -138,40 +121,11 @@ class ConceptClass:
         return frozenset(c.id for c in self.concepts)
 
 
-@dataclass(frozen=True)
-class Cover:
-    """A partition of [0,1] into 1/zeta bins plus the interleaved super-bins.
-
-    Bin midpoints sit at odd multiples of zeta/2; super-bin midpoints sit on
-    the interior bin boundaries, so each super-bin (width 2*zeta) overlaps its
-    two neighbours by one bin.  The interleaving is what guarantees that any
-    ball of radius zeta/2 centred in the interior lies wholly inside a
-    super-bin.
-    """
-
-    zeta: float
-    bin_midpoints: tuple[float, ...]
-    superbin_midpoints: tuple[float, ...]
-
-
-def cover_new(zeta: float) -> Cover:
-    """Build the zeta-cover of [0,1]; requires 1/zeta to be an integer."""
+def bin_midpoints(zeta: float) -> tuple[float, ...]:
+    """Midpoints of the 1/zeta bins of [0,1], at odd multiples of zeta/2;
+    requires 1/zeta to be an integer."""
     n = _grid_order(zeta)
-    bins = tuple((2 * k + 1) / (2 * n) for k in range(n))
-    superbins = tuple(k / n for k in range(1, n))
-    return Cover(zeta=1.0 / n, bin_midpoints=bins, superbin_midpoints=superbins)
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A domain point together with the (possibly noisy) feedback value."""
-
-    x: DomainPoint
-    y: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.y <= 1.0:
-            raise OutOfRange(f"feedback value {self.y} outside [0,1]")
+    return tuple((2 * k + 1) / (2 * n) for k in range(n))
 
 
 @dataclass(frozen=True)

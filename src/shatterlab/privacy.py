@@ -27,19 +27,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .concepts import (
-    Concept,
-    Distribution,
-    DomainPoint,
-    LabeledExample,
-    _choice_cdf,
-    cover_new,
-    loss,
-)
+from .concepts import Concept, Distribution, _choice_cdf, bin_midpoints, loss
 from .errors import NotNeighbors, OutOfRange, TooLarge
 from .seeding import child_rng
 
-Sample = Sequence[LabeledExample]
+#: Labeled examples (x, y): a domain index and a value in [0, 1].
+Sample = Sequence[tuple[int, float]]
 #: A learner maps a sample and a generator to a hypothesis.  A trial loop
 #: passes one generator to all its calls, so each trial continues the stream.
 Learner = Callable[[Sample, np.random.Generator], Concept]
@@ -69,7 +62,7 @@ class HypothesisCollection:
 
 def discretize_hypotheses(domain_size: int, zeta: float) -> HypothesisCollection:
     """All functions from the domain into the zeta-grid bin midpoints."""
-    mids = cover_new(zeta).bin_midpoints
+    mids = bin_midpoints(zeta)
     count = len(mids) ** domain_size
     if count > 10**6:
         raise TooLarge(f"discretized class would hold {count} hypotheses")
@@ -79,13 +72,24 @@ def discretize_hypotheses(domain_size: int, zeta: float) -> HypothesisCollection
     return HypothesisCollection(hypotheses=hyps, provenance="discretized")
 
 
+def _check_sample(sample: Sample, domain_size: float = math.inf) -> None:
+    """Raise OutOfRange unless each x is an integer index in [0, domain_size)
+    and each y lies in [0, 1] (NaN does not)."""
+    for x, y in sample:
+        if not (isinstance(x, (int, np.integer)) and 0 <= x < domain_size):
+            raise OutOfRange(f"sample point {x!r} is not a domain index in [0, {domain_size})")
+        if not 0.0 <= y <= 1.0:
+            raise OutOfRange(f"sample label {y!r} outside [0,1]")
+
+
 def exponential_weights(
     collection: HypothesisCollection, sample: Sample, epsilon_priv: float, zeta: float
 ) -> np.ndarray:
     """Normalized exponential-mechanism weights exp(-eps * misses / 2), where
     a miss is a sample point the hypothesis is off by more than zeta."""
     table, zero = collection.by_point, np.zeros(len(collection), int)
-    misses = sum((np.abs(table[ex.x.index] - ex.y) > zeta for ex in sample), zero)
+    _check_sample(sample, len(table))
+    misses = sum((np.abs(table[x] - y) > zeta for x, y in sample), zero)
     scores = -0.5 * epsilon_priv * misses
     scores -= scores.max()
     w = np.exp(scores)
@@ -146,8 +150,8 @@ def check_neighbors(s: Sample, s_prime: Sample) -> int:
         raise NotNeighbors("neighboring samples must have equal length")
     diffs = [
         i
-        for i, (a, b) in enumerate(zip(s, s_prime))
-        if a.x.index != b.x.index or a.y != b.y
+        for i, ((xa, ya), (xb, yb)) in enumerate(zip(s, s_prime))
+        if xa != xb or ya != yb
     ]
     if len(diffs) != 1:
         raise NotNeighbors(f"samples differ in {len(diffs)} positions, need exactly 1")
@@ -195,7 +199,12 @@ def dp_test(
     confidence; the verdict holds when no event violates either direction
     beyond its slack.  The 99% holds per event, not per verdict: nothing
     corrects for the number of events (625 tight events fail 17 of 100 seeds).
+    The domain is the learner's, so each sample point is checked only for
+    x >= 0 and y in [0, 1], and before the samples are compared: a NaN label
+    would otherwise count as the one difference.
     """
+    _check_sample(s)
+    _check_sample(s_prime)
     check_neighbors(s, s_prime)
     if trials < 10_000:
         raise OutOfRange("the indistinguishability test needs at least 10^4 trials")
@@ -289,14 +298,13 @@ def build_probabilistic_representation(
         reps = representation_repetitions(alpha, epsilon_priv, m)
     except OverflowError:
         raise TooLarge("harvest repetitions e^(8 alpha eps m) overflow a float") from None
-    grid = cover_new(zeta / 5.0).bin_midpoints
+    grid = bin_midpoints(zeta / 5.0)
     total = len(grid) * reps
     if total > 10**6:
         raise TooLarge(f"harvest would run {total} replays")
     harvested = []
-    x0 = DomainPoint(0)
     for zi, z in enumerate(grid):
-        sample = tuple(LabeledExample(x0, z) for _ in range(m))
+        sample = ((0, z),) * m
         outs, batches = _trials(dp_learner, sample, child_rng(seed, zi), reps)
         harvested.extend(outs[i] for b in batches for i in b)
     return HypothesisCollection(hypotheses=tuple(harvested), provenance="harvested")

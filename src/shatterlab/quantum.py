@@ -39,13 +39,18 @@ _HERMITIAN_TOL = 1e-10
 _MAX_DIM = 16
 
 
-def _check_square(m: np.ndarray, what: str) -> int:
+def _hermitian(a, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """`a` as a complex matrix, and its eigenvalues; raises unless
+    it is square, of power-of-two size in 2..16, and Hermitian."""
+    m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"{what} must be a square matrix, got shape {m.shape}")
     d = m.shape[0]
     if d < 2 or d > _MAX_DIM or d & (d - 1):
         raise DimMismatch(f"{what} dimension must be a power of two in 2..16, got {d}")
-    return d
+    if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
+        raise NotPSD(f"{what} is not Hermitian")
+    return m, np.linalg.eigvalsh(m)
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, "density matrix")
-        if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
-            raise NotPSD("density matrix is not Hermitian")
+        m, eig = _hermitian(self.matrix, "density matrix")
         if abs(np.trace(m).real - 1.0) > _HERMITIAN_TOL:
             raise NotPSD(f"density matrix has trace {np.trace(m).real!r}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -_HERMITIAN_TOL:
+        if eig.min() < -_HERMITIAN_TOL:
             raise NotPSD("density matrix has a negative eigenvalue")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -78,11 +80,7 @@ class Measurement:
     effect: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.effect, dtype=complex)
-        _check_square(e, "measurement effect")
-        if np.abs(e - e.conj().T).max() > _HERMITIAN_TOL:
-            raise NotPSD("measurement effect is not Hermitian")
-        eig = np.linalg.eigvalsh(e)
+        e, eig = _hermitian(self.effect, "measurement effect")
         if eig.min() < -_HERMITIAN_TOL or eig.max() > 1.0 + _HERMITIAN_TOL:
             raise NotPSD("measurement effect spectrum must lie in [0, 1]")
         e.setflags(write=False)

@@ -24,13 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concepts import (
-    Concept,
-    ConceptClass,
-    Distribution,
-    cover_new,
-    loss,
-)
+from .concepts import Concept, ConceptClass, Distribution, bin_midpoints, loss
 from .errors import AllRunsFailed, OutOfRange
 from .online import RsoaState
 from .seeding import child_rng
@@ -94,7 +88,9 @@ def sample_ext(
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     `state` is a non-strict learner state; the class and zeta are its own.
-    It runs every attempt, and its surviving mask is overwritten.
+    It runs every attempt.  On success it is left at the surviving mask after
+    the sample's examples (the full mask at level 0); on Fail its mask is
+    unspecified.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -104,7 +100,7 @@ def sample_ext(
         raise OutOfRange("the sampler needs a non-strict learner state")
     cls, zeta = state.cls, state.zeta
     target = cls.by_id(target_id)
-    bins = cover_new(zeta).bin_midpoints
+    bins = bin_midpoints(zeta)
     if k > 0 and 11.0 * zeta >= 1.0:
         # values lie in [0, 1], so no two hypotheses differ by more than
         # 11*zeta: every attempt would fail, and the draws run to the cutoff
@@ -174,6 +170,7 @@ def sample_ext(
     result = rec(k)
     if result is None:
         return Fail(draws_used=budget.used)
+    state.mask = result[1]
     return ExtSample(segments=result[0].segments, k=k, draws_used=budget.used)
 
 
@@ -210,9 +207,8 @@ class StableLearner:
         )
         if isinstance(s, Fail):
             return s
-        block = _draw_block(state.cls.by_id(target_id), dist, m, rng)
-        state.mask = state.cache.full_mask()
-        for xi, y in s.examples() + list(block):
+        # the state holds the surviving mask after the curated sample
+        for xi, y in _draw_block(state.cls.by_id(target_id), dist, m, rng):
             state.update(xi, y)
         if state.mask == 0:
             return Fail(draws_used=s.draws_used + m)

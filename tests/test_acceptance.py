@@ -13,10 +13,8 @@ from shatterlab import (
     Concept,
     ConceptClass,
     Distribution,
-    DomainPoint,
     Ensemble,
     ExponentialMechanism,
-    LabeledExample,
     depolarizing_capacity_bound,
     dp_test,
     discretize_hypotheses,
@@ -171,14 +169,13 @@ def test_criterion_5_ext_sampling_cost():
 
 
 def _neighbor_pairs():
-    x0 = DomainPoint(0)
     grid = (0.125, 0.375, 0.625, 0.875)
     pairs = []
     for j in range(10):
         base_y = grid[j % 4]
         flip_y = grid[(j + 1 + j // 4) % 4]
-        base = tuple(LabeledExample(x0, base_y) for _ in range(4))
-        neighbor = base[:-1] + (LabeledExample(x0, flip_y),)
+        base = ((0, base_y),) * 4
+        neighbor = base[:-1] + ((0, flip_y),)
         pairs.append((base, neighbor))
     return pairs
 

@@ -9,9 +9,8 @@ from shatterlab import (
     Concept,
     ConceptClass,
     Distribution,
-    DomainPoint,
+    bin_midpoints,
     binary_entropy,
-    cover_new,
     function_ball,
     loss,
     round_to_grid,
@@ -23,56 +22,49 @@ from shatterlab.concepts import (
     distribution_to_json,
 )
 from shatterlab.errors import DomainMismatch, NonIntegerReciprocal, OutOfRange
-from shatterlab.online import RsoaState
+from shatterlab.online import RsoaState, prediction_grid
 from tests.conftest import make_class
 
 
 class TestCover:
+    """`bin_midpoints`, and the learner's super-bins at `prediction_grid`."""
+
     def test_quarter_cover_matches_definition(self):
-        c = cover_new(1 / 4)
-        assert c.bin_midpoints == (0.125, 0.375, 0.625, 0.875)
-        assert c.superbin_midpoints == (0.25, 0.5, 0.75)
+        assert bin_midpoints(1 / 4) == (0.125, 0.375, 0.625, 0.875)
 
     def test_half_cover(self):
-        c = cover_new(1 / 2)
-        assert c.bin_midpoints == (0.25, 0.75)
-        assert c.superbin_midpoints == (0.5,)
+        assert bin_midpoints(1 / 2) == (0.25, 0.75)
 
     def test_third_cover(self):
-        c = cover_new(1 / 3)
-        assert c.bin_midpoints == pytest.approx((1 / 6, 1 / 2, 5 / 6))
-        assert c.superbin_midpoints == pytest.approx((1 / 3, 2 / 3))
+        assert bin_midpoints(1 / 3) == pytest.approx((1 / 6, 1 / 2, 5 / 6))
 
     @pytest.mark.parametrize("zeta", [0.3, 0.7, 1.5, 0.0, -0.25])
     def test_rejects_bad_zeta(self, zeta):
         with pytest.raises(NonIntegerReciprocal):
-            cover_new(zeta)
+            bin_midpoints(zeta)
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_sizes(self, n):
-        c = cover_new(1 / n)
-        assert len(c.bin_midpoints) == n
-        assert len(c.superbin_midpoints) == n - 1
+        assert len(bin_midpoints(1 / n)) == n
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 10, 16])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 15, 16])
     def test_half_zeta_ball_inside_a_superbin(self, n):
         # every ball of radius zeta centred in (zeta, 1-zeta) sits inside a
-        # super-bin of the 2*zeta cover; probe a dense grid plus every cover
-        # boundary (bin edges of both covers and all midpoints)
+        # learner super-bin (half-width 2*zeta around a prediction_grid
+        # midpoint), odd 1/zeta included; probe a dense grid plus every
+        # multiple of zeta/2: the bin edges and midpoints of both covers
         zeta = 1 / n
-        cov = cover_new(zeta)
-        cov2 = cover_new(2 * zeta)
+        grid = prediction_grid(zeta)
         probes = set(np.linspace(zeta + 1e-9, 1 - zeta - 1e-9, 431))
-        probes.update(k / n for k in range(n + 1))
-        probes.update(cov.bin_midpoints)
-        probes.update(cov2.bin_midpoints)
-        probes.update(cov2.superbin_midpoints)
+        probes.update(k / (2 * n) for k in range(2 * n + 1))
+        probes.update(bin_midpoints(zeta))
+        probes.update(grid)
         for y in probes:
             if not zeta < y < 1 - zeta:
                 continue
             assert any(
                 y - zeta >= r - 2 * zeta - 1e-12 and y + zeta <= r + 2 * zeta + 1e-12
-                for r in cov2.superbin_midpoints
+                for r in grid
             )
 
 
@@ -201,7 +193,7 @@ class TestRoundToGrid:
         for _ in range(200):
             n = int(rng.integers(1, 30))
             y = float(rng.uniform())
-            assert round_to_grid(y, 1 / n) in cover_new(1 / n).bin_midpoints
+            assert round_to_grid(y, 1 / n) in bin_midpoints(1 / n)
 
     def test_bad_step(self):
         with pytest.raises(NonIntegerReciprocal):
@@ -238,10 +230,6 @@ class TestTypes:
             Distribution((0.5, 0.6))
         with pytest.raises(OutOfRange):
             Distribution((-0.1, 1.1))
-
-    def test_domain_point(self):
-        with pytest.raises(OutOfRange):
-            DomainPoint(-1)
 
 
 def _distributions():

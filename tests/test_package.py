@@ -52,9 +52,12 @@ def _no_replays(sample, rng):
     lambda: build_probabilistic_representation(_no_replays, 1 / 2, 1 / 4, math.nan, 1, 0),
     lambda: build_probabilistic_representation(_no_replays, 1 / 2, -1.0, 1.0, 1, 0),
     lambda: build_probabilistic_representation(_no_replays, 1 / 2, 1 / 4, 0.0, 1, 0),
+    lambda: ExponentialMechanism(discretize_hypotheses(1, 1 / 2), 1.0, 1 / 2)(
+        ((0, math.nan),), np.random.default_rng(0)),
 ], ids=["distribution", "ensemble_weight", "fat_margin", "sfat_margin", "private_epsilon",
         "loss_radius", "sample_size_alpha", "sample_size_epsilon", "holevo_chi",
-        "harvest_alpha", "harvest_epsilon", "harvest_alpha_negative", "harvest_epsilon_zero"])
+        "harvest_alpha", "harvest_epsilon", "harvest_alpha_negative", "harvest_epsilon_zero",
+        "sample_label"])
 def test_range_guards_reject_nan(build):
     with pytest.raises(OutOfRange):
         build()

@@ -10,14 +10,12 @@ import pytest
 from shatterlab import (
     Concept,
     Distribution,
-    DomainPoint,
-    LabeledExample,
     build_probabilistic_representation,
     discretize_hypotheses,
     dp_test,
     loss,
 )
-from shatterlab.concepts import _choice_cdf, cover_new
+from shatterlab.concepts import _choice_cdf, bin_midpoints
 from shatterlab.errors import NotNeighbors, OutOfRange, TooLarge
 from shatterlab.privacy import (
     ExponentialMechanism,
@@ -30,9 +28,6 @@ from shatterlab.privacy import (
 )
 from shatterlab.seeding import child_rng
 
-X0 = DomainPoint(0)
-
-
 def two_hypotheses():
     return HypothesisCollection(
         (Concept(0, (0.25,)), Concept(1, (0.75,))), "discretized"
@@ -43,7 +38,7 @@ def closed_form_distribution(coll, sample, eps, zeta):
     # independent oracle: direct arithmetic over the miss counts
     weights = []
     for h in coll.hypotheses:
-        misses = sum(1 for ex in sample if abs(h.values[ex.x.index] - ex.y) > zeta)
+        misses = sum(1 for x, y in sample if abs(h.values[x] - y) > zeta)
         weights.append(math.exp(-eps * misses / 2))
     total = sum(weights)
     return [w / total for w in weights]
@@ -70,7 +65,7 @@ class TestDiscretize:
 def loop_weights(coll, sample, eps, zeta):
     # exponential_weights as a per-hypothesis loop, scored in the same order
     scores = np.array([
-        -0.5 * eps * sum(1 for ex in sample if abs(h.values[ex.x.index] - ex.y) > zeta)
+        -0.5 * eps * sum(1 for x, y in sample if abs(h.values[x] - y) > zeta)
         for h in coll.hypotheses
     ])
     scores -= scores.max()
@@ -85,35 +80,34 @@ class TestExponentialMechanism:
         grids = ((1, 1 / 2), (2, 1 / 2), (2, 1 / 4), (2, 1 / 20))
         collections = [two_hypotheses(), harvested]
         collections += [discretize_hypotheses(d, z) for d, z in grids]
-        x1 = DomainPoint(1)
         samples = [
-            (LabeledExample(X0, 0.5),),
-            (LabeledExample(X0, 0.2), LabeledExample(X0, 0.3)),
-            (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.3)),
-            (LabeledExample(x1, 0.9), LabeledExample(X0, 0.1)) * 3,
+            ((0, 0.5),),
+            ((0, 0.2), (0, 0.3)),
+            ((0, 0.1), (1, 0.6), (0, 0.3)),
+            ((1, 0.9), (0, 0.1)) * 3,
         ]
         for coll in collections:
             for sample in samples:
-                if max(ex.x.index for ex in sample) >= len(coll.hypotheses[0].values):
+                if max(x for x, _ in sample) >= len(coll.hypotheses[0].values):
                     continue
                 for eps, zeta in ((1.0, 0.25), (1e-12, 0.25), (3.0, 1 / 8), (2.0, 1 / 4)):
                     got = exponential_weights(coll, sample, eps, zeta)
                     assert np.array_equal(got, loop_weights(coll, sample, eps, zeta))
     def test_equal_losses_give_uniform(self):
         coll = two_hypotheses()
-        sample = (LabeledExample(X0, 0.5),)  # both hypotheses miss by 0.25 = zeta
+        sample = ((0, 0.5),)  # both hypotheses miss by 0.25 = zeta
         w = exponential_weights(coll, sample, 1.0, 0.25)
         assert w == pytest.approx([0.5, 0.5])
 
     def test_epsilon_zero_limit_is_uniform(self):
         coll = two_hypotheses()
-        sample = (LabeledExample(X0, 0.2),)
+        sample = ((0, 0.2),)
         w = exponential_weights(coll, sample, 1e-12, 0.25)
         assert w == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_matches_closed_form_frequencies(self):
         coll = two_hypotheses()
-        sample = (LabeledExample(X0, 0.2), LabeledExample(X0, 0.3))
+        sample = ((0, 0.2), (0, 0.3))
         expect = closed_form_distribution(coll, sample, 1.0, 0.25)
         trials = 20_000
         batches = ExponentialMechanism(coll, 1.0, 0.25).draw(sample, child_rng(1), trials)
@@ -126,9 +120,8 @@ class TestExponentialMechanism:
         # a call draws what rng.choice(len(w), p=w) draws, while the trials
         # switch samples, eps alone and zeta alone
         coll = discretize_hypotheses(2, 1 / 4)
-        x1 = DomainPoint(1)
-        a = (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.3))
-        b = (LabeledExample(X0, 0.1), LabeledExample(x1, 0.6), LabeledExample(X0, 0.9))
+        a = ((0, 0.1), (1, 0.6), (0, 0.3))
+        b = ((0, 0.1), (1, 0.6), (0, 0.9))
         p0, p1, p2 = (1.0, 1 / 4), (2.0, 1 / 4), (2.0, 1 / 8)
         plan = [(a, p0)] * 5 + [(a, p1)] * 3 + [(a, p2)] * 3 + [(b, p2)] * 2 + [(b, p0)] * 2
         plan += [(a, p0), (a, p1), (a, p2), (list(b), p2), (b, p1), (b, p0)] * 3
@@ -145,8 +138,8 @@ class TestExponentialMechanism:
         coll = discretize_hypotheses(2, 1 / 4)
         mechanism = ExponentialMechanism(coll, 3.0, 0.25)
         samples = (
-            (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.9)),
-            (LabeledExample(X0, 0.9), LabeledExample(DomainPoint(1), 0.1)),
+            ((0, 0.1), (1, 0.9)),
+            ((0, 0.9), (1, 0.1)),
         )
         trials = 400
 
@@ -190,7 +183,7 @@ class TestExponentialMechanism:
 
     def test_total_variation_against_oracle(self):
         coll = discretize_hypotheses(1, 1 / 4)  # 4 hypotheses
-        sample = tuple(LabeledExample(X0, y) for y in (0.1, 0.3, 0.6, 0.6, 0.9))
+        sample = tuple((0, y) for y in (0.1, 0.3, 0.6, 0.6, 0.9))
         expect = closed_form_distribution(coll, sample, 1.0, 0.25)
         trials = 100_000
         batches = ExponentialMechanism(coll, 1.0, 0.25).draw(sample, child_rng(2), trials)
@@ -199,10 +192,56 @@ class TestExponentialMechanism:
         assert tv <= 0.02
 
 
+#: sample points outside a one-point domain or with a label outside [0, 1]
+BAD_POINTS = {"x_outside_domain": (3, 0.1), "x_negative": (-1, 0.1),
+              "x_not_an_index": (0.0, 0.1), "y_nan": (0, math.nan)}
+
+
+class TestSampleRange:
+    """A bad sample point is an OutOfRange, through the mechanism and dp_test."""
+
+    def mechanism(self):
+        return ExponentialMechanism(discretize_hypotheses(1, 0.25), 1.0, 0.25)
+
+    @pytest.mark.parametrize("bad", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+    def test_mechanism_rejects(self, bad):
+        mechanism = self.mechanism()
+        for sample in ((bad,), ((0, 0.1), bad)):
+            with pytest.raises(OutOfRange):
+                mechanism(sample, child_rng(0))
+            with pytest.raises(OutOfRange):
+                mechanism.draw(sample, child_rng(0), 10)
+            with pytest.raises(OutOfRange):
+                exponential_weights(mechanism.collection, sample, 1.0, 0.25)
+
+    @pytest.mark.parametrize("bad", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+    def test_dp_test_rejects(self, bad):
+        s, sp = ((0, 0.1), bad), ((0, 0.9), bad)
+        for pair in ((s, sp), (sp, s)):
+            with pytest.raises(OutOfRange):
+                dp_test(self.mechanism(), *pair, 1.0, 0.0, trials=10_000, seed=1)
+
+    @pytest.mark.parametrize("bad", [(-1, 0.1), (0, math.nan), (0, 1.5), (0.5, 0.1)])
+    def test_dp_test_rejects_before_any_trial(self, bad):
+        # dp_test does not know the domain, but x >= 0 and y in [0, 1] it
+        # checks itself, before comparing: NaN != NaN is no difference
+        calls = []
+
+        def learner(sample, rng):
+            calls.append(sample)
+            return Concept(0, (0.5,))
+
+        pairs = [(((0, 0.1), bad), ((0, 0.9), bad)), (((0, 0.1), bad), ((0, 0.1), bad))]
+        for s, sp in pairs:
+            with pytest.raises(OutOfRange):
+                dp_test(learner, s, sp, 1.0, 0.0, trials=10_000, seed=1)
+        assert calls == []
+
+
 class TestDpTest:
     def neighbor_pair(self):
-        s = (LabeledExample(X0, 0.1), LabeledExample(X0, 0.1))
-        s_prime = (LabeledExample(X0, 0.1), LabeledExample(X0, 0.9))
+        s = ((0, 0.1), (0, 0.1))
+        s_prime = ((0, 0.1), (0, 0.9))
         return s, s_prime
 
     def test_neighbor_validation(self):
@@ -266,8 +305,8 @@ class TestDpTest:
             return coll.hypotheses[int(np.argmax(w))]
 
         # the pair flips the empirical argmax, so the learner is maximally leaky
-        s = (LabeledExample(X0, 0.75), LabeledExample(X0, 0.75))
-        sp = (LabeledExample(X0, 0.75), LabeledExample(X0, 0.25))
+        s = ((0, 0.75), (0, 0.75))
+        sp = ((0, 0.75), (0, 0.25))
         rep = dp_test(argmax_learner, s, sp, 0.5, 0.0, trials=10_000, seed=5)
         assert not rep.verdict
 
@@ -304,7 +343,7 @@ class TestLossAmplification:
         trials = 300
         for t in range(trials):
             sample = tuple(
-                LabeledExample(X0, float(np.clip(target.values[0] + rng.uniform(-zeta / 5, zeta / 5), 0, 1)))
+                (0, float(np.clip(target.values[0] + rng.uniform(-zeta / 5, zeta / 5), 0, 1)))
                 for _ in range(m)
             )
             out = mechanism(sample, child_rng(8, t))
@@ -411,8 +450,8 @@ class TestBulkStreams:
 
     def test_dp_test_matches_a_per_trial_replay(self):
         learner = self.mixed_draw_learner(discretize_hypotheses(2, 1 / 4))
-        s = (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.6))
-        sp = (LabeledExample(X0, 0.1), LabeledExample(DomainPoint(1), 0.9))
+        s = ((0, 0.1), (1, 0.6))
+        sp = ((0, 0.1), (1, 0.9))
         seed, trials = 2**40 + 3, 10_000
         got = dp_test(learner, s, sp, 1.0, 0.0, trials, seed)
         streams = [child_rng(seed, side) for side in range(2)]
@@ -429,10 +468,10 @@ class TestBulkStreams:
         zeta, alpha, eps, m, seed = 1 / 2, 1 / 4, 1.0, 1, 12
         got = build_probabilistic_representation(learner, zeta, alpha, eps, m, seed)
         reps = representation_repetitions(alpha, eps, m)
-        grid = cover_new(zeta / 5).bin_midpoints
+        grid = bin_midpoints(zeta / 5)
         streams = [child_rng(seed, zi) for zi in range(len(grid))]
         replay = [
-            learner((LabeledExample(X0, z),) * m, streams[zi])
+            learner(((0, z),) * m, streams[zi])
             for zi, z in enumerate(grid)
             for _ in range(reps)
         ]
@@ -449,7 +488,7 @@ class TestBatchedMechanism:
     def test_draw_matches_per_trial_calls_across_a_batch(self, domain_size, seed):
         coll = discretize_hypotheses(domain_size, 1 / 2)
         mechanism = ExponentialMechanism(coll, 2.0, 1 / 4)
-        sample = (LabeledExample(DomainPoint(domain_size - 1), 0.1),)
+        sample = ((domain_size - 1, 0.1),)
         trials = 70_001  # one full batch of 2^16 and a partial one
         batched, looped = child_rng(seed), child_rng(seed)
         batches = list(mechanism.draw(sample, batched, trials))
@@ -464,10 +503,10 @@ class TestBatchedMechanism:
         zeta, alpha, eps, m, seed = 1 / 2, 1 / 4, 1.0, 2, 21
         got = build_probabilistic_representation(mechanism, zeta, alpha, eps, m, seed)
         reps = representation_repetitions(alpha, eps, m)
-        grid = cover_new(zeta / 5).bin_midpoints
+        grid = bin_midpoints(zeta / 5)
         streams = [child_rng(seed, zi) for zi in range(len(grid))]
         replay = [
-            mechanism((LabeledExample(X0, z),) * m, streams[zi])
+            mechanism(((0, z),) * m, streams[zi])
             for zi, z in enumerate(grid)
             for _ in range(reps)
         ]
@@ -480,8 +519,8 @@ class TestBatchedMechanism:
         )
         assert len(harvested) == 410 and len({h.id for h in harvested.hypotheses}) == 2
         mechanism = ExponentialMechanism(harvested, 1.0, 1 / 4)
-        s = (LabeledExample(X0, 0.1), LabeledExample(X0, 0.1))
-        sp = (LabeledExample(X0, 0.1), LabeledExample(X0, 0.9))
+        s = ((0, 0.1), (0, 0.1))
+        sp = ((0, 0.1), (0, 0.9))
         cdfs = {x: _choice_cdf(exponential_weights(harvested, x, 1.0, 1 / 4)) for x in (s, sp)}
 
         def looped(sample, rng):  # a plain callable, so dp_test calls it per trial

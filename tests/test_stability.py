@@ -19,7 +19,7 @@ from shatterlab import (
 from shatterlab import stability
 from shatterlab.classes import ext_cost_class, generate_class, two_constants
 from shatterlab.cli import main
-from shatterlab.concepts import cover_new
+from shatterlab.concepts import bin_midpoints
 from shatterlab.errors import AllRunsFailed, OutOfRange
 from shatterlab.online import RsoaState
 from shatterlab.seeding import child_rng
@@ -48,7 +48,7 @@ def _reference_replay(state, examples):
 
 def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
     target = cls.by_id(target_id)
-    bins = cover_new(zeta).bin_midpoints
+    bins = bin_midpoints(zeta)
     rng = child_rng(seed, 0xE27)
     state = RsoaState(cls, zeta, strict=False)
     used = 0
@@ -157,6 +157,22 @@ class TestStreamIdentity:
 
 
 class TestSampleExt:
+    def test_success_leaves_the_state_at_the_sample_mask(self):
+        # G reads the mask instead of replaying the sample: it must be the
+        # mask a replay from the full class reaches, the full mask at level 0
+        cls, dist, zeta, m = ext_cost_class()
+        state = RsoaState(cls, zeta, strict=False)
+        levels = []
+        for seed in range(8):
+            for k in (2, 1, 0):
+                s = sample_ext(state, 0, dist, k, m, 20_000, seed=seed)
+                if isinstance(s, Fail):
+                    continue
+                fresh = RsoaState(cls, zeta, strict=False)
+                assert state.mask == _reference_replay(fresh, s.examples())[1]
+                levels.append(k)
+        assert {0, 1, 2} <= set(levels)
+
     def test_level_zero_is_empty(self, two_constants_01):
         state = RsoaState(two_constants_01, 1 / 4, strict=False)
         s = sample_ext(state, 0, Distribution.uniform(1), 0, 3, 100, seed=1)
