@@ -34,9 +34,7 @@ from .errors import (
 )
 from .online import (
     NOISES,
-    RandomAdversary,
     StrongFeedback,
-    WeakTreeAdversary,
     run_online_game,
     run_shadow_stream,
     run_weak_forcing_game,
@@ -180,7 +178,7 @@ def run_online(cfg: dict, seed: int) -> Report:
     cls = _load_class(cfg, seed)
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
     mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name])
-    tr = run_online_game(cls, target, RandomAdversary(cls.domain_size), mode, T, seed)
+    tr = run_online_game(cls, target, None, mode, T, seed)
     summary = {
         "zeta": zeta,
         "noise": noise_name,
@@ -206,8 +204,7 @@ def run_adversary(cfg: dict, seed: int) -> Report:
         ("rsoa", rsoa_as_weak_learner(cls, zeta)),
         ("constant_half", lambda x: 0.5),
     ):
-        adv = WeakTreeAdversary(result.witness)
-        res = run_weak_forcing_game(cls, adv, learner, zeta)
+        res = run_weak_forcing_game(cls, result.witness, learner, zeta)
         summary_losses[name] = {
             "claimed_mistakes": res.claimed_mistakes,
             "all_claims_valid": res.all_claims_valid,

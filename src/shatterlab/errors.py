@@ -29,16 +29,8 @@ class NotBoolean(ShatterlabError, ValueError):
     """A Boolean-only oracle was given a class with non-{0,1} values."""
 
 
-class EmptySurvivingSet(ShatterlabError, ValueError):
-    """A prediction was requested from an empty surviving set."""
-
-
 class InvalidFeedback(ShatterlabError, RuntimeError):
     """Feedback violated its accuracy contract during an online game."""
-
-
-class TreeExhausted(ShatterlabError, RuntimeError):
-    """A tree adversary was queried after committing at a leaf."""
 
 
 class InvalidTree(ShatterlabError, ValueError):

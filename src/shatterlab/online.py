@@ -1,18 +1,21 @@
-"""Robust online learning: the super-bin learner, adversaries, and games.
+"""Robust online learning: the super-bin learner and its games.
 
 The learner (parameter zeta) keeps the set of concepts consistent with all
-feedback so far.  To predict at x it scores every super-bin of the interleaved
-2*zeta cover by the sfat dimension (at margin 2*zeta) of the surviving
-concepts mapping into that bin, and answers the mean of the maximizing
-midpoints; empty bins score -1 so they never tie with populated ones.  On
-feedback c_hat it keeps exactly the concepts within the open zeta-ball of
-c_hat.  With feedback accurate to zeta, rounds with |prediction - truth| >
-5*zeta never exceed sfat at margin 2*zeta of the class.
+feedback so far, as a surviving mask over the class's rows that its callers
+pass in and get back.  To predict at x it scores every super-bin of the
+interleaved 2*zeta cover by the sfat dimension (at margin 2*zeta) of the
+surviving concepts mapping into that bin, and answers the mean of the
+maximizing midpoints; empty bins score -1 so they never tie with populated
+ones.  On feedback c_hat it keeps exactly the concepts within the open
+zeta-ball of c_hat.  With feedback accurate to zeta, rounds with
+|prediction - truth| > 5*zeta never exceed sfat at margin 2*zeta of the class.
 
-A mistake-only variant (parameter epsilon) runs the same machinery at
-zeta = epsilon/5 but updates only on rounds with |prediction - truth| >
-epsilon; it drives the shadow-estimation stream.  A game whose feedback
-draws nothing replays each repeated (surviving mask, x) round from a cache.
+A game's adversary is a list of points to cycle through, or uniformly random
+points; the forcing game walks a shattering tree.  A mistake-only variant
+(parameter epsilon) runs the same machinery at zeta = epsilon/5 but updates
+only on rounds with |prediction - truth| > epsilon; it drives the
+shadow-estimation stream.  A game whose feedback draws nothing replays each
+repeated (surviving mask, x) round from a cache.
 """
 
 from __future__ import annotations
@@ -31,12 +34,7 @@ from .concepts import (
     _grid_order,
 )
 from .dimensions import SfatCache, ShatterTree
-from .errors import (
-    EmptySurvivingSet,
-    InvalidFeedback,
-    OutOfRange,
-    TreeExhausted,
-)
+from .errors import InvalidFeedback, OutOfRange
 from .seeding import child_rng
 
 
@@ -59,18 +57,16 @@ def prediction_grid(zeta: float) -> tuple[float, ...]:
 
 
 class RsoaState:
-    """Mutable learner state: shared sfat cache plus precomputed bin masks.
+    """The learner's fixed tables for one class at accuracy zeta, plus memos.
 
-    `strict=False` lets the surviving set go empty (needed inside the
-    stability sampler, where deliberately invalid injected examples can wipe
-    the set); the prediction then falls back to the all-bins tie, whose mean
-    is the midpoint of the grid.
+    The learner's state is its surviving mask (bit i set: row i of the class
+    is still consistent), which every method takes and `update` returns.  An
+    empty mask predicts the all-bins tie, whose mean is the grid's midpoint.
     """
 
-    def __init__(self, cls: ConceptClass, zeta: float, strict: bool = True):
+    def __init__(self, cls: ConceptClass, zeta: float):
         self.cls = cls
         self.zeta = float(zeta)
-        self.strict = strict
         self.cache = SfatCache(cls, 2.0 * self.zeta)
         self.grid = prediction_grid(self.zeta)
         n = len(cls)
@@ -88,7 +84,6 @@ class RsoaState:
             ]
             for x in range(cls.domain_size)
         ]
-        self.mask = self.cache.full_mask()
         self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
 
@@ -97,20 +92,11 @@ class RsoaState:
         learner's 5*zeta-mistakes, and G's level cap d."""
         return self.cache.dimension_of_mask(self.cache.full_mask())
 
-    @property
-    def surviving_ids(self) -> frozenset[int]:
-        return self.cache.ids_of_mask(self.mask)
-
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def predict_with_maximizers(self, xi: int) -> tuple[float, list[float]]:
-        if self.mask == 0 and self.strict:
-            raise EmptySurvivingSet("cannot predict from an empty surviving set")
+    def predict_with_maximizers(self, mask: int, xi: int) -> tuple[float, list[float]]:
         best = None
         maximizers: list[float] = []
         for r, bmask in zip(self.grid, self.bin_masks[xi]):
-            score = self.cache.score(self.mask & bmask)
+            score = self.cache.score(mask & bmask)
             if best is None or score > best:
                 best = score
                 maximizers = [r]
@@ -118,47 +104,41 @@ class RsoaState:
                 maximizers.append(r)
         return sum(maximizers) / len(maximizers), maximizers
 
-    def predict(self, xi: int) -> float:
-        """The prediction at xi, computed once per (mask, xi): it depends on
-        nothing else.  Under strict updates the masks of a game form a chain,
-        so it holds at most (len(cls) + 1) * domain_size answers."""
-        key = (self.mask, xi)
+    def predict(self, mask: int, xi: int) -> float:
+        """The prediction at xi from `mask`, computed once per (mask, xi).
+        The masks of a game form a chain, so a game adds at most
+        (len(cls) + 1) * domain_size answers."""
+        key = (mask, xi)
         y_hat = self._predictions.get(key)
         if y_hat is None:
-            y_hat = self._predictions[key] = self.predict_with_maximizers(xi)[0]
+            y_hat = self._predictions[key] = self.predict_with_maximizers(mask, xi)[0]
         return y_hat
 
-    def update(self, xi: int, feedback: float) -> None:
+    def update(self, mask: int, xi: int, feedback: float) -> int:
+        """The rows of `mask` within the open zeta-ball of `feedback` at xi."""
         if not 0.0 <= feedback <= 1.0:
             raise OutOfRange(f"feedback {feedback} outside [0,1]")
         col = self.cls.table[:, xi]
         new = 0
-        m = self.mask
-        while m:
-            low = m & -m
-            row = low.bit_length() - 1
-            if abs(col[row] - feedback) < self.zeta:
+        while mask:
+            low = mask & -mask
+            if abs(col[low.bit_length() - 1] - feedback) < self.zeta:
                 new |= low
-            m ^= low
-        if new == 0 and self.strict:
-            raise InvalidFeedback(
-                f"update at x={xi} with feedback {feedback} wiped the surviving set; "
-                "valid feedback never eliminates the target"
-            )
-        self.mask = new
+            mask ^= low
+        return new
 
-    def final_hypothesis(self) -> Concept:
+    def final_hypothesis(self, mask: int) -> Concept:
         """The prediction rule over the whole domain, materialized (id -1).
 
         The rule depends on nothing but the surviving mask, so each mask's
         hypothesis is built once.
         """
-        hyp = self._hypotheses.get(self.mask)
+        hyp = self._hypotheses.get(mask)
         if hyp is None:
             hyp = Concept(
-                id=-1, values=tuple(self.predict(x) for x in range(self.cls.domain_size))
+                id=-1, values=tuple(self.predict(mask, x) for x in range(self.cls.domain_size))
             )
-            self._hypotheses[self.mask] = hyp
+            self._hypotheses[mask] = hyp
         return hyp
 
 
@@ -239,64 +219,6 @@ class MistakeOnly:
 
 
 # ---------------------------------------------------------------------------
-# Adversaries
-# ---------------------------------------------------------------------------
-
-class RandomAdversary:
-    """Presents a uniformly random domain point each round."""
-
-    def __init__(self, domain_size: int):
-        self.domain_size = domain_size
-
-    def next_point(self, t, rng):
-        return int(rng.integers(self.domain_size))
-
-
-class CyclicAdversary:
-    """Presents the listed points in order, cycling."""
-
-    def __init__(self, points: Sequence[int]):
-        self.points = list(points)
-
-    def next_point(self, t, rng):
-        return self.points[t % len(self.points)]
-
-
-class WeakTreeAdversary:
-    """Walks a shattering tree, always claiming a mistake.
-
-    At node (x, a): present x; if the learner predicts below a, claim the truth
-    is above and descend right, else claim below and descend left.  At a leaf,
-    commit to the leaf's witness concept — it certifies every claim made on
-    the way down as a genuine zeta-mistake.
-    """
-
-    def __init__(self, witness: ShatterTree):
-        self.root = witness
-        self.node = witness
-        self.committed: Optional[int] = witness.leaf if witness.is_leaf else None
-
-    @property
-    def depth(self) -> int:
-        return self.root.depth()
-
-    def next_point(self) -> int:
-        if self.node.is_leaf:
-            raise TreeExhausted("adversary has committed; no more points to present")
-        return self.node.x
-
-    def observe_prediction(self, y_hat: float) -> bool:
-        """Record the claim, descend, and return the claimed direction (True=right)."""
-        if self.node.is_leaf:
-            raise TreeExhausted("adversary has committed; no more claims")
-        go_right = y_hat < self.node.a
-        self.node = self.node.right if go_right else self.node.left
-        if self.node.is_leaf:
-            self.committed = self.node.leaf
-        return go_right
-
-
-# ---------------------------------------------------------------------------
 # Transcripts and game harnesses
 # ---------------------------------------------------------------------------
 
@@ -333,23 +255,30 @@ class Transcript:
 def run_online_game(
     cls: ConceptClass,
     target_id: int,
-    adversary: "RandomAdversary | CyclicAdversary",
+    points: Optional[Sequence[int]],
     mode: "StrongFeedback | MistakeOnly",
     T: int,
     seed: int,
 ) -> Transcript:
     """Play T rounds of the strong-feedback or mistake-only protocol.
 
-    The harness validates the noise contract each round and treats an emptied
+    `points` is None for a uniformly random domain point each round, or a
+    nonempty sequence of domain indices played in order, cycling.  The
+    harness validates the noise contract each round and treats an emptied
     surviving set as an InvalidFeedback fault — with in-contract feedback the
     target survives every update.
     """
+    d = cls.domain_size
+    if points is not None and not (
+        len(points) and all(isinstance(x, (int, np.integer)) and 0 <= x < d for x in points)
+    ):
+        raise OutOfRange(f"points must be a nonempty sequence of domain indices in [0, {d})")
     rng = child_rng(seed, 0)
     target = cls.by_id(target_id)
     zeta = mode.zeta
     threshold = mode.mistake_threshold
     noise = mode.noise if isinstance(mode, StrongFeedback) else None
-    state = RsoaState(cls, zeta, strict=True)
+    state = RsoaState(cls, zeta)
     tr = Transcript(
         zeta=zeta,
         mistake_threshold=threshold,
@@ -358,8 +287,7 @@ def run_online_game(
     )
 
     def step(mask: int, xi: int) -> tuple[float, Optional[float], bool, int, int]:
-        state.mask = mask
-        y_hat = state.predict(xi)
+        y_hat = state.predict(mask, xi)
         c_val = target.values[xi]
         mistake = abs(y_hat - c_val) > threshold
         feedback: Optional[float] = None
@@ -375,27 +303,35 @@ def run_online_game(
             if abs(feedback - c_val) > mode.epsilon / 10.0 + 1e-12:
                 raise InvalidFeedback("mistake-only feedback out of contract")
         if feedback is not None:
-            state.update(xi, feedback)
-        return y_hat, feedback, mistake, state.mask, state.size()
+            mask = state.update(mask, xi, feedback)
+            if mask == 0:
+                raise InvalidFeedback(
+                    f"update at x={xi} with feedback {feedback} wiped the surviving set; "
+                    "valid feedback never eliminates the target"
+                )
+        return y_hat, feedback, mistake, mask, mask.bit_count()
 
     drawless = noise is None or noise in DRAWLESS_NOISES
     if drawless:
         # a round that reads no generator depends on (mask, xi) alone, so a
         # repeat skips no draw; a new key runs every check, on its own round
         step = functools.cache(step)
-    if type(adversary) is RandomAdversary and drawless:
+    if points is not None:
+        xs = (points[t % len(points)] for t in range(T))
+    elif drawless:
         # the points are the stream's only draws, and one call takes what T
         # scalar calls take: PCG64 serves bounded ints from its buffered
         # 32-bit halves either way
-        points = rng.integers(adversary.domain_size, size=max(T, 0)).tolist()
+        xs = rng.integers(d, size=max(T, 0)).tolist()
     else:  # drawn round by round, between the noise's draws
-        points = (adversary.next_point(t, rng) for t in range(T))
-    v_after = state.size()
-    for t, xi in enumerate(points):
+        xs = (int(rng.integers(d)) for _ in range(T))
+    mask = state.cache.full_mask()
+    v_after = mask.bit_count()
+    for t, xi in enumerate(xs):
         v_before = v_after
-        y_hat, feedback, mistake, state.mask, v_after = step(state.mask, xi)
+        y_hat, feedback, mistake, mask, v_after = step(mask, xi)
         tr.rounds.append(Round(t, xi, y_hat, feedback, mistake, v_before, v_after))
-    tr.final_hypothesis = state.final_hypothesis()
+    tr.final_hypothesis = state.final_hypothesis(mask)
     return tr
 
 
@@ -409,24 +345,28 @@ class WeakForcingResult:
 
 def run_weak_forcing_game(
     cls: ConceptClass,
-    adversary: WeakTreeAdversary,
+    witness: ShatterTree,
     learner: Callable[[int], float],
     zeta: float,
 ) -> WeakForcingResult:
-    """Drive any learner through the tree adversary; validate its claims.
+    """Walk a shattering tree against any learner, claiming a mistake every
+    round, then validate the claims.
 
-    The adversary claims a mistake every round; after it commits, each claim is
-    checked against the committed concept (predict-below-threshold rounds need
-    the concept at least zeta above it, and symmetrically), so the count of
-    claimed rounds is a certified lower bound on the learner's zeta-mistakes.
+    At node (x, a): present x; if the learner predicts below a, claim the
+    truth is above and descend right, else claim below and descend left.  At
+    the leaf, commit to its witness concept and check each claim against it
+    (predict-below-threshold rounds need the concept at least zeta above the
+    prediction, and symmetrically), so the count of claimed rounds is a
+    certified lower bound on the learner's zeta-mistakes.
     """
+    node = witness
     rounds = []
-    while adversary.committed is None:
-        xi = adversary.next_point()
-        y_hat = learner(xi)
-        went_right = adversary.observe_prediction(y_hat)
-        rounds.append((xi, y_hat, went_right))
-    target = cls.by_id(adversary.committed)
+    while not node.is_leaf:
+        y_hat = learner(node.x)
+        went_right = y_hat < node.a
+        rounds.append((node.x, y_hat, went_right))
+        node = node.right if went_right else node.left
+    target = cls.by_id(node.leaf)
     valid = True
     for xi, y_hat, went_right in rounds:
         gap = target.values[xi] - y_hat if went_right else y_hat - target.values[xi]
@@ -434,7 +374,7 @@ def run_weak_forcing_game(
             valid = False
     return WeakForcingResult(
         claimed_mistakes=len(rounds),
-        committed_target=adversary.committed,
+        committed_target=node.leaf,
         all_claims_valid=valid,
         rounds=tuple(rounds),
     )
@@ -443,8 +383,8 @@ def run_weak_forcing_game(
 def rsoa_as_weak_learner(cls: ConceptClass, zeta: float) -> Callable[[int], float]:
     """The super-bin predictor on the full class; weak feedback is unusable
     for its ball update, so the set never shrinks."""
-    state = RsoaState(cls, zeta, strict=True)
-    return state.predict
+    state = RsoaState(cls, zeta)
+    return functools.partial(state.predict, state.cache.full_mask())
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +403,10 @@ def run_shadow_stream(
     position.  Feedback (only on mistake rounds) is the true expectation
     rounded to the epsilon/5 grid, hence within epsilon/10.
     """
-    adversary = CyclicAdversary(list(measurement_order))
     tr = run_online_game(
         cls,
         target_id,
-        adversary,
+        measurement_order,
         MistakeOnly(epsilon=epsilon),
         T=len(measurement_order),
         seed=0,

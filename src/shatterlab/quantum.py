@@ -40,9 +40,12 @@ _MAX_DIM = 16
 
 
 def _hermitian(a, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """`a` as a complex matrix, and its eigenvalues; raises unless
-    it is square, of power-of-two size in 2..16, and Hermitian."""
+    """`a` as a complex matrix, and its eigenvalues; raises unless its
+    entries are finite and it is square, of power-of-two size in 2..16, and
+    Hermitian."""
     m = np.asarray(a, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NotPSD(f"{what} has a non-finite entry")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"{what} must be a square matrix, got shape {m.shape}")
     d = m.shape[0]

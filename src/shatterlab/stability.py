@@ -10,9 +10,10 @@ near the true value the injected example provably forces a mistake, so level-k
 samples carry k forced mistakes.
 
 G draws a uniformly random level k <= d (d = sfat at margin 2*zeta), samples
-under a draw-count cutoff, appends one more block, and returns the online
-learner's final hypothesis.  Across runs, some 11*zeta function ball receives
-probability at least zeta^d / (2 (d+1)), and its centre generalizes.
+under a draw-count cutoff, applies one more block to the surviving mask the
+curated sample carries, and returns the online learner's final hypothesis.
+Across runs, some 11*zeta function ball receives probability at least
+zeta^d / (2 (d+1)), and its centre generalizes.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ class Fail:
 class ExtSample:
     """A curated sample: k blocks of m examples, each followed by one injected
     mistake example; `draws_used` counts every example drawn from D along the
-    way, including discarded attempts."""
+    way, including discarded attempts, and `mask` is the learner's surviving
+    mask after all the sample's examples (the full mask at level 0)."""
 
     segments: tuple[tuple[tuple[tuple[int, float], ...], tuple[int, float]], ...]
     k: int
     draws_used: int
+    mask: int
 
     def examples(self) -> list[tuple[int, float]]:
         out: list[tuple[int, float]] = []
@@ -87,17 +90,12 @@ def sample_ext(
 ) -> "ExtSample | Fail":
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
-    `state` is a non-strict learner state; the class and zeta are its own.
-    It runs every attempt.  On success it is left at the surviving mask after
-    the sample's examples (the full mask at level 0); on Fail its mask is
-    unspecified.
+    The learner `state` runs every attempt; the class and zeta are its own.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
     if cutoff < 0:
         raise OutOfRange(f"cutoff must be nonnegative, got {cutoff}")
-    if state.strict:
-        raise OutOfRange("the sampler needs a non-strict learner state")
     cls, zeta = state.cls, state.zeta
     target = cls.by_id(target_id)
     bins = bin_midpoints(zeta)
@@ -107,42 +105,35 @@ def sample_ext(
         return Fail(draws_used=cutoff + 1)
     rng = child_rng(seed, 0xE27)
     budget = _Budget(cutoff)
-    empty = (ExtSample(segments=(), k=0, draws_used=0), state.cache.full_mask())
+    empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
     # one learner state serves every attempt: the sfat cache and the bin
-    # membership masks are shared, only the surviving mask is reset.  An
-    # update depends only on (mask, x, y), so a sub-sample's surviving mask
-    # stands in for replaying its examples from the full class, and each
-    # (mask, x, y) step is computed once.
+    # membership masks are shared.  An update depends only on (mask, x, y),
+    # so a sub-sample's surviving mask stands in for replaying its examples
+    # from the full class, and each (mask, x, y) step is computed once.
     steps: dict[tuple[int, int, float], int] = {}
 
     def resume(mask: int, examples: Sequence[tuple[int, float]]) -> int:
-        """Set the state to `mask` with `examples` applied; return that mask."""
+        """The surviving mask after `examples`, starting from `mask`."""
         for xi, y in examples:
             key = (mask, xi, y)
             nxt = steps.get(key)
             if nxt is None:
-                state.mask = mask
-                state.update(xi, y)
-                nxt = steps[key] = state.mask
+                nxt = steps[key] = state.update(mask, xi, y)
             mask = nxt
-        state.mask = mask
         return mask
 
-    def rec(level: int) -> Optional[tuple[ExtSample, int]]:
-        """A level-`level` sample and the surviving mask after all its examples."""
+    def rec(level: int) -> Optional[ExtSample]:
         if level == 0:
             return empty
         while True:
             pair = []
             for _branch in (0, 1):
                 sub = rec(level - 1)
-                if sub is None:
-                    return None
-                if not budget.draw(m):
+                if sub is None or not budget.draw(m):
                     return None
                 block = _draw_block(target, dist, m, rng)
-                mask = resume(sub[1], block)
-                pair.append((sub[0], block, mask, state.final_hypothesis()))
+                mask = resume(sub.mask, block)
+                pair.append((sub, block, mask, state.final_hypothesis(mask)))
             (s0, b0, v0, f0), (s1, b1, v1, f1) = pair
             diffs = [
                 x
@@ -158,34 +149,30 @@ def sample_ext(
             else:
                 keep_sub, keep_block, keep_mask = s0, b0, v0
             injected = (x_star, alpha)
-            return (
-                ExtSample(
-                    segments=keep_sub.segments + ((keep_block, injected),),
-                    k=level,
-                    draws_used=0,
-                ),
-                resume(keep_mask, (injected,)),
+            return ExtSample(
+                segments=keep_sub.segments + ((keep_block, injected),),
+                k=level,
+                draws_used=0,
+                mask=resume(keep_mask, (injected,)),
             )
 
     result = rec(k)
     if result is None:
         return Fail(draws_used=budget.used)
-    state.mask = result[1]
-    return ExtSample(segments=result[0].segments, k=k, draws_used=budget.used)
+    return ExtSample(segments=result.segments, k=k, draws_used=budget.used, mask=result.mask)
 
 
 class StableLearner:
     """The globally-stable learner G on one (class, zeta, alpha).
 
     d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
-    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one non-strict learner
-    state, whose surviving mask each run resets.
+    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state.
     """
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
         if not 0 < alpha:
             raise OutOfRange(f"alpha must be positive, got {alpha}")
-        self.state = RsoaState(cls, zeta, strict=False)
+        self.state = RsoaState(cls, zeta)
         self.d = self.state.mistake_bound()
         self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)
         self.cutoff = int(2 * (4.0 / zeta) ** (self.d + 1) * self.m)
@@ -207,12 +194,12 @@ class StableLearner:
         )
         if isinstance(s, Fail):
             return s
-        # the state holds the surviving mask after the curated sample
+        mask = s.mask
         for xi, y in _draw_block(state.cls.by_id(target_id), dist, m, rng):
-            state.update(xi, y)
-        if state.mask == 0:
+            mask = state.update(mask, xi, y)
+        if mask == 0:
             return Fail(draws_used=s.draws_used + m)
-        return state.final_hypothesis()
+        return state.final_hypothesis(mask)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,8 @@ from shatterlab.communication import (
 )
 from shatterlab.online import (
     NOISES,
-    RandomAdversary,
     RsoaState,
     StrongFeedback,
-    WeakTreeAdversary,
     rsoa_as_weak_learner,
 )
 from shatterlab.privacy import build_probabilistic_representation, exponential_weights, good_hypotheses
@@ -76,7 +74,7 @@ def test_criterion_1_mistake_bound():
             tr = run_online_game(
                 cls,
                 target,
-                RandomAdversary(nx),
+                None,
                 StrongFeedback(zeta, noise),
                 200,
                 seed=trial,
@@ -119,9 +117,7 @@ def test_criterion_3_adversarial_forcing():
         cls = generate_class(nx, nc, zeta, seed=20_000 + trial)
         res = sfat(cls, zeta)
         for learner in (rsoa_as_weak_learner(cls, zeta), lambda x: 0.5):
-            out = run_weak_forcing_game(
-                cls, WeakTreeAdversary(res.witness), learner, zeta
-            )
+            out = run_weak_forcing_game(cls, res.witness, learner, zeta)
             shortfalls += out.claimed_mistakes < res.dimension
             invalid += not out.all_claims_valid
     report(
@@ -152,7 +148,7 @@ def test_criterion_4_stability():
 
 def test_criterion_5_ext_sampling_cost():
     cls, dist, zeta, m = ext_cost_class()
-    state = RsoaState(cls, zeta, strict=False)
+    state = RsoaState(cls, zeta)
     details = []
     ok = True
     for level in (1, 2):

@@ -553,11 +553,21 @@ def _effect_dimension_off_state(tmp_path):
                       "measurements_files": [effect]}
 
 
+def _nan_state(kind):
+    # a NaN entry crashed quantum's eigensolver and slipped through shadow
+    def build(tmp_path):
+        path = write_matrix(tmp_path, "nan.json", 2, [math.nan, 1.0])
+        return kind, {"seed": 1, "states_files": [path]}
+    return build
+
+
 #: malformed configs that point at files; each builds its files under tmp_path
 MALFORMED_WITH_FILES = {
     "seventeen_states_files": _seventeen_states,
     "mixed_dimension_states_files": _mixed_dimension_states,
     "measurement_dimension_off_state": _effect_dimension_off_state,
+    "quantum_nan_state": _nan_state("quantum"),
+    "shadow_nan_state": _nan_state("shadow"),
 }
 
 

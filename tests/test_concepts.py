@@ -71,9 +71,8 @@ class TestCover:
 def superbin_ids(cls, ids, r, x=0, zeta=1 / 8):
     """Ids of `ids` in the learner's super-bin B(2*zeta, r) at point x."""
     state = RsoaState(cls, zeta)
-    state.mask = state.cache.mask_of_ids(ids)
     bin_mask = state.bin_masks[x][state.grid.index(r)]
-    return state.cache.ids_of_mask(state.mask & bin_mask)
+    return state.cache.ids_of_mask(state.cache.mask_of_ids(ids) & bin_mask)
 
 
 class TestSuperbinMembers:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,19 +18,11 @@ from shatterlab import (
 )
 from shatterlab.classes import generate_class
 from shatterlab.concepts import round_to_grid
-from shatterlab.errors import (
-    EmptySurvivingSet,
-    InvalidFeedback,
-    OutOfRange,
-    TreeExhausted,
-)
+from shatterlab.errors import InvalidFeedback, OutOfRange
 from shatterlab.online import (
     DRAWLESS_NOISES,
     NOISES,
-    CyclicAdversary,
-    RandomAdversary,
     RsoaState,
-    WeakTreeAdversary,
     exact_noise,
     extreme_noise,
     uniform_noise,
@@ -39,20 +32,26 @@ from shatterlab.seeding import child_rng
 from tests.conftest import make_class
 
 
+def full_prediction(cls, zeta, x=0):
+    state = RsoaState(cls, zeta)
+    return state.predict(state.cache.full_mask(), x)
+
+
 class TestPredict:
     def test_singleton_at_half(self):
-        cls = make_class([[0.5]])
-        assert RsoaState(cls, 1 / 8).predict(0) == pytest.approx(0.5)
+        assert full_prediction(make_class([[0.5]]), 1 / 8) == pytest.approx(0.5)
 
     def test_two_constants_tie(self, two_constants_19):
         # bins 0.25 and 0.75 tie at dimension 0; the mean is 0.5
-        assert RsoaState(two_constants_19, 1 / 8).predict(0) == pytest.approx(0.5)
+        assert full_prediction(two_constants_19, 1 / 8) == pytest.approx(0.5)
 
-    def test_empty_set_raises(self, two_constants_19):
-        state = RsoaState(two_constants_19, 1 / 8)
-        state.mask = 0
-        with pytest.raises(EmptySurvivingSet):
-            state.predict(0)
+    def test_empty_mask_predicts_the_all_bins_tie(self):
+        # every bin scores the empty-subset sentinel, so all of them tie
+        state = RsoaState(make_class([[0.2], [0.6]]), 1 / 10)
+        assert state.predict_with_maximizers(0, 0) == (
+            pytest.approx(0.5), list(state.grid)
+        )
+        assert state.final_hypothesis(0).values == (pytest.approx(0.5),)
 
     def test_grid_for_odd_reciprocal(self):
         assert prediction_grid(1 / 5) == pytest.approx((0.4, 0.8))
@@ -77,10 +76,9 @@ class TestPredict:
 
 def surviving_after(cls, ids, feedback, zeta=1 / 8, x=0):
     """Surviving ids after one update from the surviving set `ids`."""
-    state = RsoaState(cls, zeta, strict=False)
-    state.mask = state.cache.mask_of_ids(ids)
-    state.update(x, feedback)
-    return state.surviving_ids
+    state = RsoaState(cls, zeta)
+    mask = state.update(state.cache.mask_of_ids(ids), x, feedback)
+    return state.cache.ids_of_mask(mask)
 
 
 class TestUpdate:
@@ -104,7 +102,7 @@ class TestStrongGame:
     def test_singleton_never_mistakes(self):
         cls = make_class([[0.3, 0.7]])
         tr = run_online_game(
-            cls, 0, RandomAdversary(2), StrongFeedback(1 / 8, exact_noise), 50, seed=1
+            cls, 0, None, StrongFeedback(1 / 8, exact_noise), 50, seed=1
         )
         assert tr.mistakes == 0
 
@@ -112,7 +110,7 @@ class TestStrongGame:
         tr = run_online_game(
             two_constants_19,
             0,
-            CyclicAdversary([0]),
+            [0],
             StrongFeedback(1 / 8, exact_noise),
             3,
             seed=0,
@@ -133,7 +131,7 @@ class TestStrongGame:
                 tr = run_online_game(
                     cls,
                     int(rng.integers(nc)),
-                    RandomAdversary(nx),
+                    None,
                     StrongFeedback(zeta, noise),
                     60,
                     seed=trial,
@@ -145,12 +143,13 @@ class TestStrongGame:
         zeta = 1 / 8
         cls = generate_class(3, 8, zeta, seed=77)
         tr = run_online_game(
-            cls, 0, RandomAdversary(3), StrongFeedback(zeta, uniform_noise), 40, seed=5
+            cls, 0, None, StrongFeedback(zeta, uniform_noise), 40, seed=5
         )
-        final_state = RsoaState(cls, zeta)
+        state = RsoaState(cls, zeta)
+        mask = state.cache.full_mask()
         for r in tr.rounds:
-            final_state.update(r.x, r.feedback)
-        for cid in final_state.surviving_ids:
+            mask = state.update(mask, r.x, r.feedback)
+        for cid in state.cache.ids_of_mask(mask):
             for r in tr.rounds:
                 assert abs(cls.by_id(cid).values[r.x] - r.feedback) < zeta
 
@@ -161,7 +160,7 @@ class TestStrongGame:
             tr = run_online_game(
                 cls,
                 1,
-                RandomAdversary(3),
+                None,
                 StrongFeedback(zeta, extreme_noise),
                 40,
                 seed=trial,
@@ -175,19 +174,20 @@ class TestStrongGame:
             tr = run_online_game(
                 cls,
                 0,
-                RandomAdversary(3),
+                None,
                 StrongFeedback(zeta, exact_noise),
                 30,
                 seed=trial,
             )
             # replay the game's rounds to see every round's maximizers
             state = RsoaState(cls, zeta)
+            mask = state.cache.full_mask()
             spreads = []
             for r in tr.rounds:
-                y_hat, maxs = state.predict_with_maximizers(r.x)
+                y_hat, maxs = state.predict_with_maximizers(mask, r.x)
                 assert y_hat == r.prediction
                 spreads.append(max(maxs) - min(maxs))
-                state.update(r.x, r.feedback)
+                mask = state.update(mask, r.x, r.feedback)
             assert max(spreads) <= 4 * zeta + 1e-12
 
     def test_surviving_set_never_grows(self):
@@ -197,7 +197,7 @@ class TestStrongGame:
             tr = run_online_game(
                 cls,
                 0,
-                RandomAdversary(3),
+                None,
                 StrongFeedback(zeta, uniform_noise),
                 40,
                 seed=trial,
@@ -209,10 +209,10 @@ class TestStrongGame:
         zeta = 1 / 8
         cls = generate_class(4, 10, zeta, seed=55)
         a = run_online_game(
-            cls, 2, RandomAdversary(4), StrongFeedback(zeta, uniform_noise), 50, seed=9
+            cls, 2, None, StrongFeedback(zeta, uniform_noise), 50, seed=9
         )
         b = run_online_game(
-            cls, 2, RandomAdversary(4), StrongFeedback(zeta, uniform_noise), 50, seed=9
+            cls, 2, None, StrongFeedback(zeta, uniform_noise), 50, seed=9
         )
         assert [(r.x, r.prediction, r.feedback) for r in a.rounds] == [
             (r.x, r.prediction, r.feedback) for r in b.rounds
@@ -227,11 +227,20 @@ class TestStrongGame:
             run_online_game(
                 two_constants_19,
                 0,
-                CyclicAdversary([0]),
+                [0],
                 StrongFeedback(1 / 8, bad_noise),
                 3,
                 seed=0,
             )
+
+    def test_wiped_set_is_invalid_feedback(self):
+        # feedback exactly zeta away passes the contract check, but the
+        # update's ball is open, so it eliminates the target
+        def edge_noise(c_val, y_hat, zeta, rng):
+            return c_val + zeta
+
+        with pytest.raises(InvalidFeedback, match="wiped the surviving set"):
+            run_online_game(make_class([[0.25]]), 0, [0], StrongFeedback(1 / 8, edge_noise), 3, 0)
 
     def test_noise_contract_holds(self):
         rng = np.random.default_rng(0)
@@ -255,41 +264,127 @@ class TestStrongGame:
 class TestWeakForcing:
     def test_forces_depth_against_rsoa(self, four_constants):
         res = sfat(four_constants, 1 / 6)
-        adv = WeakTreeAdversary(res.witness)
         out = run_weak_forcing_game(
-            four_constants, adv, rsoa_as_weak_learner(four_constants, 1 / 4), 1 / 6
+            four_constants, res.witness, rsoa_as_weak_learner(four_constants, 1 / 4), 1 / 6
         )
         assert out.claimed_mistakes == res.dimension == 2
         assert out.all_claims_valid
 
     def test_forces_depth_against_constant(self, four_constants):
         res = sfat(four_constants, 1 / 6)
-        adv = WeakTreeAdversary(res.witness)
-        out = run_weak_forcing_game(four_constants, adv, lambda x: 0.5, 1 / 6)
+        out = run_weak_forcing_game(four_constants, res.witness, lambda x: 0.5, 1 / 6)
         assert out.claimed_mistakes == 2
         assert out.all_claims_valid
 
     def test_depth_zero_commits_immediately(self):
         cls = make_class([[0.5]])
         res = sfat(cls, 1 / 4)
-        adv = WeakTreeAdversary(res.witness)
-        out = run_weak_forcing_game(cls, adv, lambda x: 0.5, 1 / 4)
+        out = run_weak_forcing_game(cls, res.witness, lambda x: 0.5, 1 / 4)
         assert out.claimed_mistakes == 0
         assert out.committed_target == 0
-
-    def test_exhausted_adversary_raises(self, four_constants):
-        res = sfat(four_constants, 1 / 6)
-        adv = WeakTreeAdversary(res.witness)
-        run_weak_forcing_game(four_constants, adv, lambda x: 0.5, 1 / 6)
-        with pytest.raises(TreeExhausted):
-            adv.next_point()
 
 
 def one_mistake_only_round(cls, target_id, epsilon):
     tr = run_online_game(
-        cls, target_id, CyclicAdversary([0]), MistakeOnly(epsilon), T=1, seed=0
+        cls, target_id, [0], MistakeOnly(epsilon), T=1, seed=0
     )
     return tr.rounds[0]
+
+
+class TestPoints:
+    @pytest.mark.parametrize("points", [[], [-1], [2], [0, 2], [1.0], ["0"]], ids=repr)
+    def test_rejects_points_outside_the_domain(self, points):
+        cls = make_class([[0.2, 0.6], [0.6, 0.2]])
+        with pytest.raises(OutOfRange):
+            run_online_game(cls, 0, points, StrongFeedback(1 / 8, exact_noise), 3, seed=0)
+        with pytest.raises(OutOfRange):
+            run_shadow_stream(cls, 0, points, 0.5)
+
+    def test_cycles_through_the_points(self):
+        cls = make_class([[0.2, 0.6, 0.4]])
+        tr = run_online_game(cls, 0, [2, np.int64(0)], StrongFeedback(1 / 8, exact_noise), 5, 0)
+        assert [r.x for r in tr.rounds] == [2, 0, 2, 0, 2]
+
+
+def worst_case_mistakes(state, target_row):
+    """The most 5*zeta-mistakes any adaptive adversary forces on the learner
+    when the target is row `target_row`, or math.inf when it forces them
+    without end.
+
+    Each round the adversary picks a point x and any feedback f in [0, 1] with
+    |f - c(x)| < zeta.  Feedbacks that leave the same surviving mask are one
+    choice, and the breakpoints c'(x) +- zeta bound the groups, so trying each
+    breakpoint and each gap between two of them covers every group.  The
+    search is memoized over masks; it reads only `state.predict` and writes
+    its own open-ball update.
+    """
+    table = state.cls.table.tolist()
+    zeta = state.zeta
+    rows = range(len(table))
+    c = table[target_row]
+    worst = {}
+
+    def survivors(mask, x, f):
+        return sum(1 << r for r in rows if mask >> r & 1 and abs(table[r][x] - f) < zeta)
+
+    def masks_after(mask, x):
+        lo, hi = max(0.0, c[x] - zeta), min(1.0, c[x] + zeta)
+        cuts = sorted({lo, hi} | {
+            b for r in rows if mask >> r & 1
+            for b in (table[r][x] - zeta, table[r][x] + zeta) if lo < b < hi
+        })
+        fs = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        return {survivors(mask, x, f) for f in fs if abs(f - c[x]) < zeta}
+
+    def value(mask):
+        if mask not in worst:
+            best = 0
+            for x in range(len(c)):
+                mistake = abs(state.predict(mask, x) - c[x]) > 5 * zeta
+                for nxt in masks_after(mask, x):
+                    if nxt != mask:
+                        best = max(best, mistake + value(nxt))
+                    elif mistake:  # the adversary repeats this round forever
+                        best = math.inf
+            worst[mask] = best
+        return worst[mask]
+
+    return value(state.cache.full_mask())
+
+
+def worst_case_sweep(zeta, classes=40):
+    """(classes whose worst case exceeds sfat(2*zeta), classes with a bound of
+    at least 1, those among them whose worst case reaches it), over generated
+    classes with 1-4 points and 2-10 concepts, every target."""
+    rng = np.random.default_rng(7)
+    violations = with_bound = reached = 0
+    for i in range(classes):
+        nx, nc = int(rng.integers(1, 5)), int(rng.integers(2, 11))
+        cls = generate_class(nx, nc, zeta, seed=i)
+        bound = sfat(cls, 2 * zeta).dimension
+        state = RsoaState(cls, zeta)
+        worst = max(worst_case_mistakes(state, row) for row in range(nc))
+        violations += worst > bound
+        with_bound += bound >= 1
+        reached += bound >= 1 and worst == bound
+    return violations, with_bound, reached
+
+
+class TestWorstCaseAdversary:
+    """The mistake bound against every adaptive adversary, not a random one."""
+
+    @pytest.mark.parametrize("zinv,floor", [(8, 5), (12, 15), (16, 15)])
+    def test_no_adversary_beats_the_bound(self, zinv, floor):
+        violations, with_bound, reached = worst_case_sweep(1 / zinv)
+        print(f"zeta=1/{zinv}: worst = bound >= 1 on {reached}/{with_bound} classes")
+        assert violations == 0
+        assert reached >= floor
+
+    @pytest.mark.parametrize("zinv", [12, 16])
+    def test_catches_a_learner_that_always_predicts_half(self, monkeypatch, zinv):
+        # at 5*zeta < 1/2 a constant 0.5 can be forced past the bound
+        monkeypatch.setattr(RsoaState, "predict", lambda self, mask, x: 0.5)
+        assert worst_case_sweep(1 / zinv)[0] >= 30
 
 
 class TestMistakeOnly:
@@ -314,7 +409,7 @@ class TestMistakeOnly:
             tr = run_online_game(
                 cls,
                 target,
-                RandomAdversary(3),
+                None,
                 MistakeOnly(epsilon=eps),
                 80,
                 seed=trial,
@@ -342,7 +437,7 @@ class TestSfatBound:
     def test_equals_sfat_on_generated_classes(self, nx, nc, seed, zeta, eps):
         cls = generate_class(nx, nc, 1 / 4, seed=seed)
         mode = StrongFeedback(zeta, exact_noise)
-        tr = run_online_game(cls, 0, RandomAdversary(nx), mode, 5, seed=seed)
+        tr = run_online_game(cls, 0, None, mode, 5, seed=seed)
         assert tr.sfat_bound == sfat(cls, 2 * zeta).dimension
         shadow, _ = run_shadow_stream(cls, 0, list(range(nx)), eps)
         assert shadow.sfat_bound == sfat(cls, 2 * eps / 5).dimension
@@ -371,14 +466,15 @@ class TestGentleComplexity:
 
 class TestRunOnSample:
     def test_matches_game_updates(self, two_constants_19):
-        state = RsoaState(two_constants_19, 1 / 8, strict=False)
+        state = RsoaState(two_constants_19, 1 / 8)
+        mask = state.cache.full_mask()
         for xi, y in [(0, 0.1), (0, 0.1)]:
-            state.update(xi, y)
-        hyp = state.final_hypothesis()
+            mask = state.update(mask, xi, y)
+        hyp = state.final_hypothesis(mask)
         tr = run_online_game(
             two_constants_19,
             0,
-            CyclicAdversary([0]),
+            [0],
             StrongFeedback(1 / 8, exact_noise),
             2,
             seed=0,
@@ -387,7 +483,7 @@ class TestRunOnSample:
 
 
 
-def reference_game(cls, target_id, adversary, mode, T, seed):
+def reference_game(cls, target_id, points, mode, T, seed):
     """The plain harness: one scalar draw per point, no prediction memo.
 
     Returns (rounds as tuples, final hypothesis values)."""
@@ -395,23 +491,25 @@ def reference_game(cls, target_id, adversary, mode, T, seed):
     target = cls.by_id(target_id)
     zeta = mode.zeta
     noise = mode.noise if isinstance(mode, StrongFeedback) else None
-    state = RsoaState(cls, zeta, strict=True)
+    state = RsoaState(cls, zeta)
+    mask = state.cache.full_mask()
     rounds = []
     for t in range(T):
-        xi = adversary.next_point(t, rng)
-        v_before = state.size()
-        y_hat = state.predict_with_maximizers(xi)[0]
+        xi = int(rng.integers(cls.domain_size)) if points is None else points[t % len(points)]
+        v_before = mask.bit_count()
+        y_hat = state.predict_with_maximizers(mask, xi)[0]
         c_val = target.values[xi]
         mistake = abs(y_hat - c_val) > mode.mistake_threshold
         feedback = None
         if noise is not None:
             feedback = noise(c_val, y_hat, zeta, rng)
-            state.update(xi, feedback)
+            mask = state.update(mask, xi, feedback)
         elif mistake:
             feedback = round_to_grid(c_val, 2.0 * (mode.epsilon / 10.0))
-            state.update(xi, feedback)
-        rounds.append((t, xi, y_hat, feedback, mistake, v_before, state.size()))
-    final = tuple(state.predict_with_maximizers(x)[0] for x in range(cls.domain_size))
+            mask = state.update(mask, xi, feedback)
+        assert mask, "the plain harness met a wiped surviving set"
+        rounds.append((t, xi, y_hat, feedback, mistake, v_before, mask.bit_count()))
+    final = tuple(state.predict_with_maximizers(mask, x)[0] for x in range(cls.domain_size))
     return rounds, final
 
 
@@ -455,12 +553,12 @@ class TestBatchedGame:
 
         cls = generate_class(2, 6, 1 / 8, seed=3)
         mode = StrongFeedback(1 / 8, Offset(0.5))
-        tr = run_online_game(cls, 1, RandomAdversary(2), mode, 50, seed=2)
+        tr = run_online_game(cls, 1, None, mode, 50, seed=2)
         assert [tuple(r) for r in tr.rounds] == reference_game(
-            cls, 1, RandomAdversary(2), mode, 50, 2
+            cls, 1, None, mode, 50, 2
         )[0]
         with pytest.raises(InvalidFeedback, match="Offset"):
-            run_online_game(cls, 1, RandomAdversary(2), StrongFeedback(1 / 8, Offset(3)), 5, 2)
+            run_online_game(cls, 1, None, StrongFeedback(1 / 8, Offset(3)), 5, 2)
 
     @pytest.mark.parametrize("nx,nc", [(1, 1), (1, 6), (3, 10), (6, 20)])
     def test_game_matches_the_plain_harness(self, nx, nc):
@@ -470,10 +568,10 @@ class TestBatchedGame:
             modes = [StrongFeedback(zeta, noise) for noise in NOISES.values()]
             modes += [StrongFeedback(zeta, drawing_noise), MistakeOnly(5 * zeta)]
             for i, mode in enumerate(modes):
-                for adversary in (RandomAdversary(nx), CyclicAdversary([nx - 1, 0])):
+                for points in (None, [nx - 1, 0]):
                     target = i % nc
-                    tr = run_online_game(cls, target, adversary, mode, 300, seed=i)
-                    rounds, final = reference_game(cls, target, adversary, mode, 300, i)
+                    tr = run_online_game(cls, target, points, mode, 300, seed=i)
+                    rounds, final = reference_game(cls, target, points, mode, 300, i)
                     assert [tuple(r) for r in tr.rounds] == rounds
                     assert tr.final_hypothesis.values == final
 
@@ -482,28 +580,18 @@ class TestPredictionMemo:
     def test_memo_matches_fresh_predictions(self):
         zeta = 1 / 8
         cls = generate_class(4, 16, zeta, seed=8)
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         rng = np.random.default_rng(4)
-        masks = [state.mask]
+        masks = [state.cache.full_mask()]
         for _ in range(6):
+            mask = masks[-1]
             for x in range(4):
-                assert state.predict(x) == state.predict_with_maximizers(x)[0]
-            state.update(int(rng.integers(4)), float(cls.concepts[3].values[0]))
-            masks.append(state.mask)
-        # masks set from outside, as the stability sampler does, revisited
+                assert state.predict(mask, x) == state.predict_with_maximizers(mask, x)[0]
+            masks.append(state.update(mask, int(rng.integers(4)), float(cls.concepts[3].values[0])))
+        # masks revisited out of order, as the stability sampler does
         for mask in masks[::-1] + [int(rng.integers(1, 1 << 16)), 0]:
-            state.mask = mask
             for x in range(4):
-                assert state.predict(x) == state.predict_with_maximizers(x)[0]
-
-    def test_strict_empty_set_still_raises(self, two_constants_19):
-        state = RsoaState(two_constants_19, 1 / 8)
-        state.predict(0)
-        state.mask = 0
-        with pytest.raises(EmptySurvivingSet):
-            state.predict(0)
-        with pytest.raises(EmptySurvivingSet):
-            state.final_hypothesis()
+                assert state.predict(mask, x) == state.predict_with_maximizers(mask, x)[0]
 
 
 def recording(monkeypatch, name):
@@ -511,17 +599,17 @@ def recording(monkeypatch, name):
     calls = []
     original = getattr(RsoaState, name)
 
-    def wrapper(self, xi, *args):
-        calls.append((self.mask, xi))
-        return original(self, xi, *args)
+    def wrapper(self, mask, xi, *args):
+        calls.append((mask, xi))
+        return original(self, mask, xi, *args)
 
     monkeypatch.setattr(RsoaState, name, wrapper)
     return calls
 
 
 def distinct_keys(tr):
-    """The (mask, x) keys of a transcript's rounds: strict updates shrink the
-    mask along a chain, so the surviving count names the mask."""
+    """The (mask, x) keys of a transcript's rounds: updates shrink the mask
+    along a chain, so the surviving count names the mask."""
     return {(r.v_before, r.x) for r in tr.rounds}
 
 
@@ -531,9 +619,9 @@ class TestStepMemo:
         zeta = 1 / 8
         cls = generate_class(3, 12, zeta, seed=5)
         updates = recording(monkeypatch, "update")
-        for adversary in (RandomAdversary(3), CyclicAdversary([2, 0, 1])):
+        for points in (None, [2, 0, 1]):
             updates.clear()
-            tr = run_online_game(cls, 4, adversary, StrongFeedback(zeta, noise), 300, seed=3)
+            tr = run_online_game(cls, 4, points, StrongFeedback(zeta, noise), 300, seed=3)
             assert len(updates) == len(set(updates)) == len(distinct_keys(tr))
             assert len(updates) < len(tr.rounds)
 
@@ -542,16 +630,16 @@ class TestStepMemo:
         zeta = 1 / 8
         cls = generate_class(3, 12, zeta, seed=5)
         updates = recording(monkeypatch, "update")
-        for adversary in (RandomAdversary(3), CyclicAdversary([2, 0, 1])):
+        for points in (None, [2, 0, 1]):
             updates.clear()
-            tr = run_online_game(cls, 4, adversary, StrongFeedback(zeta, noise), 300, seed=3)
+            tr = run_online_game(cls, 4, points, StrongFeedback(zeta, noise), 300, seed=3)
             assert len(updates) == len(tr.rounds) == 300
 
     def test_mistake_only_game_is_memoized(self, monkeypatch):
         cls = generate_class(4, 16, 1 / 10, seed=0)
         predicts = recording(monkeypatch, "predict")
         updates = recording(monkeypatch, "update")
-        tr = run_online_game(cls, 3, CyclicAdversary([0, 1, 2, 3]), MistakeOnly(0.2), 300, seed=0)
+        tr = run_online_game(cls, 3, [0, 1, 2, 3], MistakeOnly(0.2), 300, seed=0)
         mistake_keys = {(r.v_before, r.x) for r in tr.rounds if r.mistake}
         assert 0 < len(updates) == len(set(updates)) == len(mistake_keys)
         # one prediction per key, and the final hypothesis's at most one per point

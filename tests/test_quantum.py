@@ -68,6 +68,19 @@ class TestValidation:
         with pytest.raises(NotPSD):
             Measurement(2 * np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]], [[-np.inf, 0], [0, 1]],
+         [[0.5, complex(0, np.nan)], [complex(0, np.nan), 0.5]]],
+        ids=["nan", "inf", "-inf", "imaginary-nan"],
+    )
+    def test_rejects_non_finite_entries(self, entries):
+        m = np.array(entries, dtype=complex)
+        with pytest.raises(NotPSD, match="non-finite"):
+            DensityMatrix(m)
+        with pytest.raises(NotPSD, match="non-finite"):
+            Measurement(m)
+
 
 class TestExpectation:
     def test_projector_on_own_state(self):

@@ -39,18 +39,18 @@ def _reference_block(target, dist, m, rng):
 
 
 def _reference_replay(state, examples):
-    state.mask = state.cache.full_mask()
+    mask = state.cache.full_mask()
     for xi, y in examples:
-        state.update(xi, y)
-    values = tuple(state.predict(x) for x in range(state.cls.domain_size))
-    return Concept(-1, values), state.mask
+        mask = state.update(mask, xi, y)
+    values = tuple(state.predict(mask, x) for x in range(state.cls.domain_size))
+    return Concept(-1, values), mask
 
 
 def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
     target = cls.by_id(target_id)
     bins = bin_midpoints(zeta)
     rng = child_rng(seed, 0xE27)
-    state = RsoaState(cls, zeta, strict=False)
+    state = RsoaState(cls, zeta)
     used = 0
 
     def rec(level):
@@ -87,7 +87,8 @@ def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
     segments = rec(k)
     if segments is None:
         return Fail(draws_used=used)
-    return ExtSample(segments=segments, k=k, draws_used=used)
+    prefix = [e for blk, injected in segments for e in (*blk, injected)]
+    return ExtSample(segments, k, used, _reference_replay(state, prefix)[1])
 
 
 def reference_G(cls, target_id, dist, zeta, alpha, seed):
@@ -100,7 +101,7 @@ def reference_G(cls, target_id, dist, zeta, alpha, seed):
     if isinstance(s, Fail):
         return s
     block = _reference_block(cls.by_id(target_id), dist, m, rng)
-    hyp, mask = _reference_replay(RsoaState(cls, zeta, strict=False), s.examples() + list(block))
+    hyp, mask = _reference_replay(RsoaState(cls, zeta), s.examples() + list(block))
     if mask == 0:
         return Fail(draws_used=s.draws_used + m)
     return hyp
@@ -121,7 +122,7 @@ class TestStreamIdentity:
         ]
         seen = {"fail": 0, "ok": 0}
         for c, d, z, block, cutoffs in cases:
-            state = RsoaState(c, z, strict=False)  # reused, as G reuses its own
+            state = RsoaState(c, z)  # reused, as G reuses its own
             for k in (0, 1, 2):
                 for cutoff in cutoffs:
                     for seed in range(6):
@@ -157,31 +158,31 @@ class TestStreamIdentity:
 
 
 class TestSampleExt:
-    def test_success_leaves_the_state_at_the_sample_mask(self):
+    def test_sample_mask_matches_a_full_replay(self):
         # G reads the mask instead of replaying the sample: it must be the
         # mask a replay from the full class reaches, the full mask at level 0
         cls, dist, zeta, m = ext_cost_class()
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         levels = []
         for seed in range(8):
             for k in (2, 1, 0):
                 s = sample_ext(state, 0, dist, k, m, 20_000, seed=seed)
                 if isinstance(s, Fail):
                     continue
-                fresh = RsoaState(cls, zeta, strict=False)
-                assert state.mask == _reference_replay(fresh, s.examples())[1]
+                fresh = RsoaState(cls, zeta)
+                assert s.mask == _reference_replay(fresh, s.examples())[1]
                 levels.append(k)
         assert {0, 1, 2} <= set(levels)
 
     def test_level_zero_is_empty(self, two_constants_01):
-        state = RsoaState(two_constants_01, 1 / 4, strict=False)
+        state = RsoaState(two_constants_01, 1 / 4)
         s = sample_ext(state, 0, Distribution.uniform(1), 0, 3, 100, seed=1)
         assert s.segments == ()
         assert s.draws_used == 0
 
     def test_level_one_structure(self):
         cls, dist, zeta, m = ext_cost_class()
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, seed=2)
         assert not isinstance(s, Fail)
         assert s.k == 1
@@ -192,7 +193,7 @@ class TestSampleExt:
 
     def test_level_two_structure(self):
         cls, dist, zeta, m = ext_cost_class()
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, seed=3)
         assert s.k == 2
         assert len(s.segments) == 2
@@ -201,7 +202,7 @@ class TestSampleExt:
     def test_cutoff_returns_fail(self, two_constants_01):
         # at zeta=1/4 the disagreement threshold 11*zeta exceeds 1, so the
         # retry loop can never succeed and must hit the cutoff
-        state = RsoaState(two_constants_01, 1 / 4, strict=False)
+        state = RsoaState(two_constants_01, 1 / 4)
         out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, seed=4)
         assert isinstance(out, Fail)
         assert out.draws_used > 60
@@ -212,14 +213,14 @@ class TestSampleExt:
             raise AssertionError("sample_ext drew a block")
 
         monkeypatch.setattr(stability, "_draw_block", no_draws)
-        state = RsoaState(two_constants_01, 1 / 4, strict=False)
+        state = RsoaState(two_constants_01, 1 / 4)
         for k in (1, 2):
             out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, seed=4)
             assert out == Fail(draws_used=61)
 
     def test_injected_label_is_a_bin_midpoint(self):
         cls, dist, zeta, m = ext_cost_class()
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         mids = set(round(v, 12) for v in np.arange(1, 2 * round(1 / zeta), 2) / (2 * round(1 / zeta)))
         for seed in range(10):
             s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, seed=seed)
@@ -228,7 +229,7 @@ class TestSampleExt:
 
     def test_mean_draw_cost_within_paper_bound(self):
         cls, dist, zeta, m = ext_cost_class()
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         for level in (1, 2):
             bound = 4 ** (level + 1) * m
             draws = []
@@ -243,7 +244,7 @@ class TestSampleExt:
         # when the injected label is the target's own bin midpoint, replaying
         # the sample makes the learner 5*zeta-wrong at the injection round
         cls, dist, zeta, m = ext_cost_class()
-        sampler = RsoaState(cls, zeta, strict=False)
+        sampler = RsoaState(cls, zeta)
         target = cls.by_id(0)
         checked = 0
         for seed in range(200):
@@ -252,21 +253,21 @@ class TestSampleExt:
             x_star, alpha = examples[-1]
             if abs(alpha - target.values[x_star]) > zeta / 2:
                 continue
-            state = RsoaState(cls, zeta, strict=False)
+            state = RsoaState(cls, zeta)
+            mask = state.cache.full_mask()
             for xi, y in examples[:-1]:
-                state.update(xi, y)
-            prediction = state.predict(x_star)
+                mask = state.update(mask, xi, y)
+            prediction = state.predict(mask, x_star)
             assert abs(prediction - target.values[x_star]) > 5 * zeta
             checked += 1
         assert checked >= 3
 
     def test_validation(self, two_constants_01):
-        state = RsoaState(two_constants_01, 1 / 4, strict=False)
+        state = RsoaState(two_constants_01, 1 / 4)
         with pytest.raises(OutOfRange):
             sample_ext(state, 0, Distribution.uniform(1), -1, 3, 10, 0)
-        # a strict state would raise on the first wiped surviving set
         with pytest.raises(OutOfRange):
-            sample_ext(RsoaState(two_constants_01, 1 / 4), 0, Distribution.uniform(1), 0, 3, 10, 0)
+            sample_ext(state, 0, Distribution.uniform(1), 0, 3, -1, 0)
 
 
 class TestStableLearner:
@@ -289,20 +290,21 @@ class TestStableLearner:
         # every final survivor agrees with every consumed example within zeta,
         # and the prediction-rule output stays within 5*zeta of each label
         cls, dist, zeta, m = ext_cost_class()
-        sampler = RsoaState(cls, zeta, strict=False)
+        sampler = RsoaState(cls, zeta)
         checked = 0
         for seed in range(160):
             s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, seed=seed)
             xs = dist.sample(np.random.default_rng(seed), m)
             block = [(int(x), cls.by_id(0).values[int(x)]) for x in xs]
             examples = s.examples() + block
-            state = RsoaState(cls, zeta, strict=False)
+            state = RsoaState(cls, zeta)
+            mask = state.cache.full_mask()
             for xi, y in examples:
-                state.update(xi, y)
-            if state.mask == 0:
+                mask = state.update(mask, xi, y)
+            if mask == 0:
                 continue
-            hyp = state.final_hypothesis()
-            for cid in state.surviving_ids:
+            hyp = state.final_hypothesis(mask)
+            for cid in state.cache.ids_of_mask(mask):
                 for xi, y in examples:
                     assert abs(cls.by_id(cid).values[xi] - y) < zeta
             for xi, y in examples:
@@ -363,7 +365,7 @@ class TestStabilityExperiment:
     def test_cutoff_soundness(self):
         # Pr[draws exceed the Markov cutoff] <= zeta^d / 2, within 3 sigma
         cls, dist, zeta, m = ext_cost_class()
-        state = RsoaState(cls, zeta, strict=False)
+        state = RsoaState(cls, zeta)
         d = sfat(cls, 2 * zeta).dimension
         cutoff = int(2 * (4.0 / zeta) ** (d + 1) * m)
         fails = 0
