@@ -34,20 +34,13 @@ from .errors import (
 )
 from .online import (
     NOISES,
-    StrongFeedback,
     run_online_game,
     run_shadow_stream,
     run_weak_forcing_game,
     rsoa_as_weak_learner,
 )
 from .privacy import ExponentialMechanism, discretize_hypotheses, dp_test
-from .communication import (
-    BaselineEvalProtocol,
-    CorruptedEvalProtocol,
-    all_instances,
-    augindex_via_eval,
-    cc_lower_bound,
-)
+from .communication import all_instances, augindex_via_eval, cc_lower_bound, index_bits
 from .quantum import (
     Ensemble,
     audenaert_bound,
@@ -177,8 +170,7 @@ def run_online(cfg: dict, seed: int) -> Report:
     _require(isinstance(noise_name, str) and noise_name in NOISES, f"unknown noise {noise_name!r}")
     cls = _load_class(cfg, seed)
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
-    mode = StrongFeedback(zeta=zeta, noise=NOISES[noise_name])
-    tr = run_online_game(cls, target, None, mode, T, seed)
+    tr = run_online_game(cls, target, None, zeta, NOISES[noise_name], T, seed)
     summary = {
         "zeta": zeta,
         "noise": noise_name,
@@ -277,24 +269,17 @@ def run_comm(cfg: dict, seed: int) -> Report:
     d = min(result.dimension, _param(cfg, "depth", int, result.dimension))
     _require(d >= 1, "class must have sfat >= 1 for a reduction experiment")
     validate_tree(cls, result.witness, zeta)
-    base = BaselineEvalProtocol(cls)
-    proto = CorruptedEvalProtocol(base, failure_rate) if failure_rate != 0 else base
+    bits = index_bits(cls)
     rng = child_rng(seed, 0xC0)
-    rows = []
-    successes = 0
-    total = 0
-    for inst in all_instances(d):
-        run = augindex_via_eval(cls, result.witness, inst, proto, rng=rng)
-        rows.append([inst.x, inst.i, run.bits_sent, run.success])
-        successes += run.success
-        total += 1
+    rows = [[inst.x, inst.i, bits, augindex_via_eval(cls, result.witness, inst, failure_rate, rng)]
+            for inst in all_instances(d)]
     summary = {
         "zeta": zeta,
         "depth": d,
         "failure_rate": failure_rate,
-        "instances": total,
-        "success_rate": successes / total,
-        "bits_per_run": proto.bits,
+        "instances": len(rows),
+        "success_rate": sum(row[3] for row in rows) / len(rows),
+        "bits_per_run": bits,
         "lower_bound_eps0": cc_lower_bound(result.dimension, 0.0),
     }
     return summary, (["x", "i", "bits", "success"], rows)
@@ -348,7 +333,7 @@ def run_shadow(cfg: dict, seed: int) -> Report:
     cls = materialize_concept_class(states, meas)
     target = _param(cfg, "target_id", int, 0)
     order = list(range(len(meas))) * repeats
-    tr, estimates = run_shadow_stream(cls, target, order, eps)
+    tr = run_shadow_stream(cls, target, order, eps)
     summary = {
         "epsilon": eps,
         "stream_length": len(order),
@@ -360,10 +345,8 @@ def run_shadow(cfg: dict, seed: int) -> Report:
     truth = cls.by_id(target).values
     header = ["position", "measurement", "estimate", "truth", "mistake"]
     cell = _Cells()
-    rows = [
-        [i, r.x, cell[est], cell[truth[r.x]], r.mistake]
-        for i, (r, est) in enumerate(zip(tr.rounds, estimates))
-    ]
+    rows = [[i, r.x, cell[r.prediction], cell[truth[r.x]], r.mistake]
+            for i, r in enumerate(tr.rounds)]
     return summary, (header, rows)
 
 

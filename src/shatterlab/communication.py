@@ -5,9 +5,10 @@ concept evaluation into a protocol for the next-bit (augmented index) task:
 Alice descends the shared tree by her full bit string to a leaf concept, Bob
 descends by his prefix to an internal node, they evaluate Alice's concept at
 Bob's node point, and Bob reports whether the value clears the node
-threshold.  The tree margins make the answer exact whenever the evaluation is
-zeta-accurate, so the evaluation cost is bounded below by the tree depth
-times 1 - H(failure rate).
+threshold.  The protocol under test sends the concept's index and flips the
+value with a stated failure rate.  The tree margins make the answer exact
+whenever the evaluation is zeta-accurate, so the evaluation cost is bounded
+below by the tree depth times 1 - H(failure rate).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, binary_entropy
+from .concepts import ConceptClass, binary_entropy
 from .dimensions import ShatterTree
 from .errors import DepthMismatch, OutOfRange
 
@@ -38,79 +39,45 @@ class AugIndexInstance:
             raise OutOfRange(f"index i must lie in 1..{self.d}, got {self.i}")
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    bits_sent: int
-    bob_output: int
-    success: bool
-
-
-class BaselineEvalProtocol:
-    """Alice sends her concept's index; Bob evaluates exactly (zero error)."""
-
-    def __init__(self, cls: ConceptClass):
-        self.cls = cls
-        self.bits = math.ceil(math.log2(len(cls))) if len(cls) > 1 else 0
-
-    def run(self, concept: Concept, x: int, rng: np.random.Generator) -> float:
-        return concept.values[x]
-
-
-class CorruptedEvalProtocol:
-    """Wraps a protocol; with the given rate Bob receives 1 - f(x) instead."""
-
-    def __init__(self, inner: BaselineEvalProtocol, failure_rate: float):
-        if not 0 <= failure_rate < 1:
-            raise OutOfRange(f"failure rate must lie in [0, 1), got {failure_rate}")
-        self.inner = inner
-        self.failure_rate = failure_rate
-        self.bits = inner.bits
-
-    def run(self, concept: Concept, x: int, rng: np.random.Generator) -> float:
-        good = self.inner.run(concept, x, rng)
-        if rng.random() < self.failure_rate:
-            return 1.0 - good
-        return good
-
-
-def _descend_to_leaf(tree: ShatterTree, bits: str) -> ShatterTree:
-    node = tree.node_at(bits)
-    # deeper trees than the instance: finish along the leftmost branch
-    while not node.is_leaf:
-        node = node.left
-    return node
+def index_bits(cls: ConceptClass) -> int:
+    """The message that names one concept of the class: ceil(log2 |C|) bits."""
+    return math.ceil(math.log2(len(cls))) if len(cls) > 1 else 0
 
 
 def augindex_via_eval(
     cls: ConceptClass,
     tree: ShatterTree,
     instance: AugIndexInstance,
-    protocol,
+    failure_rate: float,
     rng: np.random.Generator,
-) -> ProtocolRun:
-    """Solve one next-bit instance through an evaluation protocol.
+) -> bool:
+    """Solve one next-bit instance by evaluating Alice's concept; True on success.
 
-    Bit j of the instance selects the subtree at tree level j (0 left,
-    1 right) — the orientation both parties share.  Bob thresholds the
-    evaluated value at his node's threshold; ties go to output 0.
+    Alice sends her leaf concept's index (`index_bits(cls)` bits), and Bob
+    reads its value f(x) at his node point, which with probability
+    `failure_rate` arrives as 1 - f(x).  Bit j of the instance selects the
+    subtree at tree level j (0 left, 1 right) — the orientation both parties
+    share; a tree deeper than the instance finishes along the leftmost
+    branch.  Bob thresholds the value at his node's threshold; ties go to
+    output 0.  A rate of 0 draws nothing from `rng`.
 
-    Precondition: `tree` passed `validate_tree` at the margin the protocol's
+    Precondition: `tree` passed `validate_tree` at the margin the evaluation's
     accuracy matches.  The check is the caller's, once per tree, not once
     per instance; an unvalidated tree can give wrong answers without an error.
     """
-    if tree.depth() < instance.d:
+    if not 0 <= failure_rate < 1:
+        raise OutOfRange(f"failure rate must lie in [0, 1), got {failure_rate}")
+    depth = tree.depth()
+    if depth < instance.d:
         raise DepthMismatch(
-            f"tree depth {tree.depth()} cannot host a depth-{instance.d} instance"
+            f"tree depth {depth} cannot host a depth-{instance.d} instance"
         )
-    alice_leaf = _descend_to_leaf(tree, instance.x)
+    alice_leaf = tree.node_at(instance.x + "0" * (depth - instance.d))
     bob_node = tree.node_at(instance.x[: instance.i - 1])
-    b = protocol.run(cls.by_id(alice_leaf.leaf), bob_node.x, rng)
-    output = 1 if b > bob_node.a else 0
-    return ProtocolRun(
-        bits_sent=protocol.bits,
-        bob_output=output,
-        success=output == int(instance.x[instance.i - 1]),
-    )
+    b = cls.by_id(alice_leaf.leaf).values[bob_node.x]
+    if failure_rate and rng.random() < failure_rate:
+        b = 1.0 - b
+    return (b > bob_node.a) == (instance.x[instance.i - 1] == "1")
 
 
 def all_instances(d: int):

@@ -225,12 +225,23 @@ def class_to_json(cls: ConceptClass) -> str:
     )
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """A JSON number as read; a bool or a string raises TypeError, and an
+    integer with a fractional part ValueError, where int() would truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if integer and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value) if integer else value
+
+
 def class_from_json(text: str) -> ConceptClass:
     data = json.loads(text)
     return ConceptClass(
-        domain_size=int(data["domain_size"]),
+        domain_size=_json_number(data["domain_size"], "domain_size", integer=True),
         concepts=tuple(
-            Concept(id=int(c["id"]), values=tuple(c["values"]))
+            Concept(id=_json_number(c["id"], "id", integer=True),
+                    values=tuple(_json_number(v, "a value") for v in c["values"]))
             for c in data["concepts"]
         ),
     )

@@ -10,12 +10,13 @@ ones.  On feedback c_hat it keeps exactly the concepts within the open
 zeta-ball of c_hat.  With feedback accurate to zeta, rounds with
 |prediction - truth| > 5*zeta never exceed sfat at margin 2*zeta of the class.
 
-A game's adversary is a list of points to cycle through, or uniformly random
-points; the forcing game walks a shattering tree.  A mistake-only variant
-(parameter epsilon) runs the same machinery at zeta = epsilon/5 but updates
-only on rounds with |prediction - truth| > epsilon; it drives the
-shadow-estimation stream.  A game whose feedback draws nothing replays each
-repeated (surviving mask, x) round from a cache.
+A game takes zeta and a noise, the adversary's feedback rule.  Its points are
+a list to cycle through, or uniformly random points; the forcing game walks a
+shattering tree.  Mistake-only play is the noise `mistake_only_noise`: the
+zeta-grid rounding, given only on rounds with |prediction - truth| > 5*zeta.
+At zeta = epsilon/5 it drives the shadow-estimation stream.  A game whose
+feedback draws nothing replays each repeated (surviving mask, x) round from a
+cache.
 """
 
 from __future__ import annotations
@@ -143,12 +144,12 @@ class RsoaState:
 
 
 # ---------------------------------------------------------------------------
-# Noises and feedback modes
+# Noises
 # ---------------------------------------------------------------------------
 
 #: a noise maps (c_val, y_hat, zeta, rng) to feedback c_hat with
-#: |c_hat - c_val| <= zeta, inside [0, 1]
-Noise = Callable[[float, float, float, np.random.Generator], float]
+#: |c_hat - c_val| <= zeta, inside [0, 1], or to None for no feedback
+Noise = Callable[[float, float, float, np.random.Generator], Optional[float]]
 
 
 def exact_noise(c_val, y_hat, zeta, rng):
@@ -187,35 +188,20 @@ NOISES: dict[str, Noise] = {
     "adversarial_extreme": extreme_noise,
 }
 
+
+def mistake_only_noise(c_val, y_hat, zeta, rng):
+    """The zeta-grid rounding (error <= zeta/2), given only on rounds with a
+    5*zeta-mistake; no feedback otherwise."""
+    if abs(y_hat - c_val) <= 5.0 * zeta:
+        return None
+    feedback = round_to_grid(c_val, zeta)
+    if abs(feedback - c_val) > zeta / 2 + 1e-12:
+        raise InvalidFeedback("mistake-only feedback out of contract")
+    return feedback
+
+
 #: the noises that never read their generator (a tuple: `in` needs no hash)
-DRAWLESS_NOISES = (exact_noise, grid_noise, extreme_noise)
-
-
-@dataclass(frozen=True)
-class StrongFeedback:
-    """Feedback every round, accurate to zeta; mistakes are counted at 5*zeta."""
-
-    zeta: float
-    noise: Noise
-
-    @property
-    def mistake_threshold(self) -> float:
-        return 5.0 * self.zeta
-
-
-@dataclass(frozen=True)
-class MistakeOnly:
-    """Feedback (accurate to epsilon/10) only on rounds with an epsilon-mistake."""
-
-    epsilon: float
-
-    @property
-    def zeta(self) -> float:
-        return self.epsilon / 5.0
-
-    @property
-    def mistake_threshold(self) -> float:
-        return self.epsilon
+DRAWLESS_NOISES = (exact_noise, grid_noise, extreme_noise, mistake_only_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +222,6 @@ class Round(NamedTuple):
 class Transcript:
     """Full audit record of one online game."""
 
-    zeta: float
-    mistake_threshold: float
-    target_id: int
     sfat_bound: int
     rounds: list[Round] = field(default_factory=list)
     final_hypothesis: Optional[Concept] = None
@@ -256,17 +239,19 @@ def run_online_game(
     cls: ConceptClass,
     target_id: int,
     points: Optional[Sequence[int]],
-    mode: "StrongFeedback | MistakeOnly",
+    zeta: float,
+    noise: Noise,
     T: int,
     seed: int,
 ) -> Transcript:
-    """Play T rounds of the strong-feedback or mistake-only protocol.
+    """Play T rounds at accuracy zeta, counting mistakes at 5*zeta.
 
     `points` is None for a uniformly random domain point each round, or a
-    nonempty sequence of domain indices played in order, cycling.  The
-    harness validates the noise contract each round and treats an emptied
-    surviving set as an InvalidFeedback fault — with in-contract feedback the
-    target survives every update.
+    nonempty sequence of domain indices played in order, cycling.  Each
+    round's feedback is `noise(c_val, y_hat, zeta, rng)`; None means none.
+    The harness validates the noise contract on every feedback and treats an
+    emptied surviving set as an InvalidFeedback fault — with in-contract
+    feedback the target survives every update.
     """
     d = cls.domain_size
     if points is not None and not (
@@ -275,34 +260,21 @@ def run_online_game(
         raise OutOfRange(f"points must be a nonempty sequence of domain indices in [0, {d})")
     rng = child_rng(seed, 0)
     target = cls.by_id(target_id)
-    zeta = mode.zeta
-    threshold = mode.mistake_threshold
-    noise = mode.noise if isinstance(mode, StrongFeedback) else None
+    threshold = 5.0 * zeta
     state = RsoaState(cls, zeta)
-    tr = Transcript(
-        zeta=zeta,
-        mistake_threshold=threshold,
-        target_id=target_id,
-        sfat_bound=state.mistake_bound(),
-    )
+    tr = Transcript(sfat_bound=state.mistake_bound())
 
     def step(mask: int, xi: int) -> tuple[float, Optional[float], bool, int, int]:
         y_hat = state.predict(mask, xi)
         c_val = target.values[xi]
         mistake = abs(y_hat - c_val) > threshold
-        feedback: Optional[float] = None
-        if noise is not None:
-            feedback = noise(c_val, y_hat, zeta, rng)
+        feedback = noise(c_val, y_hat, zeta, rng)
+        if feedback is not None:
             if abs(feedback - c_val) > zeta + 1e-12:
                 raise InvalidFeedback(
                     f"noise {getattr(noise, '__name__', noise)} produced |c_hat - c| = "
                     f"{abs(feedback - c_val)} > zeta = {zeta}"
                 )
-        elif mistake:
-            feedback = round_to_grid(c_val, 2.0 * (mode.epsilon / 10.0))
-            if abs(feedback - c_val) > mode.epsilon / 10.0 + 1e-12:
-                raise InvalidFeedback("mistake-only feedback out of contract")
-        if feedback is not None:
             mask = state.update(mask, xi, feedback)
             if mask == 0:
                 raise InvalidFeedback(
@@ -311,7 +283,7 @@ def run_online_game(
                 )
         return y_hat, feedback, mistake, mask, mask.bit_count()
 
-    drawless = noise is None or noise in DRAWLESS_NOISES
+    drawless = noise in DRAWLESS_NOISES
     if drawless:
         # a round that reads no generator depends on (mask, xi) alone, so a
         # repeat skips no draw; a new key runs every check, on its own round
@@ -396,22 +368,22 @@ def run_shadow_stream(
     target_id: int,
     measurement_order: Sequence[int],
     epsilon: float,
-) -> tuple[Transcript, list[float]]:
-    """Run the mistake-only learner over a stream of measurement indices.
+) -> Transcript:
+    """Run the mistake-only learner at zeta = epsilon/5 over a stream of
+    measurement indices; each round's `prediction` is the learner's estimate.
 
-    Returns the transcript plus the learner's estimate at every stream
-    position.  Feedback (only on mistake rounds) is the true expectation
-    rounded to the epsilon/5 grid, hence within epsilon/10.
+    Feedback (only on epsilon-mistake rounds) is the true expectation rounded
+    to the epsilon/5 grid, hence within epsilon/10.
     """
-    tr = run_online_game(
+    return run_online_game(
         cls,
         target_id,
         measurement_order,
-        MistakeOnly(epsilon=epsilon),
+        epsilon / 5.0,
+        mistake_only_noise,
         T=len(measurement_order),
         seed=0,
     )
-    return tr, [r.prediction for r in tr.rounds]
 
 
 def gentle_sample_complexity(

@@ -170,8 +170,8 @@ class StableLearner:
     """
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
-        if not 0 < alpha:
-            raise OutOfRange(f"alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise OutOfRange(f"alpha must be positive and finite, got {alpha}")
         self.state = RsoaState(cls, zeta)
         self.d = self.state.mistake_bound()
         self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)

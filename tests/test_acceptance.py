@@ -33,16 +33,10 @@ from shatterlab import (
     stability_experiment,
 )
 from shatterlab.classes import ext_cost_class, generate_class, two_constants
-from shatterlab.communication import (
-    BaselineEvalProtocol,
-    CorruptedEvalProtocol,
-    all_instances,
-    augindex_via_eval,
-)
+from shatterlab.communication import all_instances, augindex_via_eval
 from shatterlab.online import (
     NOISES,
     RsoaState,
-    StrongFeedback,
     rsoa_as_weak_learner,
 )
 from shatterlab.privacy import build_probabilistic_representation, exponential_weights, good_hypotheses
@@ -75,7 +69,8 @@ def test_criterion_1_mistake_bound():
                 cls,
                 target,
                 None,
-                StrongFeedback(zeta, noise),
+                zeta,
+                noise,
                 200,
                 seed=trial,
             )
@@ -230,7 +225,7 @@ def test_criterion_8_communication_reduction():
     zeta = 1 / 4
     exhaustive_failures = 0
     total = 0
-    clean_rng = child_rng(808, 1)  # the exact protocol draws nothing from it
+    clean_rng = child_rng(808, 1)  # a failure rate of 0 draws nothing from it
     for d in (1, 2, 3, 4):
         cls = generate_class(d, 2**d, zeta, seed=800 + d, boolean=True)
         res = sfat(cls, zeta)
@@ -243,10 +238,8 @@ def test_criterion_8_communication_reduction():
                 ),
             )
             res = sfat(cls, zeta)
-        proto = BaselineEvalProtocol(cls)
         for inst in all_instances(d):
-            run = augindex_via_eval(cls, res.witness, inst, proto, clean_rng)
-            exhaustive_failures += not run.success
+            exhaustive_failures += not augindex_via_eval(cls, res.witness, inst, 0.0, clean_rng)
             total += 1
     # noisy side on the depth-4 cube
     cube4 = ConceptClass(
@@ -256,14 +249,11 @@ def test_criterion_8_communication_reduction():
         ),
     )
     res4 = sfat(cube4, zeta)
-    noisy = CorruptedEvalProtocol(BaselineEvalProtocol(cube4), 0.1)
     rng = child_rng(808, 0)
     insts = list(all_instances(4))
     trials = 10_000
     succ = sum(
-        augindex_via_eval(
-            cube4, res4.witness, insts[int(rng.integers(len(insts)))], noisy, rng=rng
-        ).success
+        augindex_via_eval(cube4, res4.witness, insts[int(rng.integers(len(insts)))], 0.1, rng)
         for _ in range(trials)
     )
     rate = succ / trials
@@ -351,11 +341,11 @@ def test_criterion_10_shadow_stream():
         target = int(rng.integers(n_states))
         bound = sfat(cls, 2 * eps / 5).dimension
         order = list(range(n_meas)) * 3
-        tr, estimates = run_shadow_stream(cls, target, order, eps)
+        tr = run_shadow_stream(cls, target, order, eps)
         violations += tr.updates > bound
         truth = cls.by_id(target).values
-        for r, est in zip(tr.rounds, estimates):
-            if not r.mistake and abs(est - truth[r.x]) > eps:
+        for r in tr.rounds:
+            if not r.mistake and abs(r.prediction - truth[r.x]) > eps:
                 estimate_breaches += 1
     gentle_ok = gentle_sample_complexity(1, 2, 0.5, 0.5, 1 / math.e) == 16
     report(

@@ -335,12 +335,9 @@ class TestCliRuns:
         streams = self.capture(monkeypatch, "run_shadow_stream")
         out = str(tmp_path / "sh")
         assert main(["shadow", write_config(tmp_path, payload), "--out", out]) == 0
-        (((cls, target, _, _), (tr, estimates)),) = streams
+        (((cls, target, _, _), tr),) = streams
         truth = cls.by_id(target).values
-        rows = [
-            [i, r.x, est, truth[r.x], r.mistake]
-            for i, (r, est) in enumerate(zip(tr.rounds, estimates))
-        ]
+        rows = [[i, r.x, r.prediction, truth[r.x], r.mistake] for i, r in enumerate(tr.rounds)]
         header = ["position", "measurement", "estimate", "truth", "mistake"]
         with open(os.path.join(out, "detail.csv"), "rb") as fh:
             assert fh.read() == self.csv_bytes(header, rows)
@@ -460,6 +457,12 @@ MALFORMED = {
         "stability",
         {"seed": 1, "zeta": 0.25, "runs": 100, "alpha": 0, "class": {"bundled": "two_constants"}},
     ),
+    # an infinite alpha gave m = 0 and wrote "alpha": Infinity, which is not JSON
+    "stability_alpha_infinite": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "alpha": math.inf,
+         "class": {"bundled": "two_constants"}},
+    ),
     "privacy_epsilon_zero": ("privacy", {"seed": 1, "zeta": 0.5, "epsilon": 0}),
     "privacy_trials_100": ("privacy", {"seed": 1, "zeta": 0.5, "trials": 100}),
     "comm_negative_failure_rate": (
@@ -515,6 +518,23 @@ MALFORMED = {
         "dims",
         {"seed": 1, "zeta": 0.25,
          "class": {"generated": {"domain_size": 2, "n_concepts": 4, "boolean": "false"}}},
+    ),
+    # an inline class was read with int() and kept as given: ids and
+    # domain_size truncated, and a string value accepted
+    "inline_fractional_id": (
+        "dims",
+        {"seed": 1, "zeta": 0.25, "class": {"inline": {
+            "domain_size": 1, "concepts": [{"id": 1.7, "values": [0.5]}]}}},
+    ),
+    "inline_fractional_domain_size": (
+        "dims",
+        {"seed": 1, "zeta": 0.25, "class": {"inline": {
+            "domain_size": 1.9, "concepts": [{"id": 1, "values": [0.5]}]}}},
+    ),
+    "inline_string_value": (
+        "dims",
+        {"seed": 1, "zeta": 0.25, "class": {"inline": {
+            "domain_size": 1, "concepts": [{"id": 1, "values": ["0.9"]}]}}},
     ),
     "T_fractional": (
         "online",

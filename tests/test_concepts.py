@@ -276,6 +276,21 @@ class TestJson:
         data = json.loads(class_to_json(cls))
         assert data == {"domain_size": 1, "concepts": [{"id": 0, "values": [0.5]}]}
 
+    @pytest.mark.parametrize("domain_size,cid,value", [
+        (1, 1.7, 0.5), (1.9, 1, 0.5), (1, True, 0.5), (1, "1", 0.5), (True, 1, 0.5),
+        (1, 1, "0.9"), (1, 1, True), (1, 1, None), (1, float("inf"), 0.5),
+    ], ids=repr)
+    def test_class_rejects_what_int_and_float_would_convert(self, domain_size, cid, value):
+        text = json.dumps({"domain_size": domain_size,
+                           "concepts": [{"id": cid, "values": [value]}]})
+        with pytest.raises((TypeError, ValueError)):
+            class_from_json(text)
+
+    def test_class_takes_integral_floats(self):
+        cls = class_from_json('{"domain_size": 1.0, "concepts": [{"id": 2.0, "values": [1]}]}')
+        assert (cls.domain_size, cls.concepts[0].id, cls.concepts[0].values) == (1, 2, (1.0,))
+        assert type(cls.domain_size) is int and type(cls.concepts[0].id) is int
+
     def test_distribution_round_trip(self):
         d = Distribution((0.25, 0.75))
         assert distribution_from_json(distribution_to_json(d)).p == d.p

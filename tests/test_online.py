@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shatterlab import (
-    MistakeOnly,
-    StrongFeedback,
     gentle_sample_complexity,
+    mistake_only_noise,
     prediction_grid,
     run_online_game,
     run_shadow_stream,
@@ -102,7 +101,7 @@ class TestStrongGame:
     def test_singleton_never_mistakes(self):
         cls = make_class([[0.3, 0.7]])
         tr = run_online_game(
-            cls, 0, None, StrongFeedback(1 / 8, exact_noise), 50, seed=1
+            cls, 0, None, 1 / 8, exact_noise, 50, seed=1
         )
         assert tr.mistakes == 0
 
@@ -111,7 +110,8 @@ class TestStrongGame:
             two_constants_19,
             0,
             [0],
-            StrongFeedback(1 / 8, exact_noise),
+            1 / 8,
+            exact_noise,
             3,
             seed=0,
         )
@@ -132,7 +132,8 @@ class TestStrongGame:
                     cls,
                     int(rng.integers(nc)),
                     None,
-                    StrongFeedback(zeta, noise),
+                    zeta,
+                    noise,
                     60,
                     seed=trial,
                 )
@@ -143,7 +144,7 @@ class TestStrongGame:
         zeta = 1 / 8
         cls = generate_class(3, 8, zeta, seed=77)
         tr = run_online_game(
-            cls, 0, None, StrongFeedback(zeta, uniform_noise), 40, seed=5
+            cls, 0, None, zeta, uniform_noise, 40, seed=5
         )
         state = RsoaState(cls, zeta)
         mask = state.cache.full_mask()
@@ -161,7 +162,8 @@ class TestStrongGame:
                 cls,
                 1,
                 None,
-                StrongFeedback(zeta, extreme_noise),
+                zeta,
+                extreme_noise,
                 40,
                 seed=trial,
             )
@@ -175,7 +177,8 @@ class TestStrongGame:
                 cls,
                 0,
                 None,
-                StrongFeedback(zeta, exact_noise),
+                zeta,
+                exact_noise,
                 30,
                 seed=trial,
             )
@@ -198,7 +201,8 @@ class TestStrongGame:
                 cls,
                 0,
                 None,
-                StrongFeedback(zeta, uniform_noise),
+                zeta,
+                uniform_noise,
                 40,
                 seed=trial,
             )
@@ -209,10 +213,10 @@ class TestStrongGame:
         zeta = 1 / 8
         cls = generate_class(4, 10, zeta, seed=55)
         a = run_online_game(
-            cls, 2, None, StrongFeedback(zeta, uniform_noise), 50, seed=9
+            cls, 2, None, zeta, uniform_noise, 50, seed=9
         )
         b = run_online_game(
-            cls, 2, None, StrongFeedback(zeta, uniform_noise), 50, seed=9
+            cls, 2, None, zeta, uniform_noise, 50, seed=9
         )
         assert [(r.x, r.prediction, r.feedback) for r in a.rounds] == [
             (r.x, r.prediction, r.feedback) for r in b.rounds
@@ -228,7 +232,8 @@ class TestStrongGame:
                 two_constants_19,
                 0,
                 [0],
-                StrongFeedback(1 / 8, bad_noise),
+                1 / 8,
+                bad_noise,
                 3,
                 seed=0,
             )
@@ -240,7 +245,7 @@ class TestStrongGame:
             return c_val + zeta
 
         with pytest.raises(InvalidFeedback, match="wiped the surviving set"):
-            run_online_game(make_class([[0.25]]), 0, [0], StrongFeedback(1 / 8, edge_noise), 3, 0)
+            run_online_game(make_class([[0.25]]), 0, [0], 1 / 8, edge_noise, 3, 0)
 
     def test_noise_contract_holds(self):
         rng = np.random.default_rng(0)
@@ -286,7 +291,7 @@ class TestWeakForcing:
 
 def one_mistake_only_round(cls, target_id, epsilon):
     tr = run_online_game(
-        cls, target_id, [0], MistakeOnly(epsilon), T=1, seed=0
+        cls, target_id, [0], epsilon / 5, mistake_only_noise, T=1, seed=0
     )
     return tr.rounds[0]
 
@@ -296,13 +301,13 @@ class TestPoints:
     def test_rejects_points_outside_the_domain(self, points):
         cls = make_class([[0.2, 0.6], [0.6, 0.2]])
         with pytest.raises(OutOfRange):
-            run_online_game(cls, 0, points, StrongFeedback(1 / 8, exact_noise), 3, seed=0)
+            run_online_game(cls, 0, points, 1 / 8, exact_noise, 3, seed=0)
         with pytest.raises(OutOfRange):
             run_shadow_stream(cls, 0, points, 0.5)
 
     def test_cycles_through_the_points(self):
         cls = make_class([[0.2, 0.6, 0.4]])
-        tr = run_online_game(cls, 0, [2, np.int64(0)], StrongFeedback(1 / 8, exact_noise), 5, 0)
+        tr = run_online_game(cls, 0, [2, np.int64(0)], 1 / 8, exact_noise, 5, 0)
         assert [r.x for r in tr.rounds] == [2, 0, 2, 0, 2]
 
 
@@ -352,22 +357,70 @@ def worst_case_mistakes(state, target_row):
     return value(state.cache.full_mask())
 
 
-def worst_case_sweep(zeta, classes=40):
-    """(classes whose worst case exceeds sfat(2*zeta), classes with a bound of
-    at least 1, those among them whose worst case reaches it), over generated
-    classes with 1-4 points and 2-10 concepts, every target."""
+def worst_case_updates(state, target_row):
+    """The most updates mistake-only play forces on the learner when the
+    target is row `target_row`, or math.inf when it forces them without end.
+
+    Feedback is deterministic, c(x) rounded to the zeta grid, and comes only
+    on rounds with |prediction - c(x)| > 5*zeta, so the adversary picks only
+    the points; a round without feedback changes nothing.  The search is
+    memoized over masks; it reads only `state.predict` and writes its own
+    open-ball update.
+    """
+    table = state.cls.table.tolist()
+    zeta = state.zeta
+    rows = range(len(table))
+    c = table[target_row]
+    worst = {}
+
+    def value(mask):
+        if mask not in worst:
+            best = 0
+            for x in range(len(c)):
+                if abs(state.predict(mask, x) - c[x]) > 5 * zeta:
+                    f = round_to_grid(c[x], zeta)
+                    nxt = sum(1 << r for r in rows if mask >> r & 1 and abs(table[r][x] - f) < zeta)
+                    best = max(best, math.inf if nxt == mask else 1 + value(nxt))
+            worst[mask] = best
+        return worst[mask]
+
+    return value(state.cache.full_mask())
+
+
+def sweep_classes(zeta, classes=40):
+    """(sfat(2*zeta), learner state) of generated classes with 1-4 points and
+    2-10 concepts."""
     rng = np.random.default_rng(7)
-    violations = with_bound = reached = 0
     for i in range(classes):
         nx, nc = int(rng.integers(1, 5)), int(rng.integers(2, 11))
         cls = generate_class(nx, nc, zeta, seed=i)
-        bound = sfat(cls, 2 * zeta).dimension
-        state = RsoaState(cls, zeta)
-        worst = max(worst_case_mistakes(state, row) for row in range(nc))
+        yield sfat(cls, 2 * zeta).dimension, RsoaState(cls, zeta)
+
+
+def worst_case_sweep(zeta):
+    """(classes whose worst case exceeds sfat(2*zeta), classes with a bound of
+    at least 1, those among them whose worst case reaches it), every target."""
+    violations = with_bound = reached = 0
+    for bound, state in sweep_classes(zeta):
+        worst = max(worst_case_mistakes(state, row) for row in range(len(state.cls)))
         violations += worst > bound
         with_bound += bound >= 1
         reached += bound >= 1 and worst == bound
     return violations, with_bound, reached
+
+
+def worst_case_updates_sweep(epsilon):
+    """(targets whose worst case exceeds sfat(2*epsilon/5), targets whose
+    worst case reaches a bound of at least 1, targets) under mistake-only play
+    at zeta = epsilon/5."""
+    violations = reached = targets = 0
+    for bound, state in sweep_classes(epsilon / 5):
+        for row in range(len(state.cls)):
+            worst = worst_case_updates(state, row)
+            violations += worst > bound
+            reached += 1 <= bound == worst
+            targets += 1
+    return violations, reached, targets
 
 
 class TestWorstCaseAdversary:
@@ -387,7 +440,22 @@ class TestWorstCaseAdversary:
         assert worst_case_sweep(1 / zinv)[0] >= 30
 
 
-class TestMistakeOnly:
+class TestWorstCaseFeedbackOnMistakes:
+    """The update bound of mistake-only play against every point sequence, at
+    an epsilon whose 5*zeta = epsilon lies below 1/2."""
+
+    def test_no_point_sequence_beats_the_bound(self):
+        violations, reached, targets = worst_case_updates_sweep(1 / 4)
+        print(f"epsilon=1/4: worst = bound >= 1 on {reached}/{targets} targets")
+        assert violations == 0
+        assert reached >= 25
+
+    def test_catches_a_learner_that_always_predicts_half(self, monkeypatch):
+        monkeypatch.setattr(RsoaState, "predict", lambda self, mask, x: 0.5)
+        assert worst_case_updates_sweep(1 / 4)[0] >= 150
+
+
+class TestFeedbackOnMistakes:
     def test_non_mistake_round_keeps_set(self):
         cls = make_class([[0.52], [0.48]])
         r = one_mistake_only_round(cls, 0, 0.5)
@@ -410,7 +478,8 @@ class TestMistakeOnly:
                 cls,
                 target,
                 None,
-                MistakeOnly(epsilon=eps),
+                eps / 5,
+                mistake_only_noise,
                 80,
                 seed=trial,
             )
@@ -436,10 +505,9 @@ class TestSfatBound:
     @settings(max_examples=60)
     def test_equals_sfat_on_generated_classes(self, nx, nc, seed, zeta, eps):
         cls = generate_class(nx, nc, 1 / 4, seed=seed)
-        mode = StrongFeedback(zeta, exact_noise)
-        tr = run_online_game(cls, 0, None, mode, 5, seed=seed)
+        tr = run_online_game(cls, 0, None, zeta, exact_noise, 5, seed=seed)
         assert tr.sfat_bound == sfat(cls, 2 * zeta).dimension
-        shadow, _ = run_shadow_stream(cls, 0, list(range(nx)), eps)
+        shadow = run_shadow_stream(cls, 0, list(range(nx)), eps)
         assert shadow.sfat_bound == sfat(cls, 2 * eps / 5).dimension
 
 
@@ -475,7 +543,8 @@ class TestRunOnSample:
             two_constants_19,
             0,
             [0],
-            StrongFeedback(1 / 8, exact_noise),
+            1 / 8,
+            exact_noise,
             2,
             seed=0,
         )
@@ -483,14 +552,13 @@ class TestRunOnSample:
 
 
 
-def reference_game(cls, target_id, points, mode, T, seed):
-    """The plain harness: one scalar draw per point, no prediction memo.
+def reference_game(cls, target_id, points, zeta, noise, T, seed):
+    """The plain harness: one scalar draw per point, no prediction memo, and
+    mistake-only feedback written out in its own branch.
 
     Returns (rounds as tuples, final hypothesis values)."""
     rng = child_rng(seed, 0)
     target = cls.by_id(target_id)
-    zeta = mode.zeta
-    noise = mode.noise if isinstance(mode, StrongFeedback) else None
     state = RsoaState(cls, zeta)
     mask = state.cache.full_mask()
     rounds = []
@@ -499,13 +567,13 @@ def reference_game(cls, target_id, points, mode, T, seed):
         v_before = mask.bit_count()
         y_hat = state.predict_with_maximizers(mask, xi)[0]
         c_val = target.values[xi]
-        mistake = abs(y_hat - c_val) > mode.mistake_threshold
+        mistake = abs(y_hat - c_val) > 5 * zeta
         feedback = None
-        if noise is not None:
+        if noise is not mistake_only_noise:
             feedback = noise(c_val, y_hat, zeta, rng)
             mask = state.update(mask, xi, feedback)
         elif mistake:
-            feedback = round_to_grid(c_val, 2.0 * (mode.epsilon / 10.0))
+            feedback = round_to_grid(c_val, zeta)
             mask = state.update(mask, xi, feedback)
         assert mask, "the plain harness met a wiped surviving set"
         rounds.append((t, xi, y_hat, feedback, mistake, v_before, mask.bit_count()))
@@ -531,7 +599,8 @@ class TestBatchedGame:
                 assert a.bit_generator.state == b.bit_generator.state
 
     def test_drawless_noises_leave_the_stream_untouched(self):
-        assert set(DRAWLESS_NOISES) < set(NOISES.values())
+        assert set(DRAWLESS_NOISES) - {mistake_only_noise} < set(NOISES.values())
+        assert mistake_only_noise not in NOISES.values()
         rng = child_rng(3, 0)
         state = rng.bit_generator.state
         for noise in DRAWLESS_NOISES:
@@ -552,26 +621,24 @@ class TestBatchedGame:
                 return c_val + self.scale * zeta * (1 if c_val < 0.5 else -1)
 
         cls = generate_class(2, 6, 1 / 8, seed=3)
-        mode = StrongFeedback(1 / 8, Offset(0.5))
-        tr = run_online_game(cls, 1, None, mode, 50, seed=2)
+        tr = run_online_game(cls, 1, None, 1 / 8, Offset(0.5), 50, seed=2)
         assert [tuple(r) for r in tr.rounds] == reference_game(
-            cls, 1, None, mode, 50, 2
+            cls, 1, None, 1 / 8, Offset(0.5), 50, 2
         )[0]
         with pytest.raises(InvalidFeedback, match="Offset"):
-            run_online_game(cls, 1, None, StrongFeedback(1 / 8, Offset(3)), 5, 2)
+            run_online_game(cls, 1, None, 1 / 8, Offset(3), 5, 2)
 
     @pytest.mark.parametrize("nx,nc", [(1, 1), (1, 6), (3, 10), (6, 20)])
     def test_game_matches_the_plain_harness(self, nx, nc):
         for zinv in (5, 8):
             zeta = 1 / zinv
             cls = generate_class(nx, nc, zeta, seed=100 * nx + nc)
-            modes = [StrongFeedback(zeta, noise) for noise in NOISES.values()]
-            modes += [StrongFeedback(zeta, drawing_noise), MistakeOnly(5 * zeta)]
-            for i, mode in enumerate(modes):
+            noises = [*NOISES.values(), drawing_noise, mistake_only_noise]
+            for i, noise in enumerate(noises):
                 for points in (None, [nx - 1, 0]):
                     target = i % nc
-                    tr = run_online_game(cls, target, points, mode, 300, seed=i)
-                    rounds, final = reference_game(cls, target, points, mode, 300, i)
+                    tr = run_online_game(cls, target, points, zeta, noise, 300, seed=i)
+                    rounds, final = reference_game(cls, target, points, zeta, noise, 300, i)
                     assert [tuple(r) for r in tr.rounds] == rounds
                     assert tr.final_hypothesis.values == final
 
@@ -621,8 +688,9 @@ class TestStepMemo:
         updates = recording(monkeypatch, "update")
         for points in (None, [2, 0, 1]):
             updates.clear()
-            tr = run_online_game(cls, 4, points, StrongFeedback(zeta, noise), 300, seed=3)
-            assert len(updates) == len(set(updates)) == len(distinct_keys(tr))
+            tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
+            feedback_keys = {(r.v_before, r.x) for r in tr.rounds if r.feedback is not None}
+            assert len(updates) == len(set(updates)) == len(feedback_keys)
             assert len(updates) < len(tr.rounds)
 
     @pytest.mark.parametrize("noise", [uniform_noise, drawing_noise], ids=lambda n: n.__name__)
@@ -632,14 +700,14 @@ class TestStepMemo:
         updates = recording(monkeypatch, "update")
         for points in (None, [2, 0, 1]):
             updates.clear()
-            tr = run_online_game(cls, 4, points, StrongFeedback(zeta, noise), 300, seed=3)
+            tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
             assert len(updates) == len(tr.rounds) == 300
 
     def test_mistake_only_game_is_memoized(self, monkeypatch):
         cls = generate_class(4, 16, 1 / 10, seed=0)
         predicts = recording(monkeypatch, "predict")
         updates = recording(monkeypatch, "update")
-        tr = run_online_game(cls, 3, [0, 1, 2, 3], MistakeOnly(0.2), 300, seed=0)
+        tr = run_online_game(cls, 3, [0, 1, 2, 3], 0.2 / 5, mistake_only_noise, 300, seed=0)
         mistake_keys = {(r.v_before, r.x) for r in tr.rounds if r.mistake}
         assert 0 < len(updates) == len(set(updates)) == len(mistake_keys)
         # one prediction per key, and the final hypothesis's at most one per point

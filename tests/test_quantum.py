@@ -519,12 +519,12 @@ class TestShadowOnQuantumClasses:
         from shatterlab import run_shadow_stream
 
         bound = sfat(cls, 2 * eps / 5).dimension
-        tr, estimates = run_shadow_stream(cls, 0, list(range(4)) * 2, eps)
+        tr = run_shadow_stream(cls, 0, list(range(4)) * 2, eps)
         assert tr.updates <= bound
         truth = cls.by_id(0).values
-        for r, est in zip(tr.rounds, estimates):
+        for r in tr.rounds:
             if not r.mistake:
-                assert abs(est - truth[r.x]) <= eps
+                assert abs(r.prediction - truth[r.x]) <= eps
 
     def test_second_pass_is_quiet_after_stabilizing(self):
         # once a full pass over the measurements triggers no update, replaying
@@ -536,7 +536,7 @@ class TestShadowOnQuantumClasses:
         cls = materialize_concept_class(states, meas)
         from shatterlab import run_shadow_stream
 
-        tr, _ = run_shadow_stream(cls, 1, list(range(4)) * 3, 0.5)
+        tr = run_shadow_stream(cls, 1, list(range(4)) * 3, 0.5)
         passes = [tr.rounds[i * 4 : (i + 1) * 4] for i in range(3)]
         for a, b in zip(passes, passes[1:]):
             if all(r.v_after == r.v_before for r in a):
