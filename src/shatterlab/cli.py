@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import classes as bundled
-from .concepts import ConceptClass, Distribution, _grid_order, class_from_json
+from .concepts import ConceptClass, Distribution, _grid_order, _json_number, class_from_json
 from .dimensions import sfat, tree_to_json, validate_tree
 from .errors import (
     ConfigError,
@@ -69,17 +69,17 @@ def _require(cond: bool, message: str) -> None:
 def _param(cfg: dict, key: str, kind: type = float, default=None):
     """cfg[key] (or `default` when absent) converted by `kind`; no default = required.
 
-    An int parameter takes no bool and no number with a fractional part, which
-    `int` would accept and truncate.
+    The value must be a JSON number as `class_from_json` reads one: no
+    string, no bool, and for an int no fractional part, which `int` would
+    accept and truncate.
     """
     value = cfg.get(key, default)
     _require(value is not None, f"missing parameter {key!r}")
-    fractional = isinstance(value, float) and not value.is_integer()
-    if kind is int and (isinstance(value, bool) or fractional):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
+        return kind(_json_number(value, key, integer=kind is int))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    except OverflowError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 

@@ -16,18 +16,22 @@ complete: an admissible split at x whose low side tops out at u is dominated
 by the pair at u, whose low side is the same and whose high side, everything
 at or above u + 2*zeta, is a superset.
 
-sfat is monotone under taking subsets, so dominated splits never win and the
-recursion is exact.  Within one point LE grows and GE shrinks as v grows, so
-the scan skips a pair with an empty or repeated low side (the earlier pair
-dominates it) and stops at the first empty high side.  Three pruning rules cut
-the search; none can change a value, and only exact values are memoized:
+sfat is monotone under taking subsets, so dominated splits never win.  Within
+one point LE grows and GE shrinks as v grows, so the scan skips a pair with an
+empty or repeated low side (the earlier pair dominates it) and stops at the
+first empty high side.
 
-- sfat(S) <= floor(log2 |S|), since a tree of depth d has 2^d distinct leaves;
-  so a split whose smaller side cannot beat the best so far is skipped, and
-  since the high side only shrinks along a point, the rest of that point too;
-- the smaller side is solved first, and the larger side only when
-  1 + sfat(smaller) could still beat the best;
-- the search of V stops once it reaches floor(log2 |V|).
+The search answers a decision, "is sfat(V) >= k?" (`SfatCache.at_least`): it
+holds when some split has both sides at least k - 1.  A parent split asks
+only that of each side, never a side's exact value.  The memo keeps proven
+bounds lo <= sfat(V) <= hi per mask, starting from lo = 0 and
+hi = floor(log2 |V|) (a tree of depth d has 2^d distinct leaves).  A query
+the bounds decide costs one lookup.  Otherwise the scan skips a side smaller
+than 2^(k - 1), and stops a point at such a high side, since it only shrinks;
+it asks the smaller side first, and stops at the first split that passes,
+raising lo to k, or lowers hi to k - 1 when none does.  Every stored bound is
+proven, so no answer depends on the order of the queries, and the exact value
+is found by deepening from lo until a query fails.
 
 Also here: the non-sequential fat-shattering dimension, by brute force over
 point sets with the same split pairs, and a Littlestone oracle that
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .concepts import ConceptClass
+from .concepts import ConceptClass, _json_number
 from .errors import EmptySubset, InvalidTree, NotBoolean, OutOfRange, TooLarge
 
 #: comparison slack so grid values sitting exactly on a margin boundary are
@@ -157,7 +161,7 @@ class SfatCache:
             raise OutOfRange(f"margin must be positive, got {zeta}")
         self.cls = cls
         self.zeta = float(zeta)
-        self._memo: dict[int, int] = {}
+        self._memo: dict[int, tuple[int, int]] = {}  # mask -> proven (lo, hi)
         self._pairs = [_point_masks(col, self.zeta) for col in cls.table.T.tolist()]
 
     def full_mask(self) -> int:
@@ -174,45 +178,50 @@ class SfatCache:
             c.id for row, c in enumerate(self.cls.concepts) if mask >> row & 1
         )
 
+    def at_least(self, mask: int, k: int) -> bool:
+        """Whether sfat(V) >= k for the nonempty subset V of `mask`.
+
+        Answered from the memo's proven bounds when they decide it; otherwise
+        by the first split whose two sides both reach k - 1, which raises the
+        lower bound to k, or by exhausting the splits, which lowers the upper
+        bound to k - 1.
+        """
+        lo, hi = self._memo.get(mask) or (0, mask.bit_count().bit_length() - 1)
+        if k <= lo:
+            return True
+        if k > hi:
+            return False
+        need = k - 1
+        for pairs in self._pairs:
+            prev = 0
+            for _, le, ge in pairs:
+                right = mask & ge
+                if not right:
+                    break  # GE only shrinks as v grows
+                n_right = right.bit_count()
+                if n_right.bit_length() <= need:
+                    break  # floor(log2 |right|) < k - 1, and right only shrinks
+                left = mask & le
+                if not left or left == prev:
+                    continue  # empty, or dominated by the previous pair
+                prev = left
+                n_left = left.bit_count()
+                if n_left.bit_length() <= need:
+                    continue
+                small, large = (left, right) if n_left <= n_right else (right, left)
+                if self.at_least(small, need) and self.at_least(large, need):
+                    self._memo[mask] = (k, hi)
+                    return True
+        self._memo[mask] = (lo, need)
+        return False
+
     def dimension_of_mask(self, mask: int) -> int:
         if mask == 0:
             raise EmptySubset("sfat of an empty subset is undefined; see sfat_empty_convention")
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        best = 0
-        ub = mask.bit_count().bit_length() - 1  # floor(log2 |V|)
-        if ub > 0:
-            for pairs in self._pairs:
-                prev = 0
-                for _, le, ge in pairs:
-                    right = mask & ge
-                    if not right:
-                        break  # GE only shrinks as v grows
-                    left = mask & le
-                    if not left or left == prev:
-                        continue  # empty, or dominated by the previous pair
-                    prev = left
-                    # sfat(S) <= floor(log2 |S|) bounds this split by its smaller side
-                    n_right = right.bit_count()
-                    if n_right.bit_length() <= best:
-                        break  # the right side only shrinks from here on
-                    n_left = left.bit_count()
-                    if n_left.bit_length() <= best:
-                        continue
-                    small, large = (left, right) if n_left <= n_right else (right, left)
-                    d = self.dimension_of_mask(small)
-                    if d < best:
-                        continue
-                    d = min(d, self.dimension_of_mask(large))
-                    if d >= best:
-                        best = d + 1
-                        if best == ub:
-                            break
-                if best == ub:
-                    break
-        self._memo[mask] = best
-        return best
+        k = self._memo.get(mask, (0,))[0]
+        while self.at_least(mask, k + 1):
+            k += 1
+        return k
 
     def score(self, mask: int) -> int:
         """Dimension with the empty-subset sentinel instead of an error."""
@@ -234,12 +243,12 @@ class SfatCache:
         for x, pairs in enumerate(self._pairs):
             for a, le, ge in pairs:
                 left, right = mask & le, mask & ge
-                if (
-                    left
-                    and right
-                    and self.dimension_of_mask(left) >= depth - 1
-                    and self.dimension_of_mask(right) >= depth - 1
-                ):
+                if not (left and right):
+                    continue
+                # the smaller side first, as `at_least` asks, so that the value
+                # search has already settled most of these questions
+                small, large = sorted((left, right), key=int.bit_count)
+                if self.at_least(small, depth - 1) and self.at_least(large, depth - 1):
                     return ShatterTree(
                         x=x,
                         a=a,
@@ -390,12 +399,15 @@ def tree_to_json(tree: ShatterTree) -> str:
 
 
 def tree_from_json(text: str) -> ShatterTree:
+    """Read `tree_to_json`'s form: `x` and `leaf` must be JSON integers and `a`
+    a number, as in `class_from_json`; TypeError or ValueError where int() or
+    float() would truncate or convert."""
     def dec(obj) -> ShatterTree:
         if "leaf" in obj:
-            return ShatterTree(leaf=int(obj["leaf"]))
+            return ShatterTree(leaf=_json_number(obj["leaf"], "leaf", integer=True))
         return ShatterTree(
-            x=int(obj["x"]),
-            a=float(obj["a"]),
+            x=_json_number(obj["x"], "x", integer=True),
+            a=float(_json_number(obj["a"], "a")),
             left=dec(obj["left"]),
             right=dec(obj["right"]),
         )

@@ -208,14 +208,16 @@ def max_holevo(
     D)) and renormalize, with mu = 4, then mu = 1.  The first trial that
     raises chi is kept; near chi*, where a rise is below roundoff, so is one
     that holds chi to within the slack and shrinks the gap.  Raises
-    ``NonConvergence`` after ``max_iter`` evaluations.
+    ``NonConvergence`` after ``max_iter`` evaluations, and ``OutOfRange`` for
+    a tol not above the slack or not finite: an infinite tol would stop at
+    the first evaluation without solving for chi*.
     """
     if not states:
         raise OutOfRange("need at least one state")
     if len(states) > 16:
         raise OutOfRange("weight maximization is limited to 16 states")
-    if not tol > _GAP_SLACK:
-        raise OutOfRange(f"tol must exceed {_GAP_SLACK}, got {tol!r}")
+    if not _GAP_SLACK < tol < math.inf:
+        raise OutOfRange(f"tol must be finite and exceed {_GAP_SLACK}, got {tol!r}")
     n = len(states)
     if n == 1:
         return 0.0, (1.0,), 0.0, 0

@@ -544,6 +544,25 @@ MALFORMED = {
         "online",
         {"seed": 1, "zeta": 0.125, "T": True, "class": {"bundled": "four_constants"}},
     ),
+    # float("0.25") and int("100") read numbers given as strings
+    "stability_numbers_as_strings": (
+        "stability",
+        {"seed": 5, "zeta": "0.25", "runs": "100", "alpha": "0.5",
+         "class": {"bundled": "two_constants"}},
+    ),
+    "zeta_a_string": ("dims", {"seed": 1, "zeta": "0.25", "class": {"bundled": "four_constants"}}),
+    "T_a_string": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "T": "100", "class": {"bundled": "four_constants"}},
+    ),
+    "seed_a_string": ("privacy", {"seed": "1", "zeta": 0.5}),
+    "generated_n_concepts_a_string": (
+        "dims",
+        {"seed": 1, "zeta": 0.25,
+         "class": {"generated": {"domain_size": 2, "n_concepts": "4"}}},
+    ),
+    # an infinite tol stopped max_holevo at its first evaluation
+    "quantum_infinite_tol": ("quantum", {"seed": 1, "tol": math.inf}),
 }
 
 

@@ -7,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shatterlab import (
+    Concept,
+    ConceptClass,
     SfatCache,
+    dimensions,
     fat,
     ldim_oracle,
     sfat,
@@ -15,8 +18,10 @@ from shatterlab import (
     validate_tree,
 )
 from shatterlab.classes import boolean_cube, generate_class
+from shatterlab.concepts import bin_midpoints
 from shatterlab.dimensions import tree_from_json, tree_to_json
 from shatterlab.errors import EmptySubset, InvalidTree, NotBoolean, TooLarge
+from shatterlab.seeding import child_rng
 from tests.conftest import make_class
 
 
@@ -132,11 +137,17 @@ class TestOracle:
             rows = [c.values for c in cls.concepts]
             for margin in (0.05, 0.1, 0.125, 0.25):
                 cache = SfatCache(cls, margin)
+                decisions = SfatCache(cls, margin)
                 for mask in range(1, 1 << nc):
                     sub = [rows[r] for r in range(nc) if mask >> r & 1]
-                    assert cache.dimension_of_mask(mask) == oracle_sfat(sub, margin), (
-                        seed, margin, mask,
-                    )
+                    want = oracle_sfat(sub, margin)
+                    assert cache.dimension_of_mask(mask) == want, (seed, margin, mask)
+                    # every k up to one past floor(log2 |V|), on a cache that
+                    # has answered only decisions
+                    for k in range(len(sub).bit_length() + 1):
+                        assert decisions.at_least(mask, k) == (want >= k), (
+                            seed, margin, mask, k,
+                        )
 
 
 #: values on the 1/20 grid, so margin boundaries are hit exactly
@@ -180,6 +191,20 @@ class TestSfatProperties:
         assert res.witness.depth() == res.dimension
 
     @given(small_tables(), MARGINS, st.data())
+    def test_query_order(self, rows, margin, data):
+        # one cache answering queries in a drawn order agrees with a fresh
+        # cache per query: the memo holds only proven bounds
+        cls = make_class(rows)
+        shared = SfatCache(cls, margin)
+        queries = data.draw(st.lists(
+            st.tuples(st.integers(1, shared.full_mask()), st.integers(0, 3)), max_size=12,
+        ))
+        for mask, k in queries:
+            assert shared.at_least(mask, k) == SfatCache(cls, margin).at_least(mask, k)
+            want = SfatCache(cls, margin).dimension_of_mask(mask)
+            assert shared.dimension_of_mask(mask) == want
+
+    @given(small_tables(), MARGINS, st.data())
     def test_monotone_under_subsets(self, rows, margin, data):
         cache = SfatCache(make_class(rows), margin)
         outer = data.draw(st.integers(1, cache.full_mask()))
@@ -194,7 +219,32 @@ class TestDocumentedLimitCorner:
         # (8, 64, 1/20) at margin 1/10: a count, not a time, so it cannot flake
         cache = SfatCache(generate_class(8, 64, 1 / 20, seed=class_seed), 1 / 10)
         cache.dimension_of_mask(cache.full_mask())
-        assert len(cache._memo) <= 5000
+        assert len(cache._memo) <= 200
+
+
+def generated_table(nx, nc, zeta, seed):
+    """`generate_class`'s class without its concept cap: the same draws."""
+    rng = child_rng(seed, 0xC1A55)
+    mids = np.array(bin_midpoints(zeta / 5.0))
+    values = mids[rng.integers(0, len(mids), size=(nc, nx))]
+    return ConceptClass(nx, tuple(Concept(i, tuple(row)) for i, row in enumerate(values)))
+
+
+class TestScaleGuard:
+    def test_generated_table_matches_generate_class(self):
+        assert generated_table(8, 64, 1 / 20, 1) == generate_class(8, 64, 1 / 20, seed=1)
+
+    def test_256_concepts(self, monkeypatch):
+        # (8, 256, 1/20) at margin 1/10 with the cap lifted: the exact value,
+        # and a mask count, not a time (an exact-value search memoizes 98,510)
+        monkeypatch.setattr(dimensions, "MAX_CONCEPTS", 256)
+        cls = generated_table(8, 256, 1 / 20, 1)
+        cache = SfatCache(cls, 1 / 10)
+        assert cache.dimension_of_mask(cache.full_mask()) == 6
+        assert len(cache._memo) <= 8000
+        witness = cache.witness_of_mask(cache.full_mask())
+        validate_tree(cls, witness, 1 / 10)
+        assert witness.depth() == 6
 
 
 class TestEmptyConvention:
@@ -327,6 +377,23 @@ class TestTreeJson:
         cls = make_class([[0.5]])
         res = sfat(cls, 1 / 4)
         assert json.loads(tree_to_json(res.witness)) == {"leaf": 0}
+
+    @pytest.mark.parametrize("tree,error", [
+        # int() and float() truncated or converted each of these
+        ({"x": 1.7, "a": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}, ValueError),
+        ({"x": 0, "a": "0.5", "left": {"leaf": 0}, "right": {"leaf": 1}}, TypeError),
+        ({"x": 0, "a": 0.5, "left": {"leaf": 0.9}, "right": {"leaf": 1}}, ValueError),
+        ({"x": 0, "a": 0.5, "left": {"leaf": 0}, "right": {"leaf": True}}, TypeError),
+        ({"x": "0", "a": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}, TypeError),
+    ])
+    def test_rejects_what_int_would_truncate(self, tree, error):
+        with pytest.raises(error):
+            tree_from_json(json.dumps(tree))
+
+    def test_reads_integral_floats(self):
+        tree = tree_from_json('{"x": 0.0, "a": 1, "left": {"leaf": 2.0}, "right": {"leaf": 3}}')
+        assert (tree.x, tree.a, tree.left.leaf, tree.right.leaf) == (0, 1.0, 2, 3)
+        assert type(tree.x) is int and type(tree.a) is float and type(tree.left.leaf) is int
 
     def test_validate_rejects_wrong_margin(self, four_constants):
         res = sfat(four_constants, 1 / 6)

@@ -337,6 +337,11 @@ class TestMaxHolevo:
         with pytest.raises(OutOfRange):
             max_holevo([KET0, KET1], tol=tol)
 
+    def test_rejects_an_infinite_tol(self):
+        # it stopped at the first evaluation, with chi* never solved for
+        with pytest.raises(OutOfRange):
+            max_holevo([KET0, MAXMIX], tol=math.inf)
+
     def test_rejects_a_tol_inside_the_roundoff_slack(self):
         # every reported gap carries 1e-13 of evaluation roundoff
         with pytest.raises(OutOfRange):
