@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concepts import Concept, ConceptClass, Distribution, bin_midpoints, loss
-from .errors import AllRunsFailed, OutOfRange
+from .errors import AllRunsFailed, DomainMismatch, OutOfRange
 from .online import RsoaState
 from .seeding import child_rng
 
@@ -72,11 +72,9 @@ class _Budget:
         return True
 
 
-def _draw_block(
-    target: Concept, dist: Distribution, m: int, rng: np.random.Generator
-) -> tuple[tuple[int, float], ...]:
-    values = target.values
-    return tuple((x, values[x]) for x in dist.sample(rng, m).tolist())
+def _draw_block(dist: Distribution, m: int, rng: np.random.Generator) -> list[int]:
+    """The point indices of one block of m i.i.d. draws from dist."""
+    return dist.sample(rng, m).tolist()
 
 
 def sample_ext(
@@ -96,64 +94,68 @@ def sample_ext(
         raise OutOfRange(f"k must be nonnegative, got {k}")
     if cutoff < 0:
         raise OutOfRange(f"cutoff must be nonnegative, got {cutoff}")
+    if m < 0 or (m == 0 and k > 0):
+        # a block of no draws leaves both branches alike, so no attempt
+        # could succeed and none would use up the cutoff
+        raise OutOfRange(f"m must be positive at level k >= 1, got m={m}, k={k}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be nonnegative, got {seed}")
     cls, zeta = state.cls, state.zeta
-    target = cls.by_id(target_id)
-    bins = bin_midpoints(zeta)
-    if k > 0 and 11.0 * zeta >= 1.0:
+    if len(dist.p) != cls.domain_size:
+        raise DomainMismatch(
+            f"a distribution over {len(dist.p)} points for a class over {cls.domain_size}"
+        )
+    values = cls.by_id(target_id).values
+    empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
+    if k == 0:
+        return empty
+    if 11.0 * zeta >= 1.0:
         # values lie in [0, 1], so no two hypotheses differ by more than
         # 11*zeta: every attempt would fail, and the draws run to the cutoff
         return Fail(draws_used=cutoff + 1)
     rng = child_rng(seed, 0xE27)
     budget = _Budget(cutoff)
-    empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
-    # one learner state serves every attempt: the sfat cache and the bin
-    # membership masks are shared.  An update depends only on (mask, x, y),
-    # so a sub-sample's surviving mask stands in for replaying its examples
-    # from the full class, and each (mask, x, y) step is computed once.
-    steps: dict[tuple[int, int, float], int] = {}
+    bins = bin_midpoints(zeta)
+    # one learner state serves every attempt.  A block's examples carry the
+    # target's own labels and an update only intersects the mask with the
+    # rows near its label, so an example at x keeps the rows keep[x] of any
+    # mask; a sub-sample's surviving mask stands in for replaying it.
+    keep = [state.update(empty.mask, x, y) for x, y in enumerate(values)]
+    # (mask0, mask1) -> None, or the first point where the pair's final
+    # hypotheses differ by more than 11*zeta and their values there
+    splits: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
 
-    def resume(mask: int, examples: Sequence[tuple[int, float]]) -> int:
-        """The surviving mask after `examples`, starting from `mask`."""
-        for xi, y in examples:
-            key = (mask, xi, y)
-            nxt = steps.get(key)
-            if nxt is None:
-                nxt = steps[key] = state.update(mask, xi, y)
-            mask = nxt
-        return mask
+    def split(v0: int, v1: int) -> Optional[tuple[int, float, float]]:
+        if (v0, v1) not in splits:
+            f0, f1 = state.final_hypothesis(v0).values, state.final_hypothesis(v1).values
+            diffs = (x for x in range(cls.domain_size) if abs(f0[x] - f1[x]) > 11.0 * zeta)
+            splits[v0, v1] = next(((x, f0[x], f1[x]) for x in diffs), None)
+        return splits[v0, v1]
 
     def rec(level: int) -> Optional[ExtSample]:
-        if level == 0:
-            return empty
         while True:
             pair = []
             for _branch in (0, 1):
-                sub = rec(level - 1)
+                sub = empty if level == 1 else rec(level - 1)
                 if sub is None or not budget.draw(m):
                     return None
-                block = _draw_block(target, dist, m, rng)
-                mask = resume(sub.mask, block)
-                pair.append((sub, block, mask, state.final_hypothesis(mask)))
-            (s0, b0, v0, f0), (s1, b1, v1, f1) = pair
-            diffs = [
-                x
-                for x in range(cls.domain_size)
-                if abs(f0.values[x] - f1.values[x]) > 11.0 * zeta
-            ]
-            if not diffs:
+                xs = _draw_block(dist, m, rng)
+                mask = sub.mask
+                for x in xs:
+                    mask &= keep[x]
+                pair.append((sub, xs, mask))
+            found = split(pair[0][2], pair[1][2])
+            if found is None:
                 continue
-            x_star = diffs[0]
-            alpha = float(rng.choice(bins))
-            if abs(alpha - f0.values[x_star]) < abs(alpha - f1.values[x_star]):
-                keep_sub, keep_block, keep_mask = s1, b1, v1
-            else:
-                keep_sub, keep_block, keep_mask = s0, b0, v0
-            injected = (x_star, alpha)
+            x_star, y0, y1 = found
+            alpha = bins[rng.integers(len(bins))]  # the draw of rng.choice(bins)
+            sub, xs, mask = pair[1] if abs(alpha - y0) < abs(alpha - y1) else pair[0]
+            block = tuple((x, values[x]) for x in xs)
             return ExtSample(
-                segments=keep_sub.segments + ((keep_block, injected),),
+                segments=sub.segments + ((block, (x_star, alpha)),),
                 k=level,
                 draws_used=0,
-                mask=resume(keep_mask, (injected,)),
+                mask=state.update(mask, x_star, alpha),
             )
 
     result = rec(k)
@@ -194,9 +196,9 @@ class StableLearner:
         )
         if isinstance(s, Fail):
             return s
-        mask = s.mask
-        for xi, y in _draw_block(state.cls.by_id(target_id), dist, m, rng):
-            mask = state.update(mask, xi, y)
+        mask, values = s.mask, state.cls.by_id(target_id).values
+        for xi in _draw_block(dist, m, rng):
+            mask = state.update(mask, xi, values[xi])
         if mask == 0:
             return Fail(draws_used=s.draws_used + m)
         return state.final_hypothesis(mask)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shatterlab import (
     Concept,
@@ -20,7 +22,7 @@ from shatterlab import stability
 from shatterlab.classes import ext_cost_class, generate_class, two_constants
 from shatterlab.cli import main
 from shatterlab.concepts import bin_midpoints
-from shatterlab.errors import AllRunsFailed, OutOfRange
+from shatterlab.errors import AllRunsFailed, DomainMismatch, OutOfRange
 from shatterlab.online import RsoaState
 from shatterlab.seeding import child_rng
 from shatterlab.stability import ball_frequency
@@ -131,6 +133,33 @@ class TestStreamIdentity:
                         seen["fail" if isinstance(got, Fail) else "ok"] += 1
         assert seen["fail"] >= 10 and seen["ok"] >= 10
 
+    # a class on the coarse 1/5 grid (class zeta 1) often gives branches that
+    # differ by more than 11*zeta, so levels 1 and 2 both succeed and fail
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.sampled_from([1, 1 / 4]),
+        st.sampled_from([1 / 16, 1 / 32]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_sample_ext_matches_the_replay_on_generated_classes(
+        self, nx, nc, class_zeta, zeta, cseed, data
+    ):
+        cls = generate_class(nx, nc, class_zeta, seed=cseed)
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=nx, max_size=nx))
+        total = sum(weights)
+        dist = Distribution(tuple(w / total for w in weights)) if total else Distribution.uniform(nx)
+        target = data.draw(st.integers(0, nc - 1))
+        state = RsoaState(cls, zeta)  # reused, as G reuses its own
+        calls = st.tuples(
+            st.integers(0, 2), st.integers(1, 3), st.integers(0, 600), st.integers(0, 2**16)
+        )
+        for k, m, cutoff, seed in data.draw(st.lists(calls, min_size=1, max_size=4)):
+            got = sample_ext(state, target, dist, k, m, cutoff, seed=seed)
+            assert got == reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, seed)
+
     def test_stable_learner_matches_full_prefix_replay(self):
         cls, dist, zeta, _ = ext_cost_class()
         for alpha in (0.7, 4.0):
@@ -155,6 +184,16 @@ class TestStreamIdentity:
         outs = [learner(0, dist, s) for s in range(6)]
         assert any(isinstance(o, Fail) for o in outs)
         assert outs == [reference_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, s) for s in range(6)]
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test at the first block the sampler or G draws."""
+
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(stability, "_draw_block", refuse)
 
 
 class TestSampleExt:
@@ -207,16 +246,32 @@ class TestSampleExt:
         assert isinstance(out, Fail)
         assert out.draws_used > 60
 
-    def test_hopeless_level_fails_before_drawing(self, two_constants_01, monkeypatch):
+    def test_hopeless_level_fails_before_drawing(self, two_constants_01, no_draws):
         # with 11*zeta >= 1 no attempt can succeed, so no block is drawn
-        def no_draws(*args):
-            raise AssertionError("sample_ext drew a block")
-
-        monkeypatch.setattr(stability, "_draw_block", no_draws)
         state = RsoaState(two_constants_01, 1 / 4)
         for k in (1, 2):
             out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, seed=4)
             assert out == Fail(draws_used=61)
+
+    def test_empty_block_is_refused_before_drawing(self, no_draws):
+        # with m = 0 both branches keep the full mask and no attempt uses up
+        # the cutoff, so the sampler would retry forever
+        cls, dist, zeta, _ = ext_cost_class()
+        state = RsoaState(cls, zeta)
+        for k, m in ((1, 0), (2, 0), (0, -1), (1, -1)):
+            with pytest.raises(OutOfRange):
+                sample_ext(state, 0, dist, k, m, 1000, seed=1)
+        assert sample_ext(state, 0, dist, 0, 0, 1000, seed=1).segments == ()
+
+    def test_distribution_over_another_domain_is_refused_before_drawing(self, no_draws):
+        cls, _, zeta, m = ext_cost_class()  # 3 points
+        state = RsoaState(cls, zeta)
+        for n in (2, 5):
+            for k in (0, 1):
+                with pytest.raises(DomainMismatch):
+                    sample_ext(state, 0, Distribution.uniform(n), k, m, 1000, seed=1)
+            with pytest.raises(DomainMismatch):
+                stability_experiment(cls, 0, Distribution.uniform(n), zeta, 4.0, runs=100, seed=1)
 
     def test_injected_label_is_a_bin_midpoint(self):
         cls, dist, zeta, m = ext_cost_class()
@@ -268,6 +323,9 @@ class TestSampleExt:
             sample_ext(state, 0, Distribution.uniform(1), -1, 3, 10, 0)
         with pytest.raises(OutOfRange):
             sample_ext(state, 0, Distribution.uniform(1), 0, 3, -1, 0)
+        # level 0 draws nothing, and still refuses a seed no stream has
+        with pytest.raises(OutOfRange):
+            sample_ext(state, 0, Distribution.uniform(1), 0, 3, 10, -1)
 
 
 class TestStableLearner:
