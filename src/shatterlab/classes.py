@@ -91,7 +91,7 @@ def generate_class(
         values = mids[rng.integers(0, len(mids), size=(n_concepts, domain_size))]
     return ConceptClass(
         domain_size,
-        tuple(Concept(i, tuple(row)) for i, row in enumerate(values)),
+        tuple(Concept(i, tuple(row)) for i, row in enumerate(values.tolist())),
     )
 
 

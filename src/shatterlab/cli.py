@@ -4,18 +4,17 @@ Usage: shatterlab <kind> <config.json> [--seed N] [--out DIR]
 
 Kinds: dims, online, adversary, stability, privacy, comm, quantum, shadow.
 Each runner maps a config and a seed to a summary and an optional detail
-table; `main` writes them as out/summary.json and out/detail.csv.  Identical
-config and seed produce byte-identical reports.  A bad config exits 2: the
-CLI checks the config's shape, and the library's own range checks reject the
-rest (see `_CONFIG_ERRORS`).  Any other library error is an experiment fault
-and exits 1.
+table as text; `main` writes each in one piece, as out/summary.json and
+out/detail.csv.  Identical config and seed produce byte-identical reports.
+A bad config exits 2: the CLI checks the config's shape, and the library's
+own range checks reject the rest (see `_CONFIG_ERRORS`).  Any other library
+error is an experiment fault and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import os
@@ -23,7 +22,7 @@ import sys
 
 from . import classes as bundled
 from .concepts import ConceptClass, Distribution, _grid_order, _json_number, class_from_json
-from .dimensions import sfat, tree_to_json, validate_tree
+from .dimensions import sfat, tree_to_dict, validate_tree
 from .errors import (
     ConfigError,
     DimMismatch,
@@ -33,6 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .online import (
+    DRAWLESS_NOISES,
     NOISES,
     run_online_game,
     run_shadow_stream,
@@ -135,8 +135,14 @@ def _load_class(cfg: dict, seed: int) -> ConceptClass:
     raise ConfigError("class source must be 'bundled', 'inline', or 'generated'")
 
 
-#: a runner's result: the summary fields, and the detail table (header, rows) or None
-Report = tuple[dict, "tuple[list[str], list[list]] | None"]
+#: a runner's result: the summary fields, and the detail.csv text or None
+Report = tuple[dict, "str | None"]
+
+
+def _csv(header: list[str], rows) -> str:
+    """csv.writer's bytes: str() of each cell, \r\n line ends.  No cell of any
+    table holds a comma, a quote or a line break, so none is quoted."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows))
 
 
 class _Cells(dict):
@@ -149,6 +155,21 @@ class _Cells(dict):
         return text
 
 
+def _numbered(header: str, rounds, tail) -> str:
+    """A line per round: its number, then `tail(*round[1:])`, rendered once
+    per distinct tail, as a drawless game repeats its (mask, x) steps.  A
+    tail's floats follow from its x and prediction, so no -0.0 meets a 0.0."""
+    tails: dict = {}
+    lines = [header]
+    for r in rounds:
+        key = r[1:]
+        text = tails.get(key)
+        if text is None:
+            text = tails[key] = tail(*key)
+        lines.append(f"{r[0]},{text}")
+    return "".join(lines)
+
+
 def run_dims(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
@@ -157,7 +178,7 @@ def run_dims(cfg: dict, seed: int) -> Report:
         "zeta": zeta,
         "n_concepts": len(cls),
         "sfat": result.dimension,
-        "witness": json.loads(tree_to_json(result.witness)),
+        "witness": tree_to_dict(result.witness),
     }
     return summary, None
 
@@ -179,11 +200,18 @@ def run_online(cfg: dict, seed: int) -> Report:
         "sfat_bound": tr.sfat_bound,
         "within_bound": tr.mistakes <= tr.sfat_bound,
     }
-    header = ["round", "x", "prediction", "feedback", "mistake", "V"]
-    cell = _Cells({None: ""})
-    rows = [[r.t, r.x, cell[r.prediction], cell[r.feedback], r.mistake, r.v_after]
-            for r in tr.rounds]
-    return summary, (header, rows)
+    header = "round,x,prediction,feedback,mistake,V\r\n"
+    if NOISES[noise_name] in DRAWLESS_NOISES:
+        return summary, _numbered(
+            header, tr.rounds,
+            lambda x, p, fb, m, _, v: f"{x},{p},{'' if fb is None else fb},{m},{v}\r\n",
+        )
+    # each feedback is a fresh draw; the predictions repeat
+    cell = _Cells()
+    return summary, header + "".join([
+        f"{t},{x},{cell[p]},{'' if fb is None else fb},{m},{v}\r\n"
+        for t, x, p, fb, m, _, v in tr.rounds
+    ])
 
 
 def run_adversary(cfg: dict, seed: int) -> Report:
@@ -205,7 +233,7 @@ def run_adversary(cfg: dict, seed: int) -> Report:
         for xi, pred, right in res.rounds:
             rows.append([name, xi, pred, right])
     summary = {"zeta": zeta, "sfat": result.dimension, "learners": summary_losses}
-    return summary, (["learner", "x", "prediction", "went_right"], rows)
+    return summary, _csv(["learner", "x", "prediction", "went_right"], rows)
 
 
 def run_stability(cfg: dict, seed: int) -> Report:
@@ -256,9 +284,8 @@ def run_privacy(cfg: dict, seed: int) -> Report:
         "max_violation": report.max_violation,
         "hypotheses": len(coll),
     }
-    header = ["event", "freq_s", "freq_s_prime", "slack"]
     rows = [[e.event, e.freq_s, e.freq_s_prime, e.slack] for e in report.events]
-    return summary, (header, rows)
+    return summary, _csv(["event", "freq_s", "freq_s_prime", "slack"], rows)
 
 
 def run_comm(cfg: dict, seed: int) -> Report:
@@ -282,7 +309,7 @@ def run_comm(cfg: dict, seed: int) -> Report:
         "bits_per_run": bits,
         "lower_bound_eps0": cc_lower_bound(result.dimension, 0.0),
     }
-    return summary, (["x", "i", "bits", "success"], rows)
+    return summary, _csv(["x", "i", "bits", "success"], rows)
 
 
 def _load_states(cfg: dict, seed: int):
@@ -343,11 +370,10 @@ def run_shadow(cfg: dict, seed: int) -> Report:
         "mistakes": tr.mistakes,
     }
     truth = cls.by_id(target).values
-    header = ["position", "measurement", "estimate", "truth", "mistake"]
-    cell = _Cells()
-    rows = [[i, r.x, cell[r.prediction], cell[truth[r.x]], r.mistake]
-            for i, r in enumerate(tr.rounds)]
-    return summary, (header, rows)
+    return summary, _numbered(
+        "position,measurement,estimate,truth,mistake\r\n", tr.rounds,
+        lambda x, p, fb, m, *_: f"{x},{p},{truth[x]},{m}\r\n",
+    )
 
 
 _RUNNERS = {
@@ -400,14 +426,11 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump({**summary, "kind": args.kind, "seed": seed, "schema": SCHEMA_VERSION},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps({**summary, "kind": args.kind, "seed": seed, "schema": SCHEMA_VERSION},
+                            sort_keys=True, indent=2) + "\n")
     if detail is not None:
         with open(os.path.join(args.out, "detail.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(detail[0])
-            w.writerows(detail[1])
+            fh.write(detail)
     return 0
 
 

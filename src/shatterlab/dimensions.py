@@ -384,18 +384,16 @@ def ldim_oracle(cls: ConceptClass) -> int:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def tree_to_json(tree: ShatterTree) -> str:
-    def enc(node: ShatterTree):
-        if node.is_leaf:
-            return {"leaf": node.leaf}
-        return {
-            "x": node.x,
-            "a": node.a,
-            "left": enc(node.left),
-            "right": enc(node.right),
-        }
+def tree_to_dict(tree: ShatterTree) -> dict:
+    """The tree as nested dicts: ``{"leaf": id}`` or ``{"x", "a", "left", "right"}``."""
+    if tree.is_leaf:
+        return {"leaf": tree.leaf}
+    return {"x": tree.x, "a": tree.a,
+            "left": tree_to_dict(tree.left), "right": tree_to_dict(tree.right)}
 
-    return json.dumps(enc(tree), sort_keys=True)
+
+def tree_to_json(tree: ShatterTree) -> str:
+    return json.dumps(tree_to_dict(tree), sort_keys=True)
 
 
 def tree_from_json(text: str) -> ShatterTree:

@@ -16,7 +16,7 @@ shattering tree.  Mistake-only play is the noise `mistake_only_noise`: the
 zeta-grid rounding, given only on rounds with |prediction - truth| > 5*zeta.
 At zeta = epsilon/5 it drives the shadow-estimation stream.  A game whose
 feedback draws nothing replays each repeated (surviving mask, x) round from a
-cache.
+cache.  The learner reads the class's values as Python floats.
 """
 
 from __future__ import annotations
@@ -70,20 +70,13 @@ class RsoaState:
         self.zeta = float(zeta)
         self.cache = SfatCache(cls, 2.0 * self.zeta)
         self.grid = prediction_grid(self.zeta)
-        n = len(cls)
         radius = 2.0 * self.zeta
-        table = cls.table
+        # each point's values as Python floats: the table's doubles, no numpy scalars
+        self.cols = cls.table.T.tolist()
         # bin membership masks depend only on (x, r): precompute once
         self.bin_masks = [
-            [
-                sum(
-                    1 << row
-                    for row in range(n)
-                    if abs(table[row, x] - r) < radius
-                )
-                for r in self.grid
-            ]
-            for x in range(cls.domain_size)
+            [sum(1 << row for row, v in enumerate(col) if abs(v - r) < radius) for r in self.grid]
+            for col in self.cols
         ]
         self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
@@ -119,7 +112,7 @@ class RsoaState:
         """The rows of `mask` within the open zeta-ball of `feedback` at xi."""
         if not 0.0 <= feedback <= 1.0:
             raise OutOfRange(f"feedback {feedback} outside [0,1]")
-        col = self.cls.table[:, xi]
+        col = self.cols[xi]
         new = 0
         while mask:
             low = mask & -mask
@@ -162,7 +155,9 @@ def grid_noise(c_val, y_hat, zeta, rng):
 
 
 def uniform_noise(c_val, y_hat, zeta, rng):
-    offset = rng.uniform(-zeta, zeta)
+    # rng.uniform(-zeta, zeta) computes low + (high - low) * random(), and
+    # high - low is 2*zeta exactly: the same double, without its call cost
+    offset = -zeta + 2.0 * zeta * rng.random()
     if abs(offset) >= zeta:
         offset *= 1.0 - 1e-9
     return min(1.0, max(0.0, c_val + offset))

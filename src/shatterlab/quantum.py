@@ -7,7 +7,8 @@ takes over.  This module owns the information-theoretic side: von Neumann
 entropy, Holevo information and its maximization over input weights, the
 capacity-style ceilings (depolarizing channel, pairwise trace distance),
 serial random access codes read off shattering trees, and the two-state
-entropy inequality behind all of them.
+entropy inequality behind all of them.  Pair work runs as one stacked numpy
+call per state, which gives each pair its own call's result bit for bit.
 
 The maximal Holevo information chi* is certified, not just approached.  By
 the divergence-radius form of chi* (Schumacher and Westmoreland, "Optimal
@@ -136,8 +137,14 @@ def materialize_concept_class(
     """Concept i, point j holds Tr(measurements[j] states[i])."""
     if not states or not measurements:
         raise OutOfRange("need at least one state and one measurement")
+    dims = sorted({s.dim for s in states} | {e.dim for e in measurements})
+    if len(dims) > 1:
+        raise DimMismatch(f"states and effects must share one dimension, got {dims}")
+    effects = np.array([e.effect for e in measurements])
+    # one stacked product per state, whose slices are the expectation's products
     concepts = tuple(
-        Concept(i, tuple(expectation(s, e) for e in measurements))
+        Concept(i, tuple(min(1.0, max(0.0, v)) for v in
+                         np.trace(effects @ s.matrix, axis1=1, axis2=2).real.tolist()))
         for i, s in enumerate(states)
     )
     return ConceptClass(len(measurements), concepts)
@@ -319,10 +326,11 @@ def audenaert_bound(ensemble: Ensemble) -> float:
     n = len(ensemble.states)
     if n == 1:
         return 0.0
+    rho = np.array([s.matrix for s in ensemble.states])
+    # one stacked eigvalsh per state i, over its differences with later states
     v_m = max(
-        trace_distance(ensemble.states[i], ensemble.states[j])
-        for i in range(n)
-        for j in range(i + 1, n)
+        0.5 * float(np.abs(np.linalg.eigvalsh(rho[i] - rho[i + 1:])).sum(axis=1).max())
+        for i in range(n - 1)
     )
     return v_m * math.log2(n)
 

@@ -168,7 +168,8 @@ class StableLearner:
     """The globally-stable learner G on one (class, zeta, alpha).
 
     d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
-    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state.
+    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state,
+    and the runs on one target share its `keep` rows (see `sample_ext`).
     """
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
@@ -178,6 +179,7 @@ class StableLearner:
         self.d = self.state.mistake_bound()
         self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)
         self.cutoff = int(2 * (4.0 / zeta) ** (self.d + 1) * self.m)
+        self._keep: dict[int, list[int]] = {}
 
     def __call__(self, target_id: int, dist: Distribution, seed: int) -> "Concept | Fail":
         """One run of G.
@@ -196,9 +198,12 @@ class StableLearner:
         )
         if isinstance(s, Fail):
             return s
-        mask, values = s.mask, state.cls.by_id(target_id).values
+        if target_id not in self._keep:
+            full, values = state.cache.full_mask(), state.cls.by_id(target_id).values
+            self._keep[target_id] = [state.update(full, x, y) for x, y in enumerate(values)]
+        mask, keep = s.mask, self._keep[target_id]
         for xi in _draw_block(dist, m, rng):
-            mask = state.update(mask, xi, values[xi])
+            mask &= keep[xi]
         if mask == 0:
             return Fail(draws_used=s.draws_used + m)
         return state.final_hypothesis(mask)

@@ -9,6 +9,7 @@ import pytest
 
 from shatterlab import cli, dimensions
 from shatterlab.classes import generate_class
+from shatterlab.communication import index_bits
 from shatterlab.cli import main
 from shatterlab.errors import NonIntegerReciprocal, TooLarge
 from shatterlab.online import NOISES
@@ -341,6 +342,49 @@ class TestCliRuns:
         header = ["position", "measurement", "estimate", "truth", "mistake"]
         with open(os.path.join(out, "detail.csv"), "rb") as fh:
             assert fh.read() == self.csv_bytes(header, rows)
+
+    @pytest.mark.parametrize("payload", [
+        {"seed": 3, "zeta": 1 / 6, "class": {"bundled": "four_constants"}},
+        {"seed": 4, "zeta": 1 / 8,
+         "class": {"generated": {"domain_size": 5, "n_concepts": 24, "zeta": 1 / 8}}},
+    ])
+    def test_adversary_detail_is_csv_of_the_raw_games(self, tmp_path, monkeypatch, payload):
+        games = self.capture(monkeypatch, "run_weak_forcing_game")
+        out = str(tmp_path / "adv")
+        assert main(["adversary", write_config(tmp_path, payload), "--out", out]) == 0
+        rows = [[name, xi, pred, right]
+                for name, (_, res) in zip(("rsoa", "constant_half"), games, strict=True)
+                for xi, pred, right in res.rounds]
+        assert rows
+        with open(os.path.join(out, "detail.csv"), "rb") as fh:
+            assert fh.read() == self.csv_bytes(["learner", "x", "prediction", "went_right"], rows)
+
+    @pytest.mark.parametrize("payload", [
+        {"seed": 9, "zeta": 1 / 2, "epsilon": 1.0, "trials": 10_000},
+        {"seed": 4, "zeta": 1 / 2, "epsilon": 0.5, "trials": 10_000, "domain_size": 2, "m": 3},
+    ])
+    def test_privacy_detail_is_csv_of_the_raw_events(self, tmp_path, monkeypatch, payload):
+        tests = self.capture(monkeypatch, "dp_test")
+        out = str(tmp_path / "pv")
+        assert main(["privacy", write_config(tmp_path, payload), "--out", out]) == 0
+        ((_, report),) = tests
+        rows = [[e.event, e.freq_s, e.freq_s_prime, e.slack] for e in report.events]
+        with open(os.path.join(out, "detail.csv"), "rb") as fh:
+            assert fh.read() == self.csv_bytes(["event", "freq_s", "freq_s_prime", "slack"], rows)
+
+    @pytest.mark.parametrize("payload", [
+        {"seed": 2, "zeta": 1 / 4, "class": {"bundled": "boolean_cube_3"}},
+        {"seed": 13, "zeta": 1 / 8, "failure_rate": 0.2,
+         "class": {"generated": {"domain_size": 5, "n_concepts": 20, "zeta": 1 / 8}}},
+    ])
+    def test_comm_detail_is_csv_of_the_raw_instances(self, tmp_path, monkeypatch, payload):
+        runs = self.capture(monkeypatch, "augindex_via_eval")
+        out = str(tmp_path / "cm")
+        assert main(["comm", write_config(tmp_path, payload), "--out", out]) == 0
+        rows = [[inst.x, inst.i, index_bits(cls), success]
+                for (cls, _, inst, _, _), success in runs]
+        with open(os.path.join(out, "detail.csv"), "rb") as fh:
+            assert fh.read() == self.csv_bytes(["x", "i", "bits", "success"], rows)
 
     def test_quantum_from_state_files(self, tmp_path):
         import numpy as np

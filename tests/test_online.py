@@ -581,6 +581,14 @@ def reference_game(cls, target_id, points, zeta, noise, T, seed):
     return rounds, final
 
 
+def reference_uniform_noise(c_val, y_hat, zeta, rng):
+    """uniform_noise as numpy's own uniform draw writes it."""
+    offset = rng.uniform(-zeta, zeta)
+    if abs(offset) >= zeta:
+        offset *= 1.0 - 1e-9
+    return min(1.0, max(0.0, c_val + offset))
+
+
 def drawing_noise(c_val, y_hat, zeta, rng):
     """A noise that reads its generator between the adversary's draws."""
     return min(1.0, max(0.0, c_val + 0.5 * zeta * (rng.random() - 0.5)))
@@ -641,6 +649,96 @@ class TestBatchedGame:
                     rounds, final = reference_game(cls, target, points, zeta, noise, 300, i)
                     assert [tuple(r) for r in tr.rounds] == rounds
                     assert tr.final_hypothesis.values == final
+
+
+class TestUniformNoise:
+    """uniform_noise writes out Generator.uniform(low, high): low + (high -
+    low) * random(), where high - low = 2*zeta exactly."""
+
+    def test_matches_numpys_uniform_bit_for_bit(self):
+        zetas = (1 / 3, 1 / 5, 1 / 8, 1 / 10, 1 / 20, 0.07, 0.3, 1e-6)
+        cases = 0
+        for seed in range(130):
+            for zeta in zetas:
+                a, b = child_rng(seed, 0), child_rng(seed, 0)
+                for c_val in (0.0, zeta / 2, 0.5, 1.0 - zeta / 3, 1.0):
+                    got = uniform_noise(c_val, 0.5, zeta, a)
+                    assert got.hex() == reference_uniform_noise(c_val, 0.5, zeta, b).hex()
+                assert a.bit_generator.state == b.bit_generator.state
+                cases += 1
+        assert cases >= 1000
+
+    @pytest.mark.parametrize("nx,nc", [(1, 6), (3, 10), (6, 20)])
+    def test_game_matches_the_plain_harness_on_numpys_uniform(self, nx, nc):
+        for zinv in (5, 8):
+            zeta = 1 / zinv
+            cls = generate_class(nx, nc, zeta, seed=10 * nx + nc)
+            for seed, points in enumerate((None, [nx - 1, 0])):
+                target = seed % nc
+                tr = run_online_game(cls, target, points, zeta, uniform_noise, 300, seed=seed)
+                rounds, final = reference_game(
+                    cls, target, points, zeta, reference_uniform_noise, 300, seed
+                )
+                assert [tuple(r) for r in tr.rounds] == rounds
+                assert tr.final_hypothesis.values == final
+
+
+def reference_bin_masks(cls, zeta):
+    """Each (x, super-bin) membership mask, read off cls.table with numpy."""
+    inside = np.abs(cls.table[:, :, None] - np.array(prediction_grid(zeta))) < 2.0 * zeta
+    return [
+        [sum(1 << int(row) for row in np.flatnonzero(inside[:, x, k]))
+         for k in range(inside.shape[2])]
+        for x in range(cls.domain_size)
+    ]
+
+
+def reference_update(cls, zeta, mask, xi, feedback):
+    near = np.abs(cls.table[:, xi] - feedback) < zeta
+    return mask & sum(1 << int(row) for row in np.flatnonzero(near))
+
+
+@st.composite
+def boundary_classes(draw):
+    """(zeta, class, feedback, x, mask) with values placed exactly zeta and
+    2*zeta from the feedback and from the super-bin midpoints."""
+    zeta = 1 / draw(st.integers(3, 12))
+    feedback = draw(st.floats(0.0, 1.0))
+    centres = (*prediction_grid(zeta), feedback)
+    edges = sorted({v for c in centres for off in (zeta, 2.0 * zeta)
+                    for v in (c - off, c + off) if 0.0 <= v <= 1.0})
+    value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)) if edges else st.floats(0.0, 1.0)
+    nx, nc = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(value, min_size=nx, max_size=nx), min_size=nc, max_size=nc))
+    xi, mask = draw(st.integers(0, nx - 1)), draw(st.integers(0, 2**nc - 1))
+    return zeta, make_class(rows), feedback, xi, mask
+
+
+class TestFloatTables:
+    """The learner's Python-float columns are the table's doubles."""
+
+    @settings(max_examples=200)
+    @given(boundary_classes())
+    def test_bin_masks_and_update_match_the_numpy_table(self, case):
+        zeta, cls, feedback, xi, mask = case
+        state = RsoaState(cls, zeta)
+        assert state.bin_masks == reference_bin_masks(cls, zeta)
+        assert state.update(mask, xi, feedback) == reference_update(cls, zeta, mask, xi, feedback)
+        full = state.cache.full_mask()
+        for x in range(cls.domain_size):
+            for y in cls.table[:, x].tolist():
+                assert state.update(full, x, y) == reference_update(cls, zeta, full, x, y)
+
+    def test_boundary_values_fall_outside_the_open_balls(self):
+        # a value exactly zeta from the feedback, or 2*zeta from a midpoint,
+        # is outside the open ball in both the floats and the table
+        zeta = 1 / 8
+        r = prediction_grid(zeta)[1]
+        cls = make_class([[0.5 - zeta], [0.5 + zeta], [r + 2 * zeta], [0.5]])
+        state = RsoaState(cls, zeta)
+        assert state.update(0b1111, 0, 0.5) == reference_update(cls, zeta, 0b1111, 0, 0.5) == 0b1000
+        assert state.bin_masks == reference_bin_masks(cls, zeta)
+        assert not state.bin_masks[0][1] & 0b0100
 
 
 class TestPredictionMemo:

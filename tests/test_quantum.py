@@ -117,6 +117,41 @@ class TestMaterialize:
                 assert cls.by_id(i).values[j] == pytest.approx(direct, abs=1e-9)
 
 
+class TestBatchedPairWork:
+    """The stacked eigvalsh and matmul give every matrix its own result, so
+    the batched bounds equal the per-pair ones bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_audenaert_is_the_pairwise_maximum(self, dim):
+        for seed in range(3):
+            rng = child_rng(seed, dim)
+            states = [random_density_matrix(dim, rng) for _ in range(16)]
+            for n in (2, 3, 16):
+                v_m = max(trace_distance(a, b)
+                          for i, a in enumerate(states[:n]) for b in states[i + 1:n])
+                got = audenaert_bound(Ensemble.uniform(states[:n]))
+                assert got.hex() == (v_m * math.log2(n)).hex()
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_materialize_is_the_pairwise_expectation(self, dim):
+        for seed in range(3):
+            rng = child_rng(seed, 100 + dim)
+            states = [random_density_matrix(dim, rng) for _ in range(6)]
+            meas = random_basis_measurements(dim, rng, 16)
+            # projectors onto basis vectors sit at the clamp's edges too
+            meas += [Measurement(np.eye(dim, dtype=complex)), Measurement(np.zeros((dim, dim)))]
+            cls = materialize_concept_class(states, meas)
+            for s, c in zip(states, cls, strict=True):
+                assert [v.hex() for v in c.values] == [expectation(s, e).hex() for e in meas]
+
+    def test_materialize_refuses_mixed_dimensions(self):
+        big = DensityMatrix(np.eye(4, dtype=complex) / 4)
+        with pytest.raises(DimMismatch, match=r"\[2, 4\]"):
+            materialize_concept_class([KET0, big], [PROJ0])
+        with pytest.raises(DimMismatch, match=r"\[2, 4\]"):
+            materialize_concept_class([KET0], [PROJ0, Measurement(np.eye(4, dtype=complex))])
+
+
 class TestEntropy:
     def test_pure_state(self):
         assert von_neumann_entropy(KET0) == 0.0

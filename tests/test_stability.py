@@ -344,6 +344,35 @@ class TestStableLearner:
         outs = {learner(0, Distribution.uniform(1), seed=s).values for s in range(5)}
         assert len(outs) == 1
 
+    def test_final_block_updates_once_per_point_and_target(self, monkeypatch):
+        # an update only intersects, so G folds each target's fixed keep rows
+        # into the mask: the final block calls update once per (target, x),
+        # not once per draw, and every run's output stays the replay's
+        cls, dist, zeta, _ = ext_cost_class()
+        learner = StableLearner(cls, zeta, 4.0)
+        calls, in_sampler = [], []
+        update, sampler = RsoaState.update, stability.sample_ext
+
+        def counting_update(state, mask, xi, y):
+            calls.append(xi)
+            return update(state, mask, xi, y)
+
+        def counting_sampler(*args, **kwargs):
+            before = len(calls)
+            out = sampler(*args, **kwargs)
+            in_sampler.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(RsoaState, "update", counting_update)
+        monkeypatch.setattr(stability, "sample_ext", counting_sampler)
+        outs = [learner(target, dist, seed) for target in (0, 1) for seed in range(20)]
+        assert sum(not isinstance(o, Fail) for o in outs[:20]) > 0
+        assert sum(not isinstance(o, Fail) for o in outs[20:]) > 0
+        assert len(calls) - sum(in_sampler) == 2 * cls.domain_size
+        monkeypatch.undo()
+        assert outs == [reference_G(cls, target, dist, zeta, 4.0, seed)
+                        for target in (0, 1) for seed in range(20)]
+
     def test_output_consistent_with_consumed_examples(self):
         # every final survivor agrees with every consumed example within zeta,
         # and the prediction-rule output stays within 5*zeta of each label
