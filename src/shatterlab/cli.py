@@ -156,9 +156,8 @@ class _Cells(dict):
 
 
 def _numbered(header: str, rounds, tail) -> str:
-    """A line per round: its number, then `tail(*round[1:])`, rendered once
-    per distinct tail, as a drawless game repeats its (mask, x) steps.  A
-    tail's floats follow from its x and prediction, so no -0.0 meets a 0.0."""
+    """A line per round: its number, then `tail(*round[1:])`, rendered once per distinct tail.
+    A drawless game repeats its steps; its grid and class floats hold no -0.0 to alias 0.0."""
     tails: dict = {}
     lines = [header]
     for r in rounds:
@@ -206,12 +205,9 @@ def run_online(cfg: dict, seed: int) -> Report:
             header, tr.rounds,
             lambda x, p, fb, m, _, v: f"{x},{p},{'' if fb is None else fb},{m},{v}\r\n",
         )
-    # each feedback is a fresh draw; the predictions repeat
-    cell = _Cells()
-    return summary, header + "".join([
-        f"{t},{x},{cell[p]},{'' if fb is None else fb},{m},{v}\r\n"
-        for t, x, p, fb, m, _, v in tr.rounds
-    ])
+    cell = _Cells()  # each feedback is a fresh draw; the predictions repeat
+    return summary, header + "".join([f"{t},{x},{cell[p]},{'' if fb is None else fb},{m},{v}\r\n"
+                                      for t, x, p, fb, m, _, v in tr.rounds])
 
 
 def run_adversary(cfg: dict, seed: int) -> Report:

@@ -77,6 +77,12 @@ def _draw_block(dist: Distribution, m: int, rng: np.random.Generator) -> list[in
     return dist.sample(rng, m).tolist()
 
 
+def _keep_rows(state: RsoaState, values: Sequence[float]) -> list[int]:
+    """keep[x] = update(full, x, values[x]).  An update only intersects the mask
+    with the rows near its label, so `mask & keep[x]` is update(mask, x, values[x])."""
+    return [state.update(state.cache.full_mask(), x, y) for x, y in enumerate(values)]
+
+
 def sample_ext(
     state: RsoaState,
     target_id: int,
@@ -116,11 +122,9 @@ def sample_ext(
     rng = child_rng(seed, 0xE27)
     budget = _Budget(cutoff)
     bins = bin_midpoints(zeta)
-    # one learner state serves every attempt.  A block's examples carry the
-    # target's own labels and an update only intersects the mask with the
-    # rows near its label, so an example at x keeps the rows keep[x] of any
-    # mask; a sub-sample's surviving mask stands in for replaying it.
-    keep = [state.update(empty.mask, x, y) for x, y in enumerate(values)]
+    # one learner state serves every attempt; a sub-sample's surviving mask,
+    # folded with the keep rows of a block's draws, stands in for replaying it
+    keep = _keep_rows(state, values)
     # (mask0, mask1) -> None, or the first point where the pair's final
     # hypotheses differ by more than 11*zeta and their values there
     splits: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
@@ -168,8 +172,9 @@ class StableLearner:
     """The globally-stable learner G on one (class, zeta, alpha).
 
     d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
-    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state,
-    and the runs on one target share its `keep` rows (see `sample_ext`).
+    and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state, and
+    G's final blocks on one target share its `_keep_rows`: rebuilt per run, they
+    would cost domain_size updates, more than a block's m when domain_size > m.
     """
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
@@ -199,8 +204,7 @@ class StableLearner:
         if isinstance(s, Fail):
             return s
         if target_id not in self._keep:
-            full, values = state.cache.full_mask(), state.cls.by_id(target_id).values
-            self._keep[target_id] = [state.update(full, x, y) for x, y in enumerate(values)]
+            self._keep[target_id] = _keep_rows(state, state.cls.by_id(target_id).values)
         mask, keep = s.mask, self._keep[target_id]
         for xi in _draw_block(dist, m, rng):
             mask &= keep[xi]
