@@ -245,7 +245,7 @@ def run_stability(cfg: dict, seed: int) -> Report:
             f"distribution must list {cls.domain_size} probabilities, one per domain point",
         )
         try:
-            dist = Distribution(tuple(p))
+            dist = Distribution(tuple(_json_number(v, "a probability") for v in p))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"distribution: {exc}") from None
     else:

@@ -31,6 +31,7 @@ import numpy as np
 from .concepts import (
     Concept,
     ConceptClass,
+    bin_midpoints,
     round_to_grid,
     _grid_order,
 )
@@ -80,6 +81,12 @@ class RsoaState:
         ]
         self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
+        # the curated sampler's (stability.sample_ext) tables on this state:
+        # its injected labels, the keep rows per target, and the generators
+        # derived ahead in a batch by sampler seed, each taken once
+        self.bins = bin_midpoints(self.zeta)
+        self._keep: dict[int, list[int]] = {}
+        self.sampler_streams: dict[int, np.random.Generator] = {}
 
     def mistake_bound(self) -> int:
         """sfat at margin 2*zeta of the whole class: the bound on the
@@ -120,6 +127,21 @@ class RsoaState:
                 new |= low
             mask ^= low
         return new
+
+    def keep_rows(self, target_id: int) -> list[int]:
+        """keep[x] = update(full, x, target(x)) for the class member target_id.
+
+        An update only intersects the mask with the rows near its label, so
+        `mask & keep[x]` is update(mask, x, target(x)): a block labelled by
+        the target folds its points without an update each.  Built once per
+        target, at one update per domain point.
+        """
+        keep = self._keep.get(target_id)
+        if keep is None:
+            full = self.cache.full_mask()
+            values = self.cls.by_id(target_id).values
+            keep = self._keep[target_id] = [self.update(full, x, y) for x, y in enumerate(values)]
+        return keep
 
     def final_hypothesis(self, mask: int) -> Concept:
         """The prediction rule over the whole domain, materialized (id -1).

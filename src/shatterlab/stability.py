@@ -21,14 +21,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Distribution, bin_midpoints, loss
+from .concepts import Concept, ConceptClass, Distribution, loss
 from .errors import AllRunsFailed, DomainMismatch, OutOfRange
 from .online import RsoaState
-from .seeding import child_rng
+from .seeding import child_rng, child_rngs
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,14 @@ def _draw_block(dist: Distribution, m: int, rng: np.random.Generator) -> list[in
     return dist.sample(rng, m).tolist()
 
 
-def _keep_rows(state: RsoaState, values: Sequence[float]) -> list[int]:
-    """keep[x] = update(full, x, values[x]).  An update only intersects the mask
-    with the rows near its label, so `mask & keep[x]` is update(mask, x, values[x])."""
-    return [state.update(state.cache.full_mask(), x, y) for x, y in enumerate(values)]
+def _draws(k: int, zeta: float) -> bool:
+    """Whether a level-k curated sample at zeta draws from its stream.
+
+    Level 0 is the empty sample.  Values lie in [0, 1], so at 11*zeta >= 1 no
+    two hypotheses differ by more than 11*zeta: every attempt would fail, and
+    the draws would run to the cutoff.
+    """
+    return k >= 1 and 11.0 * zeta < 1.0
 
 
 def sample_ext(
@@ -95,6 +99,8 @@ def sample_ext(
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
+    The sample draws from child_rng(seed, 0xE27): the generator G derived for
+    it ahead, in a batch, when the state holds one.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -113,18 +119,16 @@ def sample_ext(
         )
     values = cls.by_id(target_id).values
     empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
-    if k == 0:
-        return empty
-    if 11.0 * zeta >= 1.0:
-        # values lie in [0, 1], so no two hypotheses differ by more than
-        # 11*zeta: every attempt would fail, and the draws run to the cutoff
-        return Fail(draws_used=cutoff + 1)
-    rng = child_rng(seed, 0xE27)
+    if not _draws(k, zeta):
+        return empty if k == 0 else Fail(draws_used=cutoff + 1)
+    rng = state.sampler_streams.pop(seed, None)
+    if rng is None:
+        rng = child_rng(seed, 0xE27)
     budget = _Budget(cutoff)
-    bins = bin_midpoints(zeta)
+    bins = state.bins
     # one learner state serves every attempt; a sub-sample's surviving mask,
     # folded with the keep rows of a block's draws, stands in for replaying it
-    keep = _keep_rows(state, values)
+    keep = state.keep_rows(target_id)
     # (mask0, mask1) -> None, or the first point where the pair's final
     # hypotheses differ by more than 11*zeta and their values there
     splits: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
@@ -173,9 +177,14 @@ class StableLearner:
 
     d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
     and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state, and
-    G's final blocks on one target share its `_keep_rows`: rebuilt per run, they
-    would cost domain_size updates, more than a block's m when domain_size > m.
+    with it each target's keep rows, which the sampler's blocks and G's final
+    blocks fold.
     """
+
+    #: the most runs whose generators are derived, and held, at once: it
+    #: bounds a batch's memory, and spreads the mixing's fixed cost of about
+    #: 70 µs to under 0.1 µs per run
+    _BATCH = 1024
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
         if not 0 < alpha < math.inf:
@@ -184,7 +193,6 @@ class StableLearner:
         self.d = self.state.mistake_bound()
         self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)
         self.cutoff = int(2 * (4.0 / zeta) ** (self.d + 1) * self.m)
-        self._keep: dict[int, list[int]] = {}
 
     def __call__(self, target_id: int, dist: Distribution, seed: int) -> "Concept | Fail":
         """One run of G.
@@ -195,17 +203,39 @@ class StableLearner:
         the target, and only surviving-set-backed hypotheses carry the
         consistency guarantees the stability analysis rests on).
         """
+        return next(self._runs(target_id, dist, [seed]))
+
+    def _runs(
+        self, target_id: int, dist: Distribution, seeds: Sequence[int]
+    ) -> Iterator["Concept | Fail"]:
+        """self(target_id, dist, seed) for each seed, in order.
+
+        Run `seed` draws its level k, then its sampler's seed s, then its
+        final block from child_rng(seed, 0x6), and its sampler draws from
+        child_rng(s, 0xE27).  Each stream is one run's own, so drawing every
+        run's (k, s) first moves no draw: a batch of runs derives its
+        generators together, and leaves the samplers' on the learner state
+        for `sample_ext` to take.
+        """
+        state, zeta = self.state, self.state.zeta
+        for lo in range(0, len(seeds), self._BATCH):
+            rngs = child_rngs(seeds[lo : lo + self._BATCH], 0x6)
+            levels = [(int(rng.integers(0, self.d + 1)), int(rng.integers(2**63))) for rng in rngs]
+            drawing = [s for k, s in levels if _draws(k, zeta)]
+            state.sampler_streams.update(zip(drawing, child_rngs(drawing, 0xE27)))
+            for rng, (k, sampler_seed) in zip(rngs, levels):
+                yield self._run(target_id, dist, rng, k, sampler_seed)
+
+    def _run(
+        self, target_id: int, dist: Distribution, rng: np.random.Generator, k: int, sampler_seed: int
+    ) -> "Concept | Fail":
+        """One run once its level and sampler seed are drawn: the curated
+        sample, then the final block from the run's own stream `rng`."""
         state, m = self.state, self.m
-        rng = child_rng(seed, 0x6)
-        k = int(rng.integers(0, self.d + 1))
-        s = sample_ext(
-            state, target_id, dist, k, m, self.cutoff, seed=int(rng.integers(2**63))
-        )
+        s = sample_ext(state, target_id, dist, k, m, self.cutoff, seed=sampler_seed)
         if isinstance(s, Fail):
             return s
-        if target_id not in self._keep:
-            self._keep[target_id] = _keep_rows(state, state.cls.by_id(target_id).values)
-        mask, keep = s.mask, self._keep[target_id]
+        mask, keep = s.mask, state.keep_rows(target_id)
         for xi in _draw_block(dist, m, rng):
             mask &= keep[xi]
         if mask == 0:
@@ -268,8 +298,7 @@ def stability_experiment(
     d, m, cutoff = learner.d, learner.m, learner.cutoff
     outputs: list[Concept] = []
     fails = 0
-    for i in range(runs):
-        out = learner(target_id, dist, seed=int(seed) + i)
+    for out in learner._runs(target_id, dist, range(int(seed), int(seed) + runs)):
         if isinstance(out, Fail):
             fails += 1
         else:

@@ -589,6 +589,17 @@ MALFORMED = {
         {"seed": 1, "zeta": 0.125, "T": True, "class": {"bundled": "four_constants"}},
     ),
     # float("0.25") and int("100") read numbers given as strings
+    # Distribution() read each probability with float()
+    "stability_distribution_string": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "distribution": ["1"],
+         "class": {"bundled": "two_constants"}},
+    ),
+    "stability_distribution_bool": (
+        "stability",
+        {"seed": 1, "zeta": 0.25, "runs": 100, "distribution": [True],
+         "class": {"bundled": "two_constants"}},
+    ),
     "stability_numbers_as_strings": (
         "stability",
         {"seed": 5, "zeta": "0.25", "runs": "100", "alpha": "0.5",

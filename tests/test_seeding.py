@@ -1,10 +1,10 @@
-"""`child_rng`, the one definition of a stream."""
+"""`child_rng`, the one definition of a stream, and `child_rngs`, its batch."""
 
 import numpy as np
 import pytest
 
 from shatterlab.errors import OutOfRange
-from shatterlab.seeding import child_rng
+from shatterlab.seeding import _seed_words, child_rng, child_rngs
 
 TWO_WORD_SEED = 2**40 + 3
 
@@ -32,3 +32,49 @@ def test_streams_equal_child_rng(seed, prefix):
 def test_negative_seed_or_path_is_out_of_range(seed, path):
     with pytest.raises(OutOfRange, match="nonnegative"):
         child_rng(seed, *path)
+
+
+# one-, two-, three- and four-word seeds mixed in one batch
+MIXED_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100 + 7, 5, TWO_WORD_SEED]
+PATHS = [(), (6,), (0xE27, 3), (1, 2**33, 0), (7, 0, 2**40, 1), (1, 2, 3, 4, 2**64)]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_batch_words_equal_seed_sequence(path):
+    # path lengths 0-5: entropies of 1 to 11 words, so both mixing loops run,
+    # and a batch holds several word counts at once
+    words = _seed_words(MIXED_SEEDS, *path)
+    assert words.dtype == np.uint64 and words.shape == (len(MIXED_SEEDS), 4)
+    for seed, row in zip(MIXED_SEEDS, words):
+        ref = np.random.SeedSequence((seed, *path)).generate_state(4, np.uint64)
+        assert row.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_batch_generators_equal_child_rng(path):
+    got = child_rngs(MIXED_SEEDS, *path)
+    assert len(got) == len(MIXED_SEEDS)
+    for seed, rng in zip(MIXED_SEEDS, got):
+        ref = child_rng(seed, *path)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert draws(rng) == draws(ref)
+
+
+def test_empty_batch():
+    assert _seed_words([], 6).shape == (0, 4)
+    assert child_rngs([], 6) == []
+
+
+@pytest.mark.parametrize("seeds, path", [([1, -1], ()), ([0, 2**64], (3, -2)), ([-5], (0xE27,))])
+def test_negative_batch_entry_is_out_of_range(seeds, path, monkeypatch):
+    # refused before any generator is built
+    monkeypatch.setattr(np.random, "PCG64", None)
+    with pytest.raises(OutOfRange, match="nonnegative"):
+        child_rngs(seeds, *path)
+
+
+def test_batched_generator_cannot_spawn():
+    # its seed sequence holds PCG64's 4 words, not a SeedSequence's pool
+    rng = child_rngs([1], 6)[0]
+    with pytest.raises(TypeError):
+        rng.spawn(1)

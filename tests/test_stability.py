@@ -177,6 +177,19 @@ class TestStreamIdentity:
         assert rep.fails == 100 - len(hyps) and 0 < rep.fails < 100
         assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
 
+    def test_experiment_matches_the_replay_across_two_word_seeds(self, monkeypatch):
+        # the experiment derives its runs' generators in batches grouped by
+        # entropy word count: seeds 2^32 - 100 .. 2^32 + 99 take one word,
+        # then two, and every run, across batches of 64, equals its replay
+        monkeypatch.setattr(StableLearner, "_BATCH", 64)
+        cls, dist, zeta, _ = ext_cost_class()
+        seed = 2**32 - 100
+        rep = stability_experiment(cls, 0, dist, zeta, 4.0, runs=200, seed=seed)
+        outs = [reference_G(cls, 0, dist, zeta, 4.0, seed + i) for i in range(200)]
+        hyps = [o for o in outs if not isinstance(o, Fail)]
+        assert rep.fails == 200 - len(hyps) and 0 < rep.fails < 200
+        assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
+
     def test_stable_learner_fails_like_the_replay(self, two_constants_01):
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
         dist = Distribution.uniform(1)
@@ -345,30 +358,35 @@ class TestStableLearner:
         assert len(outs) == 1
 
     def test_final_block_updates_once_per_point_and_target(self, monkeypatch):
-        # an update only intersects, so G folds each target's fixed keep rows
-        # into the mask: the final block calls update once per (target, x),
-        # not once per draw, and every run's output stays the replay's
+        # an update only intersects, so the sampler's blocks and G's final
+        # blocks fold each target's fixed keep rows into the mask: the rows
+        # are built once per (target, x) on the shared learner state, every
+        # other update is an injected example, and every run's output stays
+        # the replay's
         cls, dist, zeta, _ = ext_cost_class()
         learner = StableLearner(cls, zeta, 4.0)
-        calls, in_sampler = [], []
-        update, sampler = RsoaState.update, stability.sample_ext
+        built, outside, building = [], [], []
+        update, keep_rows = RsoaState.update, RsoaState.keep_rows
 
         def counting_update(state, mask, xi, y):
-            calls.append(xi)
+            (built if building else outside).append(y)
             return update(state, mask, xi, y)
 
-        def counting_sampler(*args, **kwargs):
-            before = len(calls)
-            out = sampler(*args, **kwargs)
-            in_sampler.append(len(calls) - before)
-            return out
+        def counting_keep_rows(state, target_id):
+            building.append(target_id)
+            try:
+                return keep_rows(state, target_id)
+            finally:
+                building.pop()
 
         monkeypatch.setattr(RsoaState, "update", counting_update)
-        monkeypatch.setattr(stability, "sample_ext", counting_sampler)
+        monkeypatch.setattr(RsoaState, "keep_rows", counting_keep_rows)
         outs = [learner(target, dist, seed) for target in (0, 1) for seed in range(20)]
         assert sum(not isinstance(o, Fail) for o in outs[:20]) > 0
         assert sum(not isinstance(o, Fail) for o in outs[20:]) > 0
-        assert len(calls) - sum(in_sampler) == 2 * cls.domain_size
+        assert len(built) == 2 * cls.domain_size
+        bins = set(bin_midpoints(zeta))
+        assert outside and all(y in bins for y in outside)
         monkeypatch.undo()
         assert outs == [reference_G(cls, target, dist, zeta, 4.0, seed)
                         for target in (0, 1) for seed in range(20)]
@@ -464,8 +482,9 @@ class TestStabilityExperiment:
         assert fails / runs <= ceiling + 3 * math.sqrt(ceiling / runs) + 1e-9
 
     def test_all_runs_failing_is_an_experiment_fault(self, two_constants_01, monkeypatch, tmp_path):
-        # with every run failed there is no ball centre to report
-        monkeypatch.setattr(stability.StableLearner, "__call__", lambda *a, **kw: Fail(draws_used=0))
+        # with every run failed there is no ball centre to report; every run
+        # of the experiment draws its curated sample through sample_ext
+        monkeypatch.setattr(stability, "sample_ext", lambda *a, **kw: Fail(draws_used=0))
         with pytest.raises(AllRunsFailed):
             stability_experiment(
                 two_constants_01, 0, Distribution.uniform(1), 1 / 4, 1 / 2, runs=100, seed=1
