@@ -58,6 +58,23 @@ def prediction_grid(zeta: float) -> tuple[float, ...]:
     return tuple(2 * k / n for k in range(1, math.ceil(n / 2)))
 
 
+class SamplerTables:
+    """What only the curated sampler (stability.sample_ext) reads on a learner
+    state, kept together as `RsoaState.sampler`.
+
+    `bins` are the zeta-bin midpoints that label its injected examples.
+    `streams` holds the generators G derives ahead, in a batch, for the
+    samplers of the runs it is about to make, by sampler seed; `sample_ext`
+    takes each one once, and G clears what is left when its batch ends.
+    """
+
+    __slots__ = ("bins", "streams")
+
+    def __init__(self, zeta: float):
+        self.bins = bin_midpoints(zeta)
+        self.streams: dict[int, np.random.Generator] = {}
+
+
 class RsoaState:
     """The learner's fixed tables for one class at accuracy zeta, plus memos.
 
@@ -81,12 +98,7 @@ class RsoaState:
         ]
         self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
-        # the curated sampler's (stability.sample_ext) tables on this state:
-        # its injected labels, the keep rows per target, and the generators
-        # derived ahead in a batch by sampler seed, each taken once
-        self.bins = bin_midpoints(self.zeta)
         self._keep: dict[int, list[int]] = {}
-        self.sampler_streams: dict[int, np.random.Generator] = {}
 
     def mistake_bound(self) -> int:
         """sfat at margin 2*zeta of the whole class: the bound on the
@@ -142,6 +154,12 @@ class RsoaState:
             values = self.cls.by_id(target_id).values
             keep = self._keep[target_id] = [self.update(full, x, y) for x, y in enumerate(values)]
         return keep
+
+    @functools.cached_property
+    def sampler(self) -> SamplerTables:
+        """The curated sampler's own tables on this state, built on first use,
+        so a game builds none."""
+        return SamplerTables(self.zeta)
 
     def final_hypothesis(self, mask: int) -> Concept:
         """The prediction rule over the whole domain, materialized (id -1).

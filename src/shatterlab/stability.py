@@ -77,6 +77,11 @@ def _draw_block(dist: Distribution, m: int, rng: np.random.Generator) -> list[in
     return dist.sample(rng, m).tolist()
 
 
+#: the paths of a run's own stream (its level, sampler seed and final block)
+#: and of its curated sample's stream, under the run's and the sampler's seed
+_RUN_PATH, _SAMPLER_PATH = 0x6, 0xE27
+
+
 def _draws(k: int, zeta: float) -> bool:
     """Whether a level-k curated sample at zeta draws from its stream.
 
@@ -99,8 +104,8 @@ def sample_ext(
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
-    The sample draws from child_rng(seed, 0xE27): the generator G derived for
-    it ahead, in a batch, when the state holds one.
+    The sample draws from child_rng(seed, _SAMPLER_PATH): the generator G
+    derived for it ahead, in a batch, when the state holds one.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -121,11 +126,12 @@ def sample_ext(
     empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
     if not _draws(k, zeta):
         return empty if k == 0 else Fail(draws_used=cutoff + 1)
-    rng = state.sampler_streams.pop(seed, None)
+    tables = state.sampler
+    rng = tables.streams.pop(seed, None)
     if rng is None:
-        rng = child_rng(seed, 0xE27)
+        rng = child_rng(seed, _SAMPLER_PATH)
     budget = _Budget(cutoff)
-    bins = state.bins
+    bins = tables.bins
     # one learner state serves every attempt; a sub-sample's surviving mask,
     # folded with the keep rows of a block's draws, stands in for replaying it
     keep = state.keep_rows(target_id)
@@ -203,7 +209,12 @@ class StableLearner:
         the target, and only surviving-set-backed hypotheses carry the
         consistency guarantees the stability analysis rests on).
         """
-        return next(self._runs(target_id, dist, [seed]))
+        rng = child_rng(seed, _RUN_PATH)
+        return self._run(target_id, dist, rng, *self._level(rng))
+
+    def _level(self, rng: np.random.Generator) -> tuple[int, int]:
+        """A run's level k, then its sampler's seed, drawn from the run's stream."""
+        return int(rng.integers(0, self.d + 1)), int(rng.integers(2**63))
 
     def _runs(
         self, target_id: int, dist: Distribution, seeds: Sequence[int]
@@ -211,20 +222,24 @@ class StableLearner:
         """self(target_id, dist, seed) for each seed, in order.
 
         Run `seed` draws its level k, then its sampler's seed s, then its
-        final block from child_rng(seed, 0x6), and its sampler draws from
-        child_rng(s, 0xE27).  Each stream is one run's own, so drawing every
-        run's (k, s) first moves no draw: a batch of runs derives its
-        generators together, and leaves the samplers' on the learner state
-        for `sample_ext` to take.
+        final block from child_rng(seed, _RUN_PATH), and its sampler draws
+        from child_rng(s, _SAMPLER_PATH).  Each stream is one run's own, so
+        drawing every run's (k, s) first moves no draw: a batch of runs
+        derives its generators together, and leaves the samplers' on the
+        learner state for `sample_ext` to take.
         """
-        state, zeta = self.state, self.state.zeta
+        zeta, streams = self.state.zeta, self.state.sampler.streams
         for lo in range(0, len(seeds), self._BATCH):
-            rngs = child_rngs(seeds[lo : lo + self._BATCH], 0x6)
-            levels = [(int(rng.integers(0, self.d + 1)), int(rng.integers(2**63))) for rng in rngs]
+            rngs = child_rngs(seeds[lo : lo + self._BATCH], _RUN_PATH)
+            levels = [self._level(rng) for rng in rngs]
             drawing = [s for k, s in levels if _draws(k, zeta)]
-            state.sampler_streams.update(zip(drawing, child_rngs(drawing, 0xE27)))
-            for rng, (k, sampler_seed) in zip(rngs, levels):
-                yield self._run(target_id, dist, rng, k, sampler_seed)
+            streams.update(zip(drawing, child_rngs(drawing, _SAMPLER_PATH)))
+            try:
+                for rng, (k, sampler_seed) in zip(rngs, levels):
+                    yield self._run(target_id, dist, rng, k, sampler_seed)
+            finally:
+                # every run took its own, unless one raised
+                streams.clear()
 
     def _run(
         self, target_id: int, dist: Distribution, rng: np.random.Generator, k: int, sampler_seed: int

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence, ISpawnableSeedSequence
 
 from shatterlab.errors import OutOfRange
-from shatterlab.seeding import _seed_words, child_rng, child_rngs
+from shatterlab.seeding import _seed_words, _StateWords, child_rng, child_rngs
 
 TWO_WORD_SEED = 2**40 + 3
 
@@ -73,8 +74,13 @@ def test_negative_batch_entry_is_out_of_range(seeds, path, monkeypatch):
         child_rngs(seeds, *path)
 
 
-def test_batched_generator_cannot_spawn():
-    # its seed sequence holds PCG64's 4 words, not a SeedSequence's pool
-    rng = child_rngs([1], 6)[0]
-    with pytest.raises(TypeError):
-        rng.spawn(1)
+def test_batched_seed_sequence_cannot_spawn():
+    # it holds PCG64's 4 words, not a SeedSequence's pool: an ISeedSequence
+    # (numpy >= 1.17) that is not spawnable, so Generator.spawn (numpy >= 1.25)
+    # refuses a batched generator
+    words = _seed_words([1], 6)[0]
+    assert isinstance(_StateWords(words), ISeedSequence)
+    assert not isinstance(_StateWords(words), ISpawnableSeedSequence)
+    if hasattr(np.random.Generator, "spawn"):
+        with pytest.raises(TypeError):
+            child_rngs([1], 6)[0].spawn(1)

@@ -190,6 +190,29 @@ class TestStreamIdentity:
         assert rep.fails == 200 - len(hyps) and 0 < rep.fails < 200
         assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
 
+    def test_batched_runs_leave_no_sampler_streams(self, monkeypatch):
+        # a state builds its sampler tables on first use, so a game builds
+        # none; each run takes its sampler's generator once, and a batch whose
+        # run raises drops the generators no run took
+        cls, dist, zeta, _ = ext_cost_class()
+        assert "sampler" not in vars(RsoaState(cls, zeta))
+        learner = StableLearner(cls, zeta, 4.0)
+        outs = list(learner._runs(0, dist, range(50)))
+        assert learner.state.sampler.streams == {}
+        assert outs == [reference_G(cls, 0, dist, zeta, 4.0, seed) for seed in range(50)]
+        sampler, pending = stability.sample_ext, []
+
+        def raising_sampler(state, *args, **kwargs):
+            pending.append(len(state.sampler.streams))
+            if len(pending) == 3:
+                raise RuntimeError("a run raised")
+            return sampler(state, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "sample_ext", raising_sampler)
+        with pytest.raises(RuntimeError, match="a run raised"):
+            list(learner._runs(0, dist, range(50)))
+        assert pending[-1] > 0 and learner.state.sampler.streams == {}
+
     def test_stable_learner_fails_like_the_replay(self, two_constants_01):
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
         dist = Distribution.uniform(1)
