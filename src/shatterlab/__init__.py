@@ -12,7 +12,6 @@ from .concepts import (
     Distribution,
     binary_entropy,
     bin_midpoints,
-    function_ball,
     loss,
     round_to_grid,
 )
@@ -20,15 +19,12 @@ from .dimensions import (
     DimensionResult,
     SfatCache,
     ShatterTree,
-    fat,
-    ldim_oracle,
     sfat,
     sfat_empty_convention,
     validate_tree,
 )
 from .online import (
     Transcript,
-    gentle_sample_complexity,
     mistake_only_noise,
     prediction_grid,
     run_online_game,
@@ -63,12 +59,10 @@ from .quantum import (
     Measurement,
     SracCode,
     audenaert_bound,
-    depolarizing_capacity_bound,
     expectation,
     holevo_chi,
     materialize_concept_class,
     max_holevo,
-    nayak_inequality_check,
     sfat_holevo_bound,
     srac_from_tree,
     von_neumann_entropy,
@@ -80,19 +74,15 @@ __all__ = [
     "Distribution",
     "binary_entropy",
     "bin_midpoints",
-    "function_ball",
     "loss",
     "round_to_grid",
     "DimensionResult",
     "SfatCache",
     "ShatterTree",
-    "fat",
-    "ldim_oracle",
     "sfat",
     "sfat_empty_convention",
     "validate_tree",
     "Transcript",
-    "gentle_sample_complexity",
     "mistake_only_noise",
     "prediction_grid",
     "run_online_game",
@@ -119,12 +109,10 @@ __all__ = [
     "Measurement",
     "SracCode",
     "audenaert_bound",
-    "depolarizing_capacity_bound",
     "expectation",
     "holevo_chi",
     "materialize_concept_class",
     "max_holevo",
-    "nayak_inequality_check",
     "sfat_holevo_bound",
     "srac_from_tree",
     "von_neumann_entropy",

@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -117,9 +116,6 @@ class ConceptClass:
     def by_id(self, concept_id: int) -> Concept:
         return self.concepts[self.row_of(concept_id)]
 
-    def ids(self) -> frozenset[int]:
-        return frozenset(c.id for c in self.concepts)
-
 
 def bin_midpoints(zeta: float) -> tuple[float, ...]:
     """Midpoints of the 1/zeta bins of [0,1], at odd multiples of zeta/2;
@@ -156,10 +152,6 @@ class Distribution:
     def uniform(n: int) -> "Distribution":
         return Distribution(tuple(1.0 / n for _ in range(n)))
 
-    @staticmethod
-    def point_mass(n: int, at: int) -> "Distribution":
-        return Distribution(tuple(1.0 if i == at else 0.0 for i in range(n)))
-
 
 def loss(h: Concept, c: Concept, r: float, d: Distribution) -> float:
     """Probability mass of {x : |h(x) - c(x)| > r} under d (strict inequality)."""
@@ -169,19 +161,6 @@ def loss(h: Concept, c: Concept, r: float, d: Distribution) -> float:
         raise OutOfRange("loss radius must be nonnegative")
     return float(
         sum(p for hv, cv, p in zip(h.values, c.values, d.p) if abs(hv - cv) > r)
-    )
-
-
-def function_ball(center: Concept, r: float, pool: Sequence[Concept]) -> frozenset[int]:
-    """Ids of pool concepts within distance r of `center` at every point (strict)."""
-    n = len(center.values)
-    for f in pool:
-        if len(f.values) != n:
-            raise DomainMismatch("function_ball pool must share the center's domain")
-    return frozenset(
-        f.id
-        for f in pool
-        if all(abs(fv - cv) < r for fv, cv in zip(f.values, center.values))
     )
 
 
@@ -215,16 +194,6 @@ def round_to_grid(y: float, step: float) -> float:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def class_to_json(cls: ConceptClass) -> str:
-    return json.dumps(
-        {
-            "domain_size": cls.domain_size,
-            "concepts": [{"id": c.id, "values": list(c.values)} for c in cls.concepts],
-        },
-        sort_keys=True,
-    )
-
-
 def _json_number(value, name: str, integer: bool = False):
     """A JSON number as read; a bool or a string raises TypeError, and an
     integer with a fractional part ValueError, where int() would truncate."""
@@ -245,11 +214,3 @@ def class_from_json(text: str) -> ConceptClass:
             for c in data["concepts"]
         ),
     )
-
-
-def distribution_to_json(d: Distribution) -> str:
-    return json.dumps({"p": list(d.p)}, sort_keys=True)
-
-
-def distribution_from_json(text: str) -> Distribution:
-    return Distribution(tuple(json.loads(text)["p"]))

@@ -32,22 +32,16 @@ it asks the smaller side first, and stops at the first split that passes,
 raising lo to k, or lowers hi to k - 1 when none does.  Every stored bound is
 proven, so no answer depends on the order of the queries, and the exact value
 is found by deepening from lo until a query fails.
-
-Also here: the non-sequential fat-shattering dimension, by brute force over
-point sets with the same split pairs, and a Littlestone oracle that
-shares no code with sfat; both cross-check sfat.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
-from .concepts import ConceptClass, _json_number
-from .errors import EmptySubset, InvalidTree, NotBoolean, OutOfRange, TooLarge
+from .concepts import ConceptClass
+from .errors import EmptySubset, InvalidTree, OutOfRange, TooLarge
 
 #: comparison slack so grid values sitting exactly on a margin boundary are
 #: classified inclusively despite float rounding
@@ -57,7 +51,7 @@ _MARGIN_TOL = 1e-12
 #: exactly 2*zeta apart up to float rounding
 _TREE_TOL = 1e-9
 
-#: cap on the concepts of an exact sfat or ldim; the row masks are Python ints
+#: cap on the concepts of an exact sfat; the row masks are Python ints
 #: of any width, so this only stands in for the cost of the search
 MAX_CONCEPTS = 64
 
@@ -166,17 +160,6 @@ class SfatCache:
 
     def full_mask(self) -> int:
         return (1 << len(self.cls)) - 1
-
-    def mask_of_ids(self, ids: Iterable[int]) -> int:
-        mask = 0
-        for cid in ids:
-            mask |= 1 << self.cls.row_of(cid)
-        return mask
-
-    def ids_of_mask(self, mask: int) -> frozenset[int]:
-        return frozenset(
-            c.id for row, c in enumerate(self.cls.concepts) if mask >> row & 1
-        )
 
     def at_least(self, mask: int, k: int) -> bool:
         """Whether sfat(V) >= k for the nonempty subset V of `mask`.
@@ -294,120 +277,9 @@ def validate_tree(cls: ConceptClass, tree: ShatterTree, zeta: float) -> None:
                 node = node.right
 
 
-def fat(cls: ConceptClass, gamma: float) -> int:
-    """Non-sequential fat-shattering dimension by brute force (|X| <= 12)."""
-    if cls.domain_size > 12:
-        raise TooLarge("fat-shattering brute force is limited to 12 domain points")
-    if not gamma > 0:
-        raise OutOfRange(f"margin must be positive, got {gamma}")
-    n = len(cls)
-    full = (1 << n) - 1
-    splits = [_point_masks(col, gamma) for col in cls.table.T.tolist()]
-
-    def shatters(points: tuple[int, ...]) -> bool:
-        # cells = one concept mask per sign pattern over the points chosen so far;
-        # a single (lmask, rmask) witness per point is shared by all cells
-        def extend(cells: list[int], remaining: tuple[int, ...]) -> bool:
-            if not remaining:
-                return True
-            x, rest = remaining[0], remaining[1:]
-            need = 1 << len(rest)
-            for _, lmask, rmask in splits[x]:
-                nxt = []
-                ok = True
-                for cell in cells:
-                    lo_cell, hi_cell = cell & lmask, cell & rmask
-                    if lo_cell.bit_count() < need or hi_cell.bit_count() < need:
-                        ok = False
-                        break
-                    nxt.append(lo_cell)
-                    nxt.append(hi_cell)
-                if ok and extend(nxt, rest):
-                    return True
-            return False
-
-        return extend([full], points)
-
-    upper = min(cls.domain_size, n.bit_length() - 1 if n > 1 else 0)
-    for k in range(upper, 0, -1):
-        if any(shatters(combo) for combo in combinations(range(cls.domain_size), k)):
-            return k
-    return 0
-
-
-def ldim_oracle(cls: ConceptClass) -> int:
-    """Littlestone dimension of a {0,1}-valued class, by direct recursion.
-
-    Splits on exact label values with no margins; the independent cross-check
-    for sfat on Boolean classes.
-    """
-    table = cls.table
-    if not ((table == 0.0) | (table == 1.0)).all():
-        raise NotBoolean("ldim_oracle needs all concept values in {0, 1}")
-    n = len(cls)
-    if n > MAX_CONCEPTS:
-        raise TooLarge(
-            f"ldim is capped at {MAX_CONCEPTS} concepts to bound its cost "
-            f"(not by its masks), got {n}"
-        )
-    zero_masks = []
-    one_masks = []
-    for x in range(cls.domain_size):
-        zm = om = 0
-        for r in range(n):
-            if table[r, x] == 0.0:
-                zm |= 1 << r
-            else:
-                om |= 1 << r
-        zero_masks.append(zm)
-        one_masks.append(om)
-
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        best = 0
-        if mask.bit_count() > 1:
-            for x in range(cls.domain_size):
-                v0, v1 = mask & zero_masks[x], mask & one_masks[x]
-                if v0 and v1:
-                    best = max(best, 1 + min(rec(v0), rec(v1)))
-        memo[mask] = best
-        return best
-
-    return rec((1 << n) - 1)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
 def tree_to_dict(tree: ShatterTree) -> dict:
     """The tree as nested dicts: ``{"leaf": id}`` or ``{"x", "a", "left", "right"}``."""
     if tree.is_leaf:
         return {"leaf": tree.leaf}
     return {"x": tree.x, "a": tree.a,
             "left": tree_to_dict(tree.left), "right": tree_to_dict(tree.right)}
-
-
-def tree_to_json(tree: ShatterTree) -> str:
-    return json.dumps(tree_to_dict(tree), sort_keys=True)
-
-
-def tree_from_json(text: str) -> ShatterTree:
-    """Read `tree_to_json`'s form: `x` and `leaf` must be JSON integers and `a`
-    a number, as in `class_from_json`; TypeError or ValueError where int() or
-    float() would truncate or convert."""
-    def dec(obj) -> ShatterTree:
-        if "leaf" in obj:
-            return ShatterTree(leaf=_json_number(obj["leaf"], "leaf", integer=True))
-        return ShatterTree(
-            x=_json_number(obj["x"], "x", integer=True),
-            a=float(_json_number(obj["a"], "a")),
-            left=dec(obj["left"]),
-            right=dec(obj["right"]),
-        )
-
-    return dec(json.loads(text))

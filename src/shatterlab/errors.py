@@ -25,10 +25,6 @@ class TooLarge(ShatterlabError, ValueError):
     """An input exceeds the guard limits of a brute-force routine."""
 
 
-class NotBoolean(ShatterlabError, ValueError):
-    """A Boolean-only oracle was given a class with non-{0,1} values."""
-
-
 class InvalidFeedback(ShatterlabError, RuntimeError):
     """Feedback violated its accuracy contract during an online game."""
 

@@ -58,23 +58,6 @@ def prediction_grid(zeta: float) -> tuple[float, ...]:
     return tuple(2 * k / n for k in range(1, math.ceil(n / 2)))
 
 
-class SamplerTables:
-    """What only the curated sampler (stability.sample_ext) reads on a learner
-    state, kept together as `RsoaState.sampler`.
-
-    `bins` are the zeta-bin midpoints that label its injected examples.
-    `streams` holds the generators G derives ahead, in a batch, for the
-    samplers of the runs it is about to make, by sampler seed; `sample_ext`
-    takes each one once, and G clears what is left when its batch ends.
-    """
-
-    __slots__ = ("bins", "streams")
-
-    def __init__(self, zeta: float):
-        self.bins = bin_midpoints(zeta)
-        self.streams: dict[int, np.random.Generator] = {}
-
-
 class RsoaState:
     """The learner's fixed tables for one class at accuracy zeta, plus memos.
 
@@ -156,10 +139,11 @@ class RsoaState:
         return keep
 
     @functools.cached_property
-    def sampler(self) -> SamplerTables:
-        """The curated sampler's own tables on this state, built on first use,
-        so a game builds none."""
-        return SamplerTables(self.zeta)
+    def bins(self) -> tuple[float, ...]:
+        """The zeta-bin midpoints that label the curated sampler's injected
+        examples (stability.sample_ext), built on first use, so a game builds
+        none."""
+        return bin_midpoints(self.zeta)
 
     def final_hypothesis(self, mask: int) -> Concept:
         """The prediction rule over the whole domain, materialized (id -1).
@@ -395,7 +379,7 @@ def rsoa_as_weak_learner(cls: ConceptClass, zeta: float) -> Callable[[int], floa
 
 
 # ---------------------------------------------------------------------------
-# Shadow estimation stream and its sample-complexity calculator
+# Shadow estimation stream
 # ---------------------------------------------------------------------------
 
 def run_shadow_stream(
@@ -419,24 +403,3 @@ def run_shadow_stream(
         T=len(measurement_order),
         seed=0,
     )
-
-
-def gentle_sample_complexity(
-    sfat_dim: int, m: int, epsilon: float, alpha: float, delta: float
-) -> int:
-    """Copies needed for gentle shadow estimation of m measurements.
-
-    ceil(C * sfat^2 * log2(m)^2 * ln(1/delta) / (eps^2 * min(alpha^2, eps^2)))
-    with the declared constant C = 1.
-    """
-    if sfat_dim < 1:
-        raise OutOfRange(f"sfat_dim must be positive, got {sfat_dim}")
-    if m < 2:
-        raise OutOfRange(f"m must be at least 2, got {m}")
-    if not 0 < epsilon <= 1 or not 0 < alpha <= 1:
-        raise OutOfRange("epsilon and alpha must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise OutOfRange(f"delta must lie in (0, 1), got {delta}")
-    num = (sfat_dim**2) * (math.log2(m) ** 2) * math.log(1.0 / delta)
-    den = epsilon**2 * min(alpha**2, epsilon**2)
-    return math.ceil(num / den)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .concepts import Concept, Distribution, _choice_cdf, bin_midpoints, loss
+from .concepts import Concept, _choice_cdf, bin_midpoints
 from .errors import NotNeighbors, OutOfRange, TooLarge
 from .seeding import child_rng
 
@@ -41,7 +41,6 @@ Learner = Callable[[Sample, np.random.Generator], Concept]
 @dataclass(frozen=True)
 class HypothesisCollection:
     hypotheses: tuple[Concept, ...]
-    provenance: str
 
     def __post_init__(self) -> None:
         if not self.hypotheses:
@@ -69,7 +68,7 @@ def discretize_hypotheses(domain_size: int, zeta: float) -> HypothesisCollection
     hyps = tuple(
         Concept(i, vals) for i, vals in enumerate(product(mids, repeat=domain_size))
     )
-    return HypothesisCollection(hypotheses=hyps, provenance="discretized")
+    return HypothesisCollection(hypotheses=hyps)
 
 
 def _check_sample(sample: Sample, domain_size: float = math.inf) -> None:
@@ -137,13 +136,6 @@ def _trials(learner: Learner, sample: Sample, rng: np.random.Generator, n: int):
     return [learner(sample, rng) for _ in range(n)], (np.arange(n),)
 
 
-def generic_learner_sample_size(h_count: int, alpha: float, epsilon_priv: float) -> int:
-    """Sample size C log|H| / (alpha eps) with the declared constant C = 8."""
-    if h_count < 1 or not alpha > 0 or not epsilon_priv > 0:
-        raise OutOfRange("need h_count >= 1 and positive alpha, epsilon")
-    return max(1, math.ceil(8.0 * math.log(h_count) / (alpha * epsilon_priv)))
-
-
 def check_neighbors(s: Sample, s_prime: Sample) -> int:
     """Index where the samples differ; raises unless exactly one exists."""
     if len(s) != len(s_prime):
@@ -164,8 +156,6 @@ class EventCheck:
     freq_s: float
     freq_s_prime: float
     slack: float
-    forward_margin: float  # e^eps * freq' + delta + slack - freq
-    backward_margin: float
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,6 @@ class DpTestReport:
     epsilon: float
     delta: float
     trials: int
-    confidence_z: float  # per-event normal quantile, see _Z99
     events: tuple[EventCheck, ...]
     max_violation: float
     verdict: bool
@@ -232,38 +221,15 @@ def dp_test(
         ) + (1 + grow) / trials
         fwd = grow * q + delta + slack - p
         bwd = grow * p + delta + slack - q
-        events.append(
-            EventCheck(
-                event=hid,
-                freq_s=p,
-                freq_s_prime=q,
-                slack=slack,
-                forward_margin=fwd,
-                backward_margin=bwd,
-            )
-        )
+        events.append(EventCheck(event=hid, freq_s=p, freq_s_prime=q, slack=slack))
         worst = max(worst, -min(fwd, bwd))
     return DpTestReport(
         epsilon=epsilon,
         delta=delta,
         trials=trials,
-        confidence_z=_Z99,
         events=tuple(events),
         max_violation=worst,
         verdict=worst <= 0,
-    )
-
-
-def good_hypotheses(
-    collection: HypothesisCollection,
-    target: Concept,
-    dist: Distribution,
-    zeta: float,
-    alpha: float,
-) -> frozenset[int]:
-    """Ids of hypotheses with Loss_D(h, target, zeta) <= alpha."""
-    return frozenset(
-        h.id for h in collection.hypotheses if loss(h, target, zeta, dist) <= alpha
     )
 
 
@@ -307,4 +273,4 @@ def build_probabilistic_representation(
         sample = ((0, z),) * m
         outs, batches = _trials(dp_learner, sample, child_rng(seed, zi), reps)
         harvested.extend(outs[i] for b in batches for i in b)
-    return HypothesisCollection(hypotheses=tuple(harvested), provenance="harvested")
+    return HypothesisCollection(hypotheses=tuple(harvested))

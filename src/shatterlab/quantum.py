@@ -5,10 +5,9 @@ dimension <= 16).  A set of states and effects materializes into a concept
 class via f_state(E) = Tr(E state), which is where the learning machinery
 takes over.  This module owns the information-theoretic side: von Neumann
 entropy, Holevo information and its maximization over input weights, the
-capacity-style ceilings (depolarizing channel, pairwise trace distance),
-serial random access codes read off shattering trees, and the two-state
-entropy inequality behind all of them.  Pair work runs as one stacked numpy
-call per state, which gives each pair its own call's result bit for bit.
+pairwise trace-distance ceiling, and serial random access codes read off
+shattering trees.  Pair work runs as one stacked numpy call per state, which
+gives each pair its own call's result bit for bit.
 
 The maximal Holevo information chi* is certified, not just approached.  By
 the divergence-radius form of chi* (Schumacher and Westmoreland, "Optimal
@@ -297,30 +296,6 @@ def sfat_holevo_bound(chi_star: float, p: float) -> float:
     return chi_star / (1.0 - binary_entropy(p))
 
 
-def depolarizing_capacity_bound(d: int, lam: float) -> float:
-    """log2(d) minus the minimal output entropy of the depolarizing channel."""
-    if d < 2:
-        raise OutOfRange(f"dimension must be at least 2, got {d}")
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"lambda must lie in [0, 1], got {lam}")
-    top = lam + (1.0 - lam) / d
-    rest = (1.0 - lam) / d
-    s_min = 0.0
-    if top > 0:
-        s_min -= top * math.log2(top)
-    if rest > 0:
-        s_min -= (d - 1) * rest * math.log2(rest)
-    return math.log2(d) - s_min
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
-    if a.dim != b.dim:
-        raise DimMismatch("trace distance needs equal dimensions")
-    eig = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.abs(eig).sum())
-
-
 def audenaert_bound(ensemble: Ensemble) -> float:
     """v_m * log2(#states), v_m the maximal pairwise trace distance."""
     n = len(ensemble.states)
@@ -333,24 +308,6 @@ def audenaert_bound(ensemble: Ensemble) -> float:
         for i in range(n - 1)
     )
     return v_m * math.log2(n)
-
-
-def helstrom_probability(sigma0: DensityMatrix, sigma1: DensityMatrix) -> float:
-    """Optimal two-state distinguishing success 1/2 + trace distance / 2."""
-    return 0.5 + 0.5 * trace_distance(sigma0, sigma1)
-
-
-def nayak_inequality_check(sigma0: DensityMatrix, sigma1: DensityMatrix) -> bool:
-    """S(mix) >= avg entropy + (1 - H(p)) with p the Helstrom optimum."""
-    if sigma0.dim != sigma1.dim:
-        raise DimMismatch("the two states must share a dimension")
-    p = helstrom_probability(sigma0, sigma1)
-    mix = 0.5 * (sigma0.matrix + sigma1.matrix)
-    lhs = von_neumann_entropy(mix)
-    rhs = 0.5 * (von_neumann_entropy(sigma0) + von_neumann_entropy(sigma1)) + (
-        1.0 - binary_entropy(p)
-    )
-    return lhs >= rhs - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +397,6 @@ def random_basis_measurements(
     return out
 
 
-def _matrix_to_json(m: np.ndarray) -> str:
-    return json.dumps(
-        {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}, sort_keys=True
-    )
-
-
 def _matrix_from_json(text: str) -> np.ndarray:
     data = json.loads(text)
     m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
@@ -454,16 +405,8 @@ def _matrix_from_json(text: str) -> np.ndarray:
     return m
 
 
-def state_to_json(rho: DensityMatrix) -> str:
-    return _matrix_to_json(rho.matrix)
-
-
 def state_from_json(text: str) -> DensityMatrix:
     return DensityMatrix(_matrix_from_json(text))
-
-
-def measurement_to_json(e: Measurement) -> str:
-    return _matrix_to_json(e.effect)
 
 
 def measurement_from_json(text: str) -> Measurement:

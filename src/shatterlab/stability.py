@@ -99,13 +99,13 @@ def sample_ext(
     k: int,
     m: int,
     cutoff: int,
-    seed: int,
+    rng: Optional[np.random.Generator],
 ) -> "ExtSample | Fail":
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
-    The sample draws from child_rng(seed, _SAMPLER_PATH): the generator G
-    derived for it ahead, in a batch, when the state holds one.
+    The sample draws from its own generator `rng`, which a sample that draws
+    nothing (`_draws`) does not read, so it may be None there.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -115,8 +115,6 @@ def sample_ext(
         # a block of no draws leaves both branches alike, so no attempt
         # could succeed and none would use up the cutoff
         raise OutOfRange(f"m must be positive at level k >= 1, got m={m}, k={k}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be nonnegative, got {seed}")
     cls, zeta = state.cls, state.zeta
     if len(dist.p) != cls.domain_size:
         raise DomainMismatch(
@@ -126,12 +124,8 @@ def sample_ext(
     empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
     if not _draws(k, zeta):
         return empty if k == 0 else Fail(draws_used=cutoff + 1)
-    tables = state.sampler
-    rng = tables.streams.pop(seed, None)
-    if rng is None:
-        rng = child_rng(seed, _SAMPLER_PATH)
     budget = _Budget(cutoff)
-    bins = tables.bins
+    bins = state.bins
     # one learner state serves every attempt; a sub-sample's surviving mask,
     # folded with the keep rows of a block's draws, stands in for replaying it
     keep = state.keep_rows(target_id)
@@ -210,7 +204,8 @@ class StableLearner:
         consistency guarantees the stability analysis rests on).
         """
         rng = child_rng(seed, _RUN_PATH)
-        return self._run(target_id, dist, rng, *self._level(rng))
+        k, sampler_seed = self._level(rng)
+        return self._run(target_id, dist, rng, k, child_rng(sampler_seed, _SAMPLER_PATH))
 
     def _level(self, rng: np.random.Generator) -> tuple[int, int]:
         """A run's level k, then its sampler's seed, drawn from the run's stream."""
@@ -225,29 +220,32 @@ class StableLearner:
         final block from child_rng(seed, _RUN_PATH), and its sampler draws
         from child_rng(s, _SAMPLER_PATH).  Each stream is one run's own, so
         drawing every run's (k, s) first moves no draw: a batch of runs
-        derives its generators together, and leaves the samplers' on the
-        learner state for `sample_ext` to take.
+        derives its generators together, the samplers' only for the runs
+        whose sample draws.
         """
-        zeta, streams = self.state.zeta, self.state.sampler.streams
+        zeta = self.state.zeta
         for lo in range(0, len(seeds), self._BATCH):
             rngs = child_rngs(seeds[lo : lo + self._BATCH], _RUN_PATH)
             levels = [self._level(rng) for rng in rngs]
-            drawing = [s for k, s in levels if _draws(k, zeta)]
-            streams.update(zip(drawing, child_rngs(drawing, _SAMPLER_PATH)))
-            try:
-                for rng, (k, sampler_seed) in zip(rngs, levels):
-                    yield self._run(target_id, dist, rng, k, sampler_seed)
-            finally:
-                # every run took its own, unless one raised
-                streams.clear()
+            # by run, not by sampler seed, which two runs may share
+            drawing = [i for i, (k, _) in enumerate(levels) if _draws(k, zeta)]
+            sampler_seeds = [levels[i][1] for i in drawing]
+            samplers = dict(zip(drawing, child_rngs(sampler_seeds, _SAMPLER_PATH)))
+            for i, (rng, (k, _)) in enumerate(zip(rngs, levels)):
+                yield self._run(target_id, dist, rng, k, samplers.get(i))
 
     def _run(
-        self, target_id: int, dist: Distribution, rng: np.random.Generator, k: int, sampler_seed: int
+        self,
+        target_id: int,
+        dist: Distribution,
+        rng: np.random.Generator,
+        k: int,
+        sampler_rng: Optional[np.random.Generator],
     ) -> "Concept | Fail":
-        """One run once its level and sampler seed are drawn: the curated
-        sample, then the final block from the run's own stream `rng`."""
+        """One run once its level is drawn: the curated sample from its own
+        generator `sampler_rng`, then the final block from the run's `rng`."""
         state, m = self.state, self.m
-        s = sample_ext(state, target_id, dist, k, m, self.cutoff, seed=sampler_seed)
+        s = sample_ext(state, target_id, dist, k, m, self.cutoff, sampler_rng)
         if isinstance(s, Fail):
             return s
         mask, keep = s.mask, state.keep_rows(target_id)

@@ -33,6 +33,19 @@ def make_class(values_rows):
     )
 
 
+def mask_of_ids(cls, ids):
+    """The row mask of the concepts of `cls` with the given ids."""
+    mask = 0
+    for cid in ids:
+        mask |= 1 << cls.row_of(cid)
+    return mask
+
+
+def ids_of_mask(cls, mask):
+    """The ids of the concepts of `cls` in the row mask `mask`."""
+    return frozenset(c.id for row, c in enumerate(cls.concepts) if mask >> row & 1)
+
+
 @pytest.fixture
 def uniform2():
     return Distribution.uniform(2)

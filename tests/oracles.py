@@ -1,0 +1,145 @@
+"""Oracles and paper formulas that only the tests read.
+
+Each is an independent cross-check or a stated bound that no experiment
+kind computes: a Littlestone-dimension recursion that shares no code with
+sfat, two-state distinguishability and Nayak's entropy inequality, the
+depolarizing-channel ceiling, the gentle shadow-estimation sample count,
+and the good-hypothesis set of a harvested collection.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from shatterlab.concepts import Concept, ConceptClass, Distribution, binary_entropy, loss
+from shatterlab.dimensions import MAX_CONCEPTS
+from shatterlab.errors import DimMismatch, OutOfRange, ShatterlabError, TooLarge
+from shatterlab.privacy import HypothesisCollection
+from shatterlab.quantum import DensityMatrix, von_neumann_entropy
+
+
+class NotBoolean(ShatterlabError, ValueError):
+    """A Boolean-only oracle was given a class with non-{0,1} values."""
+
+
+def ldim_oracle(cls: ConceptClass) -> int:
+    """Littlestone dimension of a {0,1}-valued class, by direct recursion.
+
+    Splits on exact label values with no margins; the independent cross-check
+    for sfat on Boolean classes.
+    """
+    table = cls.table
+    if not ((table == 0.0) | (table == 1.0)).all():
+        raise NotBoolean("ldim_oracle needs all concept values in {0, 1}")
+    n = len(cls)
+    if n > MAX_CONCEPTS:
+        raise TooLarge(
+            f"ldim is capped at {MAX_CONCEPTS} concepts to bound its cost "
+            f"(not by its masks), got {n}"
+        )
+    zero_masks = []
+    one_masks = []
+    for x in range(cls.domain_size):
+        zm = om = 0
+        for r in range(n):
+            if table[r, x] == 0.0:
+                zm |= 1 << r
+            else:
+                om |= 1 << r
+        zero_masks.append(zm)
+        one_masks.append(om)
+
+    memo: dict[int, int] = {}
+
+    def rec(mask: int) -> int:
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        best = 0
+        if mask.bit_count() > 1:
+            for x in range(cls.domain_size):
+                v0, v1 = mask & zero_masks[x], mask & one_masks[x]
+                if v0 and v1:
+                    best = max(best, 1 + min(rec(v0), rec(v1)))
+        memo[mask] = best
+        return best
+
+    return rec((1 << n) - 1)
+
+
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of the difference."""
+    if a.dim != b.dim:
+        raise DimMismatch("trace distance needs equal dimensions")
+    eig = np.linalg.eigvalsh(a.matrix - b.matrix)
+    return 0.5 * float(np.abs(eig).sum())
+
+
+def helstrom_probability(sigma0: DensityMatrix, sigma1: DensityMatrix) -> float:
+    """Optimal two-state distinguishing success 1/2 + trace distance / 2."""
+    return 0.5 + 0.5 * trace_distance(sigma0, sigma1)
+
+
+def nayak_inequality_check(sigma0: DensityMatrix, sigma1: DensityMatrix) -> bool:
+    """S(mix) >= avg entropy + (1 - H(p)) with p the Helstrom optimum."""
+    if sigma0.dim != sigma1.dim:
+        raise DimMismatch("the two states must share a dimension")
+    p = helstrom_probability(sigma0, sigma1)
+    mix = 0.5 * (sigma0.matrix + sigma1.matrix)
+    lhs = von_neumann_entropy(mix)
+    rhs = 0.5 * (von_neumann_entropy(sigma0) + von_neumann_entropy(sigma1)) + (
+        1.0 - binary_entropy(p)
+    )
+    return lhs >= rhs - 1e-9
+
+
+def depolarizing_capacity_bound(d: int, lam: float) -> float:
+    """log2(d) minus the minimal output entropy of the depolarizing channel."""
+    if d < 2:
+        raise OutOfRange(f"dimension must be at least 2, got {d}")
+    if not 0.0 <= lam <= 1.0:
+        raise OutOfRange(f"lambda must lie in [0, 1], got {lam}")
+    top = lam + (1.0 - lam) / d
+    rest = (1.0 - lam) / d
+    s_min = 0.0
+    if top > 0:
+        s_min -= top * math.log2(top)
+    if rest > 0:
+        s_min -= (d - 1) * rest * math.log2(rest)
+    return math.log2(d) - s_min
+
+
+def gentle_sample_complexity(
+    sfat_dim: int, m: int, epsilon: float, alpha: float, delta: float
+) -> int:
+    """Copies needed for gentle shadow estimation of m measurements.
+
+    ceil(C * sfat^2 * log2(m)^2 * ln(1/delta) / (eps^2 * min(alpha^2, eps^2)))
+    with the declared constant C = 1.
+    """
+    if sfat_dim < 1:
+        raise OutOfRange(f"sfat_dim must be positive, got {sfat_dim}")
+    if m < 2:
+        raise OutOfRange(f"m must be at least 2, got {m}")
+    if not 0 < epsilon <= 1 or not 0 < alpha <= 1:
+        raise OutOfRange("epsilon and alpha must lie in (0, 1]")
+    if not 0 < delta < 1:
+        raise OutOfRange(f"delta must lie in (0, 1), got {delta}")
+    num = (sfat_dim**2) * (math.log2(m) ** 2) * math.log(1.0 / delta)
+    den = epsilon**2 * min(alpha**2, epsilon**2)
+    return math.ceil(num / den)
+
+
+def good_hypotheses(
+    collection: HypothesisCollection,
+    target: Concept,
+    dist: Distribution,
+    zeta: float,
+    alpha: float,
+) -> frozenset[int]:
+    """Ids of hypotheses with Loss_D(h, target, zeta) <= alpha."""
+    return frozenset(
+        h.id for h in collection.hypotheses if loss(h, target, zeta, dist) <= alpha
+    )

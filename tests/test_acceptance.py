@@ -15,15 +15,11 @@ from shatterlab import (
     Distribution,
     Ensemble,
     ExponentialMechanism,
-    depolarizing_capacity_bound,
     dp_test,
     discretize_hypotheses,
-    gentle_sample_complexity,
     holevo_chi,
-    ldim_oracle,
     materialize_concept_class,
     max_holevo,
-    nayak_inequality_check,
     run_online_game,
     run_shadow_stream,
     run_weak_forcing_game,
@@ -39,13 +35,20 @@ from shatterlab.online import (
     RsoaState,
     rsoa_as_weak_learner,
 )
-from shatterlab.privacy import build_probabilistic_representation, exponential_weights, good_hypotheses
+from shatterlab.privacy import build_probabilistic_representation, exponential_weights
 from shatterlab.quantum import (
     DensityMatrix,
     random_basis_measurements,
     random_density_matrix,
 )
 from shatterlab.seeding import child_rng
+from tests.oracles import (
+    depolarizing_capacity_bound,
+    gentle_sample_complexity,
+    good_hypotheses,
+    ldim_oracle,
+    nayak_inequality_check,
+)
 
 
 def report(number: int, description: str, ok: bool, detail: str) -> None:
@@ -150,7 +153,7 @@ def test_criterion_5_ext_sampling_cost():
         bound = 4 ** (level + 1) * m
         draws = []
         for seed in range(1000):
-            out = sample_ext(state, 0, dist, level, m, cutoff=100 * bound, seed=seed)
+            out = sample_ext(state, 0, dist, level, m, cutoff=100 * bound, rng=child_rng(seed, 0xE27))
             draws.append(out.draws_used)
         d = np.array(draws, dtype=float)
         se = d.std(ddof=1) / math.sqrt(len(d))

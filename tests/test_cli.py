@@ -75,9 +75,11 @@ class TestCliRuns:
         out = str(tmp_path / "corner")
         assert main(["dims", cfg, "--out", out]) == 0
         summary = read_summary(out)
-        witness = dimensions.tree_from_json(json.dumps(summary["witness"]))
+        cls = generate_class(8, 64, 1 / 20, seed=1)
+        witness = dimensions.sfat(cls, 1 / 10).witness
+        assert summary["witness"] == dimensions.tree_to_dict(witness)
         assert witness.depth() == summary["sfat"]
-        dimensions.validate_tree(generate_class(8, 64, 1 / 20, seed=1), witness, 1 / 10)
+        dimensions.validate_tree(cls, witness, 1 / 10)
 
     def test_online_singleton_no_mistakes(self, tmp_path):
         cfg = write_config(
@@ -387,17 +389,13 @@ class TestCliRuns:
             assert fh.read() == self.csv_bytes(["x", "i", "bits", "success"], rows)
 
     def test_quantum_from_state_files(self, tmp_path):
-        import numpy as np
-
-        from shatterlab.quantum import DensityMatrix, state_to_json
-
         paths = []
         for name, mat in (
             ("zero.json", [[1, 0], [0, 0]]),
             ("one.json", [[0, 0], [0, 1]]),
         ):
             p = tmp_path / name
-            p.write_text(state_to_json(DensityMatrix(np.array(mat, dtype=complex))))
+            p.write_text(json.dumps({"dim": 2, "re": mat, "im": [[0, 0], [0, 0]]}))
             paths.append(str(p))
         cfg = write_config(tmp_path, {"seed": 23, "states_files": paths})
         out = str(tmp_path / "qf")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shatterlab import (
-    gentle_sample_complexity,
     mistake_only_noise,
     prediction_grid,
     run_online_game,
@@ -28,7 +27,8 @@ from shatterlab.online import (
     rsoa_as_weak_learner,
 )
 from shatterlab.seeding import child_rng
-from tests.conftest import make_class
+from tests.conftest import ids_of_mask, make_class, mask_of_ids
+from tests.oracles import gentle_sample_complexity
 
 
 def full_prediction(cls, zeta, x=0):
@@ -76,8 +76,7 @@ class TestPredict:
 def surviving_after(cls, ids, feedback, zeta=1 / 8, x=0):
     """Surviving ids after one update from the surviving set `ids`."""
     state = RsoaState(cls, zeta)
-    mask = state.update(state.cache.mask_of_ids(ids), x, feedback)
-    return state.cache.ids_of_mask(mask)
+    return ids_of_mask(cls, state.update(mask_of_ids(cls, ids), x, feedback))
 
 
 class TestUpdate:
@@ -150,7 +149,7 @@ class TestStrongGame:
         mask = state.cache.full_mask()
         for r in tr.rounds:
             mask = state.update(mask, r.x, r.feedback)
-        for cid in state.cache.ids_of_mask(mask):
+        for cid in ids_of_mask(cls, mask):
             for r in tr.rounds:
                 assert abs(cls.by_id(cid).values[r.x] - r.feedback) < zeta
 

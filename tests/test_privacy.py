@@ -22,16 +22,13 @@ from shatterlab.privacy import (
     HypothesisCollection,
     check_neighbors,
     exponential_weights,
-    generic_learner_sample_size,
-    good_hypotheses,
     representation_repetitions,
 )
 from shatterlab.seeding import child_rng
+from tests.oracles import good_hypotheses
 
 def two_hypotheses():
-    return HypothesisCollection(
-        (Concept(0, (0.25,)), Concept(1, (0.75,))), "discretized"
-    )
+    return HypothesisCollection((Concept(0, (0.25,)), Concept(1, (0.75,))))
 
 
 def closed_form_distribution(coll, sample, eps, zeta):
@@ -55,11 +52,6 @@ class TestDiscretize:
     def test_guard(self):
         with pytest.raises(TooLarge):
             discretize_hypotheses(8, 1 / 8)
-
-    def test_sample_size_formula(self):
-        assert generic_learner_sample_size(16, 0.25, 1.0) == math.ceil(
-            8 * math.log(16) / 0.25
-        )
 
 
 def loop_weights(coll, sample, eps, zeta):
@@ -336,7 +328,7 @@ class TestLossAmplification:
         assert any(
             loss(h, target, zeta, dist) <= alpha for h in coll.hypotheses
         )
-        m = generic_learner_sample_size(len(coll), alpha, eps)
+        m = math.ceil(8.0 * math.log(len(coll)) / (alpha * eps))  # 8 log|H| / (alpha eps)
         mechanism = ExponentialMechanism(coll, eps, zeta)
         rng = child_rng(7, 0)
         good = 0
@@ -367,7 +359,6 @@ class TestRepresentationHarvest:
             seed=9,
         )
         assert len(built) == 10 * 41
-        assert built.provenance == "harvested"
 
     def test_m_zero_rejected(self):
         coll = discretize_hypotheses(1, 1 / 2)
@@ -475,7 +466,7 @@ class TestBulkStreams:
             for zi, z in enumerate(grid)
             for _ in range(reps)
         ]
-        assert got == HypothesisCollection(tuple(replay), "harvested")
+        assert got == HypothesisCollection(tuple(replay))
         assert len(got) == 10 * 41 and len({h.id for h in got.hypotheses}) == 16
 
 
@@ -510,7 +501,7 @@ class TestBatchedMechanism:
             for zi, z in enumerate(grid)
             for _ in range(reps)
         ]
-        assert got == HypothesisCollection(tuple(replay), "harvested")
+        assert got == HypothesisCollection(tuple(replay))
 
     def test_dp_test_folds_repeated_ids_as_the_plain_loop_does(self):
         coll = discretize_hypotheses(1, 1 / 2)

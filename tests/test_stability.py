@@ -26,7 +26,7 @@ from shatterlab.errors import AllRunsFailed, DomainMismatch, OutOfRange
 from shatterlab.online import RsoaState
 from shatterlab.seeding import child_rng
 from shatterlab.stability import ball_frequency
-from tests.conftest import make_class
+from tests.conftest import ids_of_mask, make_class
 
 
 # -- a full-prefix replay reference: every attempt replays its whole sample
@@ -128,7 +128,7 @@ class TestStreamIdentity:
             for k in (0, 1, 2):
                 for cutoff in cutoffs:
                     for seed in range(6):
-                        got = sample_ext(state, 0, d, k, block, cutoff, seed=seed)
+                        got = sample_ext(state, 0, d, k, block, cutoff, rng=child_rng(seed, 0xE27))
                         assert got == reference_sample_ext(c, 0, d, k, block, z, cutoff, seed)
                         seen["fail" if isinstance(got, Fail) else "ok"] += 1
         assert seen["fail"] >= 10 and seen["ok"] >= 10
@@ -157,7 +157,7 @@ class TestStreamIdentity:
             st.integers(0, 2), st.integers(1, 3), st.integers(0, 600), st.integers(0, 2**16)
         )
         for k, m, cutoff, seed in data.draw(st.lists(calls, min_size=1, max_size=4)):
-            got = sample_ext(state, target, dist, k, m, cutoff, seed=seed)
+            got = sample_ext(state, target, dist, k, m, cutoff, rng=child_rng(seed, 0xE27))
             assert got == reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, seed)
 
     def test_stable_learner_matches_full_prefix_replay(self):
@@ -190,28 +190,13 @@ class TestStreamIdentity:
         assert rep.fails == 200 - len(hyps) and 0 < rep.fails < 200
         assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
 
-    def test_batched_runs_leave_no_sampler_streams(self, monkeypatch):
-        # a state builds its sampler tables on first use, so a game builds
-        # none; each run takes its sampler's generator once, and a batch whose
-        # run raises drops the generators no run took
+    def test_batched_runs_match_the_replay(self):
+        # a state builds the sampler's bins on first use, so a game builds none
         cls, dist, zeta, _ = ext_cost_class()
-        assert "sampler" not in vars(RsoaState(cls, zeta))
+        assert "bins" not in vars(RsoaState(cls, zeta))
         learner = StableLearner(cls, zeta, 4.0)
         outs = list(learner._runs(0, dist, range(50)))
-        assert learner.state.sampler.streams == {}
         assert outs == [reference_G(cls, 0, dist, zeta, 4.0, seed) for seed in range(50)]
-        sampler, pending = stability.sample_ext, []
-
-        def raising_sampler(state, *args, **kwargs):
-            pending.append(len(state.sampler.streams))
-            if len(pending) == 3:
-                raise RuntimeError("a run raised")
-            return sampler(state, *args, **kwargs)
-
-        monkeypatch.setattr(stability, "sample_ext", raising_sampler)
-        with pytest.raises(RuntimeError, match="a run raised"):
-            list(learner._runs(0, dist, range(50)))
-        assert pending[-1] > 0 and learner.state.sampler.streams == {}
 
     def test_stable_learner_fails_like_the_replay(self, two_constants_01):
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
@@ -241,7 +226,7 @@ class TestSampleExt:
         levels = []
         for seed in range(8):
             for k in (2, 1, 0):
-                s = sample_ext(state, 0, dist, k, m, 20_000, seed=seed)
+                s = sample_ext(state, 0, dist, k, m, 20_000, rng=child_rng(seed, 0xE27))
                 if isinstance(s, Fail):
                     continue
                 fresh = RsoaState(cls, zeta)
@@ -250,15 +235,16 @@ class TestSampleExt:
         assert {0, 1, 2} <= set(levels)
 
     def test_level_zero_is_empty(self, two_constants_01):
+        # a sample that draws nothing does not read its generator
         state = RsoaState(two_constants_01, 1 / 4)
-        s = sample_ext(state, 0, Distribution.uniform(1), 0, 3, 100, seed=1)
+        s = sample_ext(state, 0, Distribution.uniform(1), 0, 3, 100, rng=None)
         assert s.segments == ()
         assert s.draws_used == 0
 
     def test_level_one_structure(self):
         cls, dist, zeta, m = ext_cost_class()
         state = RsoaState(cls, zeta)
-        s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, seed=2)
+        s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, rng=child_rng(2, 0xE27))
         assert not isinstance(s, Fail)
         assert s.k == 1
         assert len(s.segments) == 1
@@ -269,7 +255,7 @@ class TestSampleExt:
     def test_level_two_structure(self):
         cls, dist, zeta, m = ext_cost_class()
         state = RsoaState(cls, zeta)
-        s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, seed=3)
+        s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, rng=child_rng(3, 0xE27))
         assert s.k == 2
         assert len(s.segments) == 2
         assert len(s.examples()) == 2 * (m + 1)
@@ -278,15 +264,16 @@ class TestSampleExt:
         # at zeta=1/4 the disagreement threshold 11*zeta exceeds 1, so the
         # retry loop can never succeed and must hit the cutoff
         state = RsoaState(two_constants_01, 1 / 4)
-        out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, seed=4)
+        out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, rng=child_rng(4, 0xE27))
         assert isinstance(out, Fail)
         assert out.draws_used > 60
 
     def test_hopeless_level_fails_before_drawing(self, two_constants_01, no_draws):
-        # with 11*zeta >= 1 no attempt can succeed, so no block is drawn
+        # with 11*zeta >= 1 no attempt can succeed, so no block is drawn and
+        # the generator is not read
         state = RsoaState(two_constants_01, 1 / 4)
         for k in (1, 2):
-            out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, seed=4)
+            out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, rng=None)
             assert out == Fail(draws_used=61)
 
     def test_empty_block_is_refused_before_drawing(self, no_draws):
@@ -296,8 +283,8 @@ class TestSampleExt:
         state = RsoaState(cls, zeta)
         for k, m in ((1, 0), (2, 0), (0, -1), (1, -1)):
             with pytest.raises(OutOfRange):
-                sample_ext(state, 0, dist, k, m, 1000, seed=1)
-        assert sample_ext(state, 0, dist, 0, 0, 1000, seed=1).segments == ()
+                sample_ext(state, 0, dist, k, m, 1000, rng=child_rng(1, 0xE27))
+        assert sample_ext(state, 0, dist, 0, 0, 1000, rng=child_rng(1, 0xE27)).segments == ()
 
     def test_distribution_over_another_domain_is_refused_before_drawing(self, no_draws):
         cls, _, zeta, m = ext_cost_class()  # 3 points
@@ -305,7 +292,7 @@ class TestSampleExt:
         for n in (2, 5):
             for k in (0, 1):
                 with pytest.raises(DomainMismatch):
-                    sample_ext(state, 0, Distribution.uniform(n), k, m, 1000, seed=1)
+                    sample_ext(state, 0, Distribution.uniform(n), k, m, 1000, rng=child_rng(1, 0xE27))
             with pytest.raises(DomainMismatch):
                 stability_experiment(cls, 0, Distribution.uniform(n), zeta, 4.0, runs=100, seed=1)
 
@@ -314,7 +301,7 @@ class TestSampleExt:
         state = RsoaState(cls, zeta)
         mids = set(round(v, 12) for v in np.arange(1, 2 * round(1 / zeta), 2) / (2 * round(1 / zeta)))
         for seed in range(10):
-            s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, seed=seed)
+            s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
             _, (x_star, alpha) = s.segments[-1]
             assert round(alpha, 12) in mids
 
@@ -325,7 +312,7 @@ class TestSampleExt:
             bound = 4 ** (level + 1) * m
             draws = []
             for seed in range(250):
-                s = sample_ext(state, 0, dist, level, m, 100 * bound, seed=seed)
+                s = sample_ext(state, 0, dist, level, m, 100 * bound, rng=child_rng(seed, 0xE27))
                 draws.append(s.draws_used)
             d = np.array(draws, dtype=float)
             se = d.std(ddof=1) / math.sqrt(len(d))
@@ -339,7 +326,7 @@ class TestSampleExt:
         target = cls.by_id(0)
         checked = 0
         for seed in range(200):
-            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, seed=seed)
+            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
             examples = s.examples()
             x_star, alpha = examples[-1]
             if abs(alpha - target.values[x_star]) > zeta / 2:
@@ -356,12 +343,9 @@ class TestSampleExt:
     def test_validation(self, two_constants_01):
         state = RsoaState(two_constants_01, 1 / 4)
         with pytest.raises(OutOfRange):
-            sample_ext(state, 0, Distribution.uniform(1), -1, 3, 10, 0)
+            sample_ext(state, 0, Distribution.uniform(1), -1, 3, 10, None)
         with pytest.raises(OutOfRange):
-            sample_ext(state, 0, Distribution.uniform(1), 0, 3, -1, 0)
-        # level 0 draws nothing, and still refuses a seed no stream has
-        with pytest.raises(OutOfRange):
-            sample_ext(state, 0, Distribution.uniform(1), 0, 3, 10, -1)
+            sample_ext(state, 0, Distribution.uniform(1), 0, 3, -1, None)
 
 
 class TestStableLearner:
@@ -421,7 +405,7 @@ class TestStableLearner:
         sampler = RsoaState(cls, zeta)
         checked = 0
         for seed in range(160):
-            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, seed=seed)
+            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
             xs = dist.sample(np.random.default_rng(seed), m)
             block = [(int(x), cls.by_id(0).values[int(x)]) for x in xs]
             examples = s.examples() + block
@@ -432,7 +416,7 @@ class TestStableLearner:
             if mask == 0:
                 continue
             hyp = state.final_hypothesis(mask)
-            for cid in state.cache.ids_of_mask(mask):
+            for cid in ids_of_mask(cls, mask):
                 for xi, y in examples:
                     assert abs(cls.by_id(cid).values[xi] - y) < zeta
             for xi, y in examples:
@@ -499,7 +483,7 @@ class TestStabilityExperiment:
         fails = 0
         runs = 200
         for s in range(runs):
-            out = sample_ext(state, 0, dist, min(2, d), m, cutoff, seed=5000 + s)
+            out = sample_ext(state, 0, dist, min(2, d), m, cutoff, rng=child_rng(5000 + s, 0xE27))
             fails += isinstance(out, Fail)
         ceiling = zeta**d / 2
         assert fails / runs <= ceiling + 3 * math.sqrt(ceiling / runs) + 1e-9
