@@ -413,6 +413,8 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.seed is None and cfg.get("seed") is None:
             raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
         seed = args.seed if args.seed is not None else _param(cfg, "seed", int)
+        # checked here, as not every kind derives a stream from its seed
+        _require(seed >= 0, f"seed must be nonnegative, got {seed}")
         summary, detail = _RUNNERS[args.kind](cfg, seed)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,14 +21,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .concepts import Concept, ConceptClass, Distribution, loss
-from .errors import AllRunsFailed, DomainMismatch, OutOfRange
+from .errors import AllRunsFailed, DomainMismatch, OutOfRange, TooLarge
 from .online import RsoaState
-from .seeding import child_rng, child_rngs
+from .seeding import child_rng
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,6 @@ class _Budget:
         return True
 
 
-def _draw_block(dist: Distribution, m: int, rng: np.random.Generator) -> list[int]:
-    """The point indices of one block of m i.i.d. draws from dist."""
-    return dist.sample(rng, m).tolist()
-
-
-#: the paths of a run's own stream (its level, sampler seed and final block)
-#: and of its curated sample's stream, under the run's and the sampler's seed
-_RUN_PATH, _SAMPLER_PATH = 0x6, 0xE27
-
-
 def _draws(k: int, zeta: float) -> bool:
     """Whether a level-k curated sample at zeta draws from its stream.
 
@@ -104,8 +94,9 @@ def sample_ext(
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
-    The sample draws from its own generator `rng`, which a sample that draws
-    nothing (`_draws`) does not read, so it may be None there.
+    The sample draws from `rng`.  A sample that draws nothing (`_draws`) does
+    not read it, so it moves no draw of a stream it shares, and `rng` may be
+    None there.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -147,7 +138,7 @@ def sample_ext(
                 sub = empty if level == 1 else rec(level - 1)
                 if sub is None or not budget.draw(m):
                     return None
-                xs = _draw_block(dist, m, rng)
+                xs = dist.sample(rng, m).tolist()
                 mask = sub.mask
                 for x in xs:
                     mask &= keep[x]
@@ -181,21 +172,22 @@ class StableLearner:
     blocks fold.
     """
 
-    #: the most runs whose generators are derived, and held, at once: it
-    #: bounds a batch's memory, and spreads the mixing's fixed cost of about
-    #: 70 µs to under 0.1 µs per run
-    _BATCH = 1024
-
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
         if not 0 < alpha < math.inf:
             raise OutOfRange(f"alpha must be positive and finite, got {alpha}")
         self.state = RsoaState(cls, zeta)
         self.d = self.state.mistake_bound()
-        self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)
-        self.cutoff = int(2 * (4.0 / zeta) ** (self.d + 1) * self.m)
+        try:
+            self.m = math.ceil(self.d * math.log(1.0 / zeta) / alpha)
+            self.cutoff = int(2 * (4.0 / zeta) ** (self.d + 1) * self.m)
+        except OverflowError:
+            raise TooLarge(f"alpha = {alpha} makes m or the draw cutoff infinite") from None
 
-    def __call__(self, target_id: int, dist: Distribution, seed: int) -> "Concept | Fail":
-        """One run of G.
+    def __call__(
+        self, target_id: int, dist: Distribution, rng: np.random.Generator
+    ) -> "Concept | Fail":
+        """One run of G, drawing its level k, then its curated sample, then
+        its final block from `rng`.
 
         Fail covers two events: the sampler hit its draw cutoff, or the
         curated sample's injected examples wiped the surviving set (possible
@@ -203,53 +195,13 @@ class StableLearner:
         the target, and only surviving-set-backed hypotheses carry the
         consistency guarantees the stability analysis rests on).
         """
-        rng = child_rng(seed, _RUN_PATH)
-        k, sampler_seed = self._level(rng)
-        return self._run(target_id, dist, rng, k, child_rng(sampler_seed, _SAMPLER_PATH))
-
-    def _level(self, rng: np.random.Generator) -> tuple[int, int]:
-        """A run's level k, then its sampler's seed, drawn from the run's stream."""
-        return int(rng.integers(0, self.d + 1)), int(rng.integers(2**63))
-
-    def _runs(
-        self, target_id: int, dist: Distribution, seeds: Sequence[int]
-    ) -> Iterator["Concept | Fail"]:
-        """self(target_id, dist, seed) for each seed, in order.
-
-        Run `seed` draws its level k, then its sampler's seed s, then its
-        final block from child_rng(seed, _RUN_PATH), and its sampler draws
-        from child_rng(s, _SAMPLER_PATH).  Each stream is one run's own, so
-        drawing every run's (k, s) first moves no draw: a batch of runs
-        derives its generators together, the samplers' only for the runs
-        whose sample draws.
-        """
-        zeta = self.state.zeta
-        for lo in range(0, len(seeds), self._BATCH):
-            rngs = child_rngs(seeds[lo : lo + self._BATCH], _RUN_PATH)
-            levels = [self._level(rng) for rng in rngs]
-            # by run, not by sampler seed, which two runs may share
-            drawing = [i for i, (k, _) in enumerate(levels) if _draws(k, zeta)]
-            sampler_seeds = [levels[i][1] for i in drawing]
-            samplers = dict(zip(drawing, child_rngs(sampler_seeds, _SAMPLER_PATH)))
-            for i, (rng, (k, _)) in enumerate(zip(rngs, levels)):
-                yield self._run(target_id, dist, rng, k, samplers.get(i))
-
-    def _run(
-        self,
-        target_id: int,
-        dist: Distribution,
-        rng: np.random.Generator,
-        k: int,
-        sampler_rng: Optional[np.random.Generator],
-    ) -> "Concept | Fail":
-        """One run once its level is drawn: the curated sample from its own
-        generator `sampler_rng`, then the final block from the run's `rng`."""
         state, m = self.state, self.m
-        s = sample_ext(state, target_id, dist, k, m, self.cutoff, sampler_rng)
+        k = int(rng.integers(0, self.d + 1))
+        s = sample_ext(state, target_id, dist, k, m, self.cutoff, rng)
         if isinstance(s, Fail):
             return s
         mask, keep = s.mask, state.keep_rows(target_id)
-        for xi in _draw_block(dist, m, rng):
+        for xi in dist.sample(rng, m).tolist():
             mask &= keep[xi]
         if mask == 0:
             return Fail(draws_used=s.draws_used + m)
@@ -300,8 +252,9 @@ def stability_experiment(
 ) -> StabilityReport:
     """Run G `runs` times; report the heaviest 11*zeta ball among the outputs.
 
-    Fail runs stay in the denominator (they are never ball members).  The
-    reported centre is also scored by its loss at 12*zeta against the target.
+    The runs draw in turn from one stream, child_rng(seed, 0x6).  Fail runs
+    stay in the denominator (they are never ball members).  The reported
+    centre is also scored by its loss at 12*zeta against the target.
     Raises AllRunsFailed when no run returns a hypothesis: there is no ball
     to report.
     """
@@ -311,7 +264,9 @@ def stability_experiment(
     d, m, cutoff = learner.d, learner.m, learner.cutoff
     outputs: list[Concept] = []
     fails = 0
-    for out in learner._runs(target_id, dist, range(int(seed), int(seed) + runs)):
+    rng = child_rng(seed, 0x6)
+    for _ in range(runs):
+        out = learner(target_id, dist, rng)
         if isinstance(out, Fail):
             fails += 1
         else:

@@ -21,6 +21,10 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+with open(os.path.join(os.path.dirname(__file__), "golden", "configs", "stability.json")) as fh:
+    GOLDEN_STABILITY = json.load(fh)
+
+
 def read_summary(out_dir):
     with open(os.path.join(out_dir, "summary.json")) as fh:
         return json.load(fh)
@@ -499,6 +503,9 @@ MALFORMED = {
         "stability",
         {"seed": 1, "zeta": 0.25, "runs": 100, "alpha": 0, "class": {"bundled": "two_constants"}},
     ),
+    # a tiny alpha made m = d ln(1/zeta) / alpha infinite, and math.ceil
+    # raised a bare OverflowError
+    "stability_alpha_tiny": ("stability", {**GOLDEN_STABILITY, "alpha": 1e-308}),
     # an infinite alpha gave m = 0 and wrote "alpha": Infinity, which is not JSON
     "stability_alpha_infinite": (
         "stability",
@@ -544,6 +551,17 @@ MALFORMED = {
     ),
     # numpy's SeedSequence raised an uncaught ValueError on a negative seed
     "privacy_negative_seed": ("privacy", {"seed": -3, "zeta": 0.25, "trials": 10_000}),
+    # dims and adversary on a bundled or inline class derive no stream from
+    # the seed, and wrote "seed": -1 to the report
+    "dims_negative_seed": (
+        "dims",
+        {"seed": -1, "zeta": 1 / 6, "class": {"bundled": "four_constants"}},
+    ),
+    "adversary_negative_seed": (
+        "adversary",
+        {"seed": -1, "zeta": 0.25, "class": {"inline": {
+            "domain_size": 1, "concepts": [{"id": 0, "values": [0.1]}, {"id": 1, "values": [0.9]}]}}},
+    ),
     "generated_negative_seed": (
         "dims",
         {"seed": 1, "zeta": 0.25,
@@ -617,6 +635,15 @@ MALFORMED = {
     # an infinite tol stopped max_holevo at its first evaluation
     "quantum_infinite_tol": ("quantum", {"seed": 1, "tol": math.inf}),
 }
+
+
+def test_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):
+    # dims on a bundled class derives no stream from its seed
+    cfg = write_config(tmp_path, {"zeta": 1 / 6, "class": {"bundled": "four_constants"}})
+    out = tmp_path / "out"
+    assert main(["dims", cfg, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def write_matrix(tmp_path, name, dim, entries):

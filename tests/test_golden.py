@@ -19,7 +19,7 @@ DIGESTS = {
     "dims": "b4c303dca534e0cbd2e34eab072fd3424b95cee632b9463b29bd278ce5b1c2c8",
     "online": "2c43ac4904a9f20273cd75a4f24722ee29a05390ee546e18300d5edba2ea0460",
     "adversary": "0cff4c346ba74754ed0d3fe72b62620e0c96a76eb2e69589b8cdd375026b4517",
-    "stability": "71077a632060bca52390beba1a153202377eae83c948d61e9d8c4cedc4b9aa82",
+    "stability": "c85c81ef59b7144bb7610f6c3da54d5313906907cfd0e543be0863b8cd7517c7",
     "privacy": "be000d8c46c9122e9218b007f0c3ff27df2a5bb8384af432f7e70d76231f9d99",
     "comm": "aae681d1b677918698794b758f4e6f174edb19229b83315e3f64dba8dd433c44",
     "quantum": "9c184cba5b1413fdd7e5193121f418954ff7862a83f9ee493c72b81177346a33",

@@ -48,10 +48,9 @@ def _reference_replay(state, examples):
     return Concept(-1, values), mask
 
 
-def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
+def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, rng):
     target = cls.by_id(target_id)
     bins = bin_midpoints(zeta)
-    rng = child_rng(seed, 0xE27)
     state = RsoaState(cls, zeta)
     used = 0
 
@@ -93,13 +92,15 @@ def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, seed):
     return ExtSample(segments, k, used, _reference_replay(state, prefix)[1])
 
 
-def reference_G(cls, target_id, dist, zeta, alpha, seed):
+def reference_G(cls, target_id, dist, zeta, alpha, rng):
     d = sfat(cls, 2 * zeta).dimension
     m = math.ceil(d * math.log(1 / zeta) / alpha)
     cutoff = int(2 * (4 / zeta) ** (d + 1) * m)
-    rng = child_rng(seed, 0x6)
     k = int(rng.integers(0, d + 1))
-    s = reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, int(rng.integers(2**63)))
+    # at 11*zeta >= 1 every attempt fails, and the sampler reads no generator:
+    # the replay runs those attempts on a stream of their own
+    sampler_rng = rng if 11 * zeta < 1 else np.random.default_rng(0)
+    s = reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, sampler_rng)
     if isinstance(s, Fail):
         return s
     block = _reference_block(cls.by_id(target_id), dist, m, rng)
@@ -129,7 +130,8 @@ class TestStreamIdentity:
                 for cutoff in cutoffs:
                     for seed in range(6):
                         got = sample_ext(state, 0, d, k, block, cutoff, rng=child_rng(seed, 0xE27))
-                        assert got == reference_sample_ext(c, 0, d, k, block, z, cutoff, seed)
+                        rng = child_rng(seed, 0xE27)
+                        assert got == reference_sample_ext(c, 0, d, k, block, z, cutoff, rng)
                         seen["fail" if isinstance(got, Fail) else "ok"] += 1
         assert seen["fail"] >= 10 and seen["ok"] >= 10
 
@@ -158,53 +160,48 @@ class TestStreamIdentity:
         )
         for k, m, cutoff, seed in data.draw(st.lists(calls, min_size=1, max_size=4)):
             got = sample_ext(state, target, dist, k, m, cutoff, rng=child_rng(seed, 0xE27))
-            assert got == reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, seed)
+            want = reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, child_rng(seed, 0xE27))
+            assert got == want
 
     def test_stable_learner_matches_full_prefix_replay(self):
-        cls, dist, zeta, _ = ext_cost_class()
-        for alpha in (0.7, 4.0):
-            learner = StableLearner(cls, zeta, alpha)
-            for seed in range(12):
-                got = learner(0, dist, seed)
-                assert got == reference_G(cls, 0, dist, zeta, alpha, seed)
-
-    def test_experiment_matches_the_replay_run_by_run(self):
-        # the experiment hands every run one shared learner state
-        cls, dist, zeta, _ = ext_cost_class()
-        rep = stability_experiment(cls, 0, dist, zeta, 4.0, runs=100, seed=40)
-        outs = [reference_G(cls, 0, dist, zeta, 4.0, 40 + i) for i in range(100)]
-        hyps = [o for o in outs if not isinstance(o, Fail)]
-        assert rep.fails == 100 - len(hyps) and 0 < rep.fails < 100
-        assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
-
-    def test_experiment_matches_the_replay_across_two_word_seeds(self, monkeypatch):
-        # the experiment derives its runs' generators in batches grouped by
-        # entropy word count: seeds 2^32 - 100 .. 2^32 + 99 take one word,
-        # then two, and every run, across batches of 64, equals its replay
-        monkeypatch.setattr(StableLearner, "_BATCH", 64)
-        cls, dist, zeta, _ = ext_cost_class()
-        seed = 2**32 - 100
-        rep = stability_experiment(cls, 0, dist, zeta, 4.0, runs=200, seed=seed)
-        outs = [reference_G(cls, 0, dist, zeta, 4.0, seed + i) for i in range(200)]
-        hyps = [o for o in outs if not isinstance(o, Fail)]
-        assert rep.fails == 200 - len(hyps) and 0 < rep.fails < 200
-        assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
-
-    def test_batched_runs_match_the_replay(self):
         # a state builds the sampler's bins on first use, so a game builds none
         cls, dist, zeta, _ = ext_cost_class()
         assert "bins" not in vars(RsoaState(cls, zeta))
-        learner = StableLearner(cls, zeta, 4.0)
-        outs = list(learner._runs(0, dist, range(50)))
-        assert outs == [reference_G(cls, 0, dist, zeta, 4.0, seed) for seed in range(50)]
+        for alpha in (0.7, 4.0):
+            learner = StableLearner(cls, zeta, alpha)
+            for seed in range(12):
+                got = learner(0, dist, child_rng(seed, 0x6))
+                assert got == reference_G(cls, 0, dist, zeta, alpha, child_rng(seed, 0x6))
+
+    def test_experiment_matches_the_replay_run_by_run(self):
+        # the experiment hands every run one shared learner state and one
+        # shared stream, which the replay's runs draw from in turn; on
+        # two_constants at 11*zeta >= 1 every level-1 sample fails at the
+        # cutoff without drawing, so those runs move no draw of the stream
+        cases = [
+            (*ext_cost_class()[:3], 4.0),
+            (two_constants(), Distribution.uniform(1), 1 / 4, 1 / 2),
+        ]
+        cutoff_fails = 0
+        for cls, dist, zeta, alpha in cases:
+            rep = stability_experiment(cls, 0, dist, zeta, alpha, runs=100, seed=40)
+            rng = child_rng(40, 0x6)
+            outs = [reference_G(cls, 0, dist, zeta, alpha, rng) for _ in range(100)]
+            hyps = [o for o in outs if not isinstance(o, Fail)]
+            assert rep.fails == 100 - len(hyps) and 0 < rep.fails < 100
+            assert rep.hypothesis_hashes == tuple(stability._hyp_hash(h.values) for h in hyps)
+            cutoff_fails += sum(isinstance(o, Fail) and o.draws_used > rep.cutoff for o in outs)
+        assert cutoff_fails > 0
 
     def test_stable_learner_fails_like_the_replay(self, two_constants_01):
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
         dist = Distribution.uniform(1)
         learner = StableLearner(two_constants_01, 1 / 4, 1 / 2)
-        outs = [learner(0, dist, s) for s in range(6)]
+        rng, replay_rng = child_rng(0, 0x6), child_rng(0, 0x6)
+        outs = [learner(0, dist, rng) for _ in range(6)]
         assert any(isinstance(o, Fail) for o in outs)
-        assert outs == [reference_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, s) for s in range(6)]
+        replay = [reference_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, replay_rng) for _ in range(6)]
+        assert outs == replay
 
 
 @pytest.fixture
@@ -214,7 +211,7 @@ def no_draws(monkeypatch):
     def refuse(*args):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(stability, "_draw_block", refuse)
+    monkeypatch.setattr(Distribution, "sample", refuse)
 
 
 class TestSampleExt:
@@ -361,7 +358,8 @@ class TestStableLearner:
         # no examples and is deterministic
         learner = StableLearner(two_constants_19, 1 / 4, 1 / 2)
         assert (learner.d, learner.m, learner.cutoff) == (0, 0, 0)
-        outs = {learner(0, Distribution.uniform(1), seed=s).values for s in range(5)}
+        rng = child_rng(0, 0x6)
+        outs = {learner(0, Distribution.uniform(1), rng).values for _ in range(5)}
         assert len(outs) == 1
 
     def test_final_block_updates_once_per_point_and_target(self, monkeypatch):
@@ -388,14 +386,14 @@ class TestStableLearner:
 
         monkeypatch.setattr(RsoaState, "update", counting_update)
         monkeypatch.setattr(RsoaState, "keep_rows", counting_keep_rows)
-        outs = [learner(target, dist, seed) for target in (0, 1) for seed in range(20)]
+        outs = [learner(target, dist, child_rng(seed, 0x6)) for target in (0, 1) for seed in range(20)]
         assert sum(not isinstance(o, Fail) for o in outs[:20]) > 0
         assert sum(not isinstance(o, Fail) for o in outs[20:]) > 0
         assert len(built) == 2 * cls.domain_size
         bins = set(bin_midpoints(zeta))
         assert outside and all(y in bins for y in outside)
         monkeypatch.undo()
-        assert outs == [reference_G(cls, target, dist, zeta, 4.0, seed)
+        assert outs == [reference_G(cls, target, dist, zeta, 4.0, child_rng(seed, 0x6))
                         for target in (0, 1) for seed in range(20)]
 
     def test_output_consistent_with_consumed_examples(self):
@@ -458,8 +456,9 @@ class TestStabilityExperiment:
         d, m = learner.d, learner.m
         runs = 150
         outputs = []
-        for s in range(runs):
-            out = learner(0, dist, seed=900 + s)
+        rng = child_rng(900, 0x6)
+        for _ in range(runs):
+            out = learner(0, dist, rng)
             if not isinstance(out, Fail):
                 outputs.append(out)
         floor = zeta**d
