@@ -32,7 +32,6 @@ from .errors import (
     TooLarge,
 )
 from .online import (
-    DRAWLESS_NOISES,
     NOISES,
     run_online_game,
     run_shadow_stream,
@@ -145,30 +144,6 @@ def _csv(header: list[str], rows) -> str:
     return "".join(",".join(map(str, row)) + "\r\n" for row in (header, *rows))
 
 
-class _Cells(dict):
-    """A float's detail.csv text, rendered once per run as csv does: str(v)."""
-
-    def __missing__(self, v):
-        text = str(v)
-        if v:  # 0.0 and -0.0 are one key with two texts
-            self[v] = text
-        return text
-
-
-def _numbered(header: str, rounds, tail) -> str:
-    """A line per round: its number, then `tail(*round[1:])`, rendered once per distinct tail.
-    A drawless game repeats its steps; its grid and class floats hold no -0.0 to alias 0.0."""
-    tails: dict = {}
-    lines = [header]
-    for r in rounds:
-        key = r[1:]
-        text = tails.get(key)
-        if text is None:
-            text = tails[key] = tail(*key)
-        lines.append(f"{r[0]},{text}")
-    return "".join(lines)
-
-
 def run_dims(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     cls = _load_class(cfg, seed)
@@ -185,7 +160,6 @@ def run_dims(cfg: dict, seed: int) -> Report:
 def run_online(cfg: dict, seed: int) -> Report:
     zeta = _zeta_of(cfg)
     T = _param(cfg, "T", int, 100)
-    _require(T >= 1, "T must be at least 1")
     noise_name = cfg.get("noise", "exact")
     _require(isinstance(noise_name, str) and noise_name in NOISES, f"unknown noise {noise_name!r}")
     cls = _load_class(cfg, seed)
@@ -200,14 +174,14 @@ def run_online(cfg: dict, seed: int) -> Report:
         "within_bound": tr.mistakes <= tr.sfat_bound,
     }
     header = "round,x,prediction,feedback,mistake,V\r\n"
-    if NOISES[noise_name] in DRAWLESS_NOISES:
-        return summary, _numbered(
-            header, tr.rounds,
-            lambda x, p, fb, m, _, v: f"{x},{p},{'' if fb is None else fb},{m},{v}\r\n",
-        )
-    cell = _Cells()  # each feedback is a fresh draw; the predictions repeat
-    return summary, header + "".join([f"{t},{x},{cell[p]},{'' if fb is None else fb},{m},{v}\r\n"
-                                      for t, x, p, fb, m, _, v in tr.rounds])
+    if tr.feedback is None:
+        texts = tr.table(lambda x, p, fb, m, _, v: f"{x},{p},{'' if fb is None else fb},{m},{v}\r\n")
+        return summary, header + "".join([f"{t},{text}" for t, text in enumerate(texts)])
+    # a drawing game's feedback is a fresh draw each round: its cell goes between the row's
+    # texts, which are rendered once per epoch and point
+    cells = tr.table(lambda x, p, fb, m, _, v: (f"{x},{p},", f",{m},{v}\r\n"))
+    return summary, header + "".join([f"{t},{a}{'' if fb is None else fb}{b}"
+                                      for t, ((a, b), fb) in enumerate(zip(cells, tr.feedback))])
 
 
 def run_adversary(cfg: dict, seed: int) -> Report:
@@ -366,10 +340,9 @@ def run_shadow(cfg: dict, seed: int) -> Report:
         "mistakes": tr.mistakes,
     }
     truth = cls.by_id(target).values
-    return summary, _numbered(
-        "position,measurement,estimate,truth,mistake\r\n", tr.rounds,
-        lambda x, p, fb, m, *_: f"{x},{p},{truth[x]},{m}\r\n",
-    )
+    texts = tr.table(lambda x, p, fb, m, *_: f"{x},{p},{truth[x]},{m}\r\n")
+    return summary, "position,measurement,estimate,truth,mistake\r\n" + "".join(
+        [f"{t},{text}" for t, text in enumerate(texts)])
 
 
 _RUNNERS = {

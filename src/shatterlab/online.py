@@ -14,9 +14,11 @@ A game takes zeta and a noise, the adversary's feedback rule.  Its points are
 a list to cycle through, or uniformly random points; the forcing game walks a
 shattering tree.  Mistake-only play is the noise `mistake_only_noise`: the
 zeta-grid rounding, given only on rounds with |prediction - truth| > 5*zeta.
-At zeta = epsilon/5 it drives the shadow-estimation stream.  A game whose
-feedback draws nothing replays each repeated (surviving mask, x) round from a
-cache.  The learner reads the class's values as Python floats.
+At zeta = epsilon/5 it drives the shadow-estimation stream.  A game runs as
+epochs, runs of rounds from one surviving mask of which only the last may
+change it: a game whose feedback draws nothing evaluates each epoch's
+(mask, x) round once and looks up its repeats.  The learner reads the
+class's values as Python floats.
 """
 
 from __future__ import annotations
@@ -237,21 +239,58 @@ class Round(NamedTuple):
     v_after: int
 
 
+class Epoch(NamedTuple):
+    """Rounds start..end-1, played from one surviving mask; only the last may change it."""
+
+    start: int
+    end: int
+    mask: int
+    mask_after: int
+    #: x -> (prediction, feedback, mistake) at `mask`; the feedback is None in a drawing
+    #: game, whose `Transcript.feedback` holds it round by round
+    rows: dict[int, tuple[float, Optional[float], bool]]
+
+
 @dataclass
 class Transcript:
-    """Full audit record of one online game."""
+    """Full audit record of one online game, as columns: the point of every
+    round, the epochs, and a drawing game's feedback round by round."""
 
     sfat_bound: int
-    rounds: list[Round] = field(default_factory=list)
+    points: list[int] = field(default_factory=list)
+    epochs: list[Epoch] = field(default_factory=list)
+    feedback: Optional[list[Optional[float]]] = None
     final_hypothesis: Optional[Concept] = None
+
+    def table(self, row: Callable) -> list:
+        """`row(x, prediction, feedback, mistake, v_before, v_after)` of each round, in
+        order, called once per epoch and point and once for the round that changes the
+        mask.  A drawing game's rows get None for the feedback drawn each round."""
+        out = []
+        for ep in self.epochs:
+            v, xs = ep.mask.bit_count(), self.points[ep.start:ep.end]
+            cells = {x: row(x, *r, v, v) for x, r in ep.rows.items()}
+            out += map(cells.__getitem__, xs)
+            if ep.mask_after != ep.mask:
+                out[-1] = row(xs[-1], *ep.rows[xs[-1]], v, ep.mask_after.bit_count())
+        return out
+
+    @property
+    def rounds(self) -> list[Round]:
+        """The rounds, built from the columns on each read."""
+        rounds = [Round(t, *r) for t, r in enumerate(self.table(lambda *r: r))]
+        if self.feedback is None:
+            return rounds
+        return [r._replace(feedback=fb) for r, fb in zip(rounds, self.feedback)]
 
     @property
     def mistakes(self) -> int:
-        return sum(1 for r in self.rounds if r.mistake)
+        return sum(self.points[ep.start:ep.end].count(x)
+                   for ep in self.epochs for x, (_, _, mistake) in ep.rows.items() if mistake)
 
     @property
     def updates(self) -> int:
-        return sum(1 for r in self.rounds if r.v_after != r.v_before)
+        return sum(ep.mask_after != ep.mask for ep in self.epochs)
 
 
 def run_online_game(
@@ -263,7 +302,7 @@ def run_online_game(
     T: int,
     seed: int,
 ) -> Transcript:
-    """Play T rounds at accuracy zeta, counting mistakes at 5*zeta.
+    """Play T >= 1 rounds at accuracy zeta, counting mistakes at 5*zeta.
 
     `points` is None for a uniformly random domain point each round, or a
     nonempty sequence of domain indices played in order, cycling.  Each
@@ -271,57 +310,91 @@ def run_online_game(
     The harness validates the noise contract on every feedback and treats an
     emptied surviving set as an InvalidFeedback fault — with in-contract
     feedback the target survives every update.
+
+    The rounds are played as epochs.  A drawless noise's round depends on
+    (mask, x) alone: an epoch steps once per point, in the order of first
+    occurrence, up to the first step that changes the mask or raises.  A
+    drawing game calls `update` only on feedback outside [0, 1] or zeta or
+    more from the lowest or highest surviving value at x: fl(v - feedback) is
+    monotone in v, so otherwise every row stays.
     """
     d = cls.domain_size
-    if points is not None and not (
-        len(points) and all(isinstance(x, (int, np.integer)) and 0 <= x < d for x in points)
-    ):
+    if points is not None and not (len(points) and all(
+            isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < d
+            for x in points)):
         raise OutOfRange(f"points must be a nonempty sequence of domain indices in [0, {d})")
+    if T < 1:
+        raise OutOfRange(f"T={T}: a game plays at least one round")
     rng = child_rng(seed, 0)
-    target = cls.by_id(target_id)
+    values = cls.by_id(target_id).values
     threshold = 5.0 * zeta
     state = RsoaState(cls, zeta)
     tr = Transcript(sfat_bound=state.mistake_bound())
 
-    def step(mask: int, xi: int) -> tuple[float, Optional[float], bool, int, int]:
+    def row(mask: int, xi: int) -> tuple[float, None, bool]:
         y_hat = state.predict(mask, xi)
-        c_val = target.values[xi]
-        mistake = abs(y_hat - c_val) > threshold
-        feedback = noise(c_val, y_hat, zeta, rng)
-        if feedback is not None:
-            if abs(feedback - c_val) > zeta + 1e-12:
-                raise InvalidFeedback(
-                    f"noise {getattr(noise, '__name__', noise)} produced |c_hat - c| = "
-                    f"{abs(feedback - c_val)} > zeta = {zeta}"
-                )
-            mask = state.update(mask, xi, feedback)
-            if mask == 0:
-                raise InvalidFeedback(
-                    f"update at x={xi} with feedback {feedback} wiped the surviving set; "
-                    "valid feedback never eliminates the target"
-                )
-        return y_hat, feedback, mistake, mask, mask.bit_count()
+        return y_hat, None, abs(y_hat - values[xi]) > threshold
 
-    drawless = noise in DRAWLESS_NOISES
-    if drawless:
-        # a round that reads no generator depends on (mask, xi) alone, so a
-        # repeat skips no draw; a new key runs every check, on its own round
-        step = functools.cache(step)
-    if points is not None:
-        xs = (points[t % len(points)] for t in range(T))
-    elif drawless:
-        # the points are the stream's only draws, and one call takes what T
-        # scalar calls take: PCG64 serves bounded ints from its buffered
-        # 32-bit halves either way
-        xs = rng.integers(d, size=max(T, 0)).tolist()
-    else:  # drawn round by round, between the noise's draws
-        xs = (int(rng.integers(d)) for _ in range(T))
+    def feed(mask: int, xi: int, feedback: float, shrinks: bool = True) -> int:
+        """The mask after in-contract feedback at xi; `update` runs only if it `shrinks`."""
+        if abs(feedback - values[xi]) > zeta + 1e-12:
+            raise InvalidFeedback(
+                f"noise {getattr(noise, '__name__', noise)} produced |c_hat - c| = "
+                f"{abs(feedback - values[xi])} > zeta = {zeta}"
+            )
+        if shrinks and (mask := state.update(mask, xi, feedback)) == 0:
+            raise InvalidFeedback(
+                f"update at x={xi} with feedback {feedback} wiped the surviving set; "
+                "valid feedback never eliminates the target"
+            )
+        return mask
+
     mask = state.cache.full_mask()
-    v_after = mask.bit_count()
-    for t, xi in enumerate(xs):
-        v_before = v_after
-        y_hat, feedback, mistake, mask, v_after = step(mask, xi)
-        tr.rounds.append(Round(t, xi, y_hat, feedback, mistake, v_before, v_after))
+    if noise in DRAWLESS_NOISES:
+        if points is None:
+            # the points are the stream's only draws, and one call takes what T
+            # scalar calls take: PCG64 serves bounded ints from its buffered
+            # 32-bit halves either way
+            xs = tr.points = rng.integers(d, size=T).tolist()
+        else:
+            xs = tr.points = (list(points) * -(-T // len(points)))[:T]
+        start = 0
+        while start < T:
+            rows = {}
+            for xi in dict.fromkeys(xs[start:]):  # in the order of first occurrence
+                y_hat, _, mistake = row(mask, xi)
+                feedback = noise(values[xi], y_hat, zeta, rng)
+                after = mask if feedback is None else feed(mask, xi, feedback)
+                rows[xi] = (y_hat, feedback, mistake)
+                if after != mask:
+                    end = xs.index(xi, start) + 1
+                    break
+            else:
+                end = T
+            tr.epochs.append(Epoch(start, end, mask, after, rows))
+            mask, start = after, end
+    else:  # drawn round by round: integers(d), then the noise's draws
+        xs, fbs = tr.points, []
+        tr.feedback = fbs
+        rows, bounds, start = {}, {}, 0
+        for t in range(T):
+            xi = int(rng.integers(d)) if points is None else points[t % len(points)]
+            xs.append(xi)
+            if (r := rows.get(xi)) is None:
+                r = rows[xi] = row(mask, xi)
+                near = [v for i, v in enumerate(state.cols[xi]) if mask >> i & 1]
+                bounds[xi] = min(near), max(near)
+            feedback = noise(values[xi], r[0], zeta, rng)
+            fbs.append(feedback)
+            if feedback is not None:
+                lo, hi = bounds[xi]
+                after = feed(mask, xi, feedback, not (0.0 <= feedback <= 1.0
+                             and abs(lo - feedback) < zeta and abs(hi - feedback) < zeta))
+                if after != mask:
+                    tr.epochs.append(Epoch(start, t + 1, mask, after, rows))
+                    mask, start, rows, bounds = after, t + 1, {}, {}
+        if start < T:
+            tr.epochs.append(Epoch(start, T, mask, mask, rows))
     tr.final_hypothesis = state.final_hypothesis(mask)
     return tr
 

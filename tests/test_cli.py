@@ -475,6 +475,15 @@ MALFORMED = {
         "online",
         {"seed": 1, "zeta": 0.125, "T": "x", "class": {"bundled": "four_constants"}},
     ),
+    # the round count's range rule lives in run_online_game
+    "T_zero": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "T": 0, "class": {"bundled": "four_constants"}},
+    ),
+    "T_negative": (
+        "online",
+        {"seed": 1, "zeta": 0.125, "T": -3, "class": {"bundled": "four_constants"}},
+    ),
     "missing_states_file": ("quantum", {"seed": 1, "states_files": ["no/such/state.json"]}),
     "zero_tol": ("quantum", {"seed": 1, "tol": 0}),
     # the online learner needs super-bin midpoints, so zeta <= 1/3

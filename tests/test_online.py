@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shatterlab import (
     run_weak_forcing_game,
     sfat,
 )
+from shatterlab import online
 from shatterlab.classes import generate_class
 from shatterlab.concepts import round_to_grid
 from shatterlab.errors import InvalidFeedback, OutOfRange
@@ -296,13 +298,23 @@ def one_mistake_only_round(cls, target_id, epsilon):
 
 
 class TestPoints:
-    @pytest.mark.parametrize("points", [[], [-1], [2], [0, 2], [1.0], ["0"]], ids=repr)
+    # a bool is an int to isinstance, and a detail table would print it as True
+    @pytest.mark.parametrize(
+        "points", [[], [-1], [2], [0, 2], [1.0], ["0"], [True, False], [0, True]], ids=repr
+    )
     def test_rejects_points_outside_the_domain(self, points):
         cls = make_class([[0.2, 0.6], [0.6, 0.2]])
         with pytest.raises(OutOfRange):
             run_online_game(cls, 0, points, 1 / 8, exact_noise, 3, seed=0)
         with pytest.raises(OutOfRange):
             run_shadow_stream(cls, 0, points, 0.5)
+
+    @pytest.mark.parametrize("T", [0, -3])
+    @pytest.mark.parametrize("points", [None, [0, 1]])
+    def test_rejects_a_round_count_below_one(self, T, points):
+        cls = make_class([[0.2, 0.6], [0.6, 0.2]])
+        with pytest.raises(OutOfRange, match="at least one round"):
+            run_online_game(cls, 0, points, 1 / 8, exact_noise, T, seed=0)
 
     def test_cycles_through_the_points(self):
         cls = make_class([[0.2, 0.6, 0.4]])
@@ -580,6 +592,16 @@ def reference_game(cls, target_id, points, zeta, noise, T, seed):
     return rounds, final
 
 
+def assert_matches(tr, reference):
+    """The epoch transcript agrees with the plain harness's rounds and final
+    hypothesis, and so do the counts computed from its columns."""
+    rounds, final = reference
+    assert [tuple(r) for r in tr.rounds] == rounds
+    assert tr.mistakes == sum(r[4] for r in rounds)
+    assert tr.updates == sum(r[5] != r[6] for r in rounds)
+    assert tr.final_hypothesis.values == final
+
+
 def reference_uniform_noise(c_val, y_hat, zeta, rng):
     """uniform_noise as numpy's own uniform draw writes it."""
     offset = rng.uniform(-zeta, zeta)
@@ -629,9 +651,7 @@ class TestBatchedGame:
 
         cls = generate_class(2, 6, 1 / 8, seed=3)
         tr = run_online_game(cls, 1, None, 1 / 8, Offset(0.5), 50, seed=2)
-        assert [tuple(r) for r in tr.rounds] == reference_game(
-            cls, 1, None, 1 / 8, Offset(0.5), 50, 2
-        )[0]
+        assert_matches(tr, reference_game(cls, 1, None, 1 / 8, Offset(0.5), 50, 2))
         with pytest.raises(InvalidFeedback, match="Offset"):
             run_online_game(cls, 1, None, 1 / 8, Offset(3), 5, 2)
 
@@ -645,9 +665,7 @@ class TestBatchedGame:
                 for points in (None, [nx - 1, 0]):
                     target = i % nc
                     tr = run_online_game(cls, target, points, zeta, noise, 300, seed=i)
-                    rounds, final = reference_game(cls, target, points, zeta, noise, 300, i)
-                    assert [tuple(r) for r in tr.rounds] == rounds
-                    assert tr.final_hypothesis.values == final
+                    assert_matches(tr, reference_game(cls, target, points, zeta, noise, 300, i))
 
 
 class TestUniformNoise:
@@ -675,11 +693,9 @@ class TestUniformNoise:
             for seed, points in enumerate((None, [nx - 1, 0])):
                 target = seed % nc
                 tr = run_online_game(cls, target, points, zeta, uniform_noise, 300, seed=seed)
-                rounds, final = reference_game(
+                assert_matches(tr, reference_game(
                     cls, target, points, zeta, reference_uniform_noise, 300, seed
-                )
-                assert [tuple(r) for r in tr.rounds] == rounds
-                assert tr.final_hypothesis.values == final
+                ))
 
 
 def reference_bin_masks(cls, zeta):
@@ -777,28 +793,74 @@ def distinct_keys(tr):
     return {(r.v_before, r.x) for r in tr.rounds}
 
 
+def one_point_breach(c_val, y_hat, zeta, rng):
+    """Exact feedback, except 2*zeta off at the value 0.9: out of contract at one point."""
+    return c_val - 2 * zeta if c_val == 0.9 else c_val
+
+
 class TestStepMemo:
+    """An epoch memoizes the steps from one surviving mask: a drawless game
+    steps once per (epoch mask, point), and a drawing game calls `update`
+    only on the rounds that can shrink the mask."""
+
     @pytest.mark.parametrize("noise", DRAWLESS_NOISES, ids=lambda n: n.__name__)
     def test_drawless_game_updates_once_per_mask_and_point(self, monkeypatch, noise):
         zeta = 1 / 8
         cls = generate_class(3, 12, zeta, seed=5)
         updates = recording(monkeypatch, "update")
+        predicts = recording(monkeypatch, "predict")
         for points in (None, [2, 0, 1]):
             updates.clear()
+            predicts.clear()
             tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
             feedback_keys = {(r.v_before, r.x) for r in tr.rounds if r.feedback is not None}
             assert len(updates) == len(set(updates)) == len(feedback_keys)
+            assert set(updates) <= {(ep.mask, x) for ep in tr.epochs for x in ep.rows}
             assert len(updates) < len(tr.rounds)
+            # predict sees the (mask, x) pairs the rounds visit, and the final hypothesis's
+            visited = {(ep.mask, x) for ep in tr.epochs for x in tr.points[ep.start:ep.end]}
+            final = {(tr.epochs[-1].mask_after, x) for x in range(cls.domain_size)}
+            assert set(predicts) == visited | final
 
     @pytest.mark.parametrize("noise", [uniform_noise, drawing_noise], ids=lambda n: n.__name__)
-    def test_drawing_game_updates_every_round(self, monkeypatch, noise):
+    def test_drawing_game_updates_only_rounds_that_shrink_the_mask(self, monkeypatch, noise):
         zeta = 1 / 8
         cls = generate_class(3, 12, zeta, seed=5)
         updates = recording(monkeypatch, "update")
         for points in (None, [2, 0, 1]):
             updates.clear()
             tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
-            assert len(updates) == len(tr.rounds) == 300
+            shrinking = [(ep.mask, tr.points[ep.end - 1])
+                         for ep in tr.epochs if ep.mask_after != ep.mask]
+            assert updates == shrinking
+            assert 0 < len(updates) < len(tr.rounds) == 300
+
+    def test_drawing_game_updates_feedback_outside_the_unit_interval(self, monkeypatch):
+        # zeta/2 above 1.0 keeps both rows in the open zeta-ball, yet update rejects it
+        def overshoot(c_val, y_hat, zeta, rng):
+            rng.random()
+            return c_val + zeta / 2
+
+        updates = recording(monkeypatch, "update")
+        with pytest.raises(OutOfRange, match=r"outside \[0,1\]"):
+            run_online_game(make_class([[1.0], [0.95]]), 0, None, 1 / 8, overshoot, 3, seed=0)
+        assert updates == [(0b11, 0)]
+
+    def test_drawless_fault_raises_only_when_its_round_is_played(self, monkeypatch):
+        zeta = 1 / 8
+        cls = make_class([[0.2, 0.5, 0.9], [0.6, 0.1, 0.4]])
+        monkeypatch.setattr(online, "DRAWLESS_NOISES", (*DRAWLESS_NOISES, one_point_breach))
+        message = (f"noise one_point_breach produced |c_hat - c| = {abs(0.9 - 2 * zeta - 0.9)}"
+                   f" > zeta = {zeta}")
+        first = child_rng(6, 0).integers(3, size=50).tolist().index(2)
+        assert first > 0
+        for points, T in (([0, 1, 0, 1, 1, 2], 5), (None, first)):
+            tr = run_online_game(cls, 0, points, zeta, one_point_breach, T, seed=6)
+            assert tr.feedback is None and 2 not in tr.points
+            assert_matches(tr, reference_game(cls, 0, points, zeta, one_point_breach, T, 6))
+            with pytest.raises(InvalidFeedback) as fault:
+                run_online_game(cls, 0, points, zeta, one_point_breach, T + 1, seed=6)
+            assert str(fault.value) == message
 
     def test_mistake_only_game_is_memoized(self, monkeypatch):
         cls = generate_class(4, 16, 1 / 10, seed=0)
