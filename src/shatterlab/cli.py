@@ -14,7 +14,6 @@ error is an experiment fault and exits 1.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -321,7 +320,6 @@ def run_shadow(cfg: dict, seed: int) -> Report:
     n_meas = _param(cfg, "n_measurements", int, 4)
     _require(1 <= n_meas <= 16, "n_measurements must be in 1..16")
     repeats = _param(cfg, "stream_repeats", int, 2)
-    _require(repeats >= 1, "stream_repeats must be at least 1")
     rng = child_rng(seed, 0x5AD0)
     if "measurements_files" in cfg:
         meas = _read_files(cfg, "measurements_files", measurement_from_json)
@@ -372,8 +370,13 @@ def main(argv: "list[str] | None" = None) -> int:
     # an earlier run's report must not pass for this run's, whether this run
     # fails or writes no detail.csv
     for name in ("summary.json", "detail.csv"):
-        with contextlib.suppress(FileNotFoundError):
+        try:
             os.remove(os.path.join(args.out, name))
+        except FileNotFoundError:
+            pass
+        except OSError as exc:  # --out names a file, say
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

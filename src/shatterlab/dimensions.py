@@ -32,6 +32,10 @@ it asks the smaller side first, and stops at the first split that passes,
 raising lo to k, or lowers hi to k - 1 when none does.  Every stored bound is
 proven, so no answer depends on the order of the queries, and the exact value
 is found by deepening from lo until a query fails.
+
+One method, `SfatCache._first_split`, holds that scan.  The witness tree reads
+it too: each node is the first split that passes at the node's depth less one,
+so the witness is the split the search accepts, by construction.
 """
 
 from __future__ import annotations
@@ -174,16 +178,29 @@ class SfatCache:
             return True
         if k > hi:
             return False
-        need = k - 1
-        for pairs in self._pairs:
+        if self._first_split(mask, k - 1):
+            self._memo[mask] = (k, hi)
+            return True
+        self._memo[mask] = (lo, k - 1)
+        return False
+
+    def _first_split(self, mask: int, need: int) -> Optional[tuple[int, float, int, int]]:
+        """(x, a, left, right) of the first split of `mask` whose two sides
+        both have sfat >= need, in domain order then ascending value; None
+        when no split passes.
+
+        Only pairs that cannot pass are skipped, so the first pair that passes
+        is the first in that order.
+        """
+        for x, pairs in enumerate(self._pairs):
             prev = 0
-            for _, le, ge in pairs:
+            for a, le, ge in pairs:
                 right = mask & ge
                 if not right:
                     break  # GE only shrinks as v grows
                 n_right = right.bit_count()
                 if n_right.bit_length() <= need:
-                    break  # floor(log2 |right|) < k - 1, and right only shrinks
+                    break  # floor(log2 |right|) < need, and right only shrinks
                 left = mask & le
                 if not left or left == prev:
                     continue  # empty, or dominated by the previous pair
@@ -193,10 +210,8 @@ class SfatCache:
                     continue
                 small, large = (left, right) if n_left <= n_right else (right, left)
                 if self.at_least(small, need) and self.at_least(large, need):
-                    self._memo[mask] = (k, hi)
-                    return True
-        self._memo[mask] = (lo, need)
-        return False
+                    return x, a, left, right
+        return None
 
     def dimension_of_mask(self, mask: int) -> int:
         if mask == 0:
@@ -211,34 +226,20 @@ class SfatCache:
         return sfat_empty_convention() if mask == 0 else self.dimension_of_mask(mask)
 
     def witness_of_mask(self, mask: int) -> ShatterTree:
-        """Extract the first witness tree.
-
-        Split pairs are tried in domain order, then ascending class value; a
-        leaf is the lowest row of its subset.
+        """The first witness tree: each node is the split the search accepts
+        (`_first_split`), so split pairs are tried in domain order, then
+        ascending class value; a leaf is the lowest row of its subset.
         """
-        d = self.dimension_of_mask(mask)
-        return self._build(mask, d)
+        return self._build(mask, self.dimension_of_mask(mask))
 
     def _build(self, mask: int, depth: int) -> ShatterTree:
         if depth == 0:
             row = (mask & -mask).bit_length() - 1
             return ShatterTree(leaf=self.cls.concepts[row].id)
-        for x, pairs in enumerate(self._pairs):
-            for a, le, ge in pairs:
-                left, right = mask & le, mask & ge
-                if not (left and right):
-                    continue
-                # the smaller side first, as `at_least` asks, so that the value
-                # search has already settled most of these questions
-                small, large = sorted((left, right), key=int.bit_count)
-                if self.at_least(small, depth - 1) and self.at_least(large, depth - 1):
-                    return ShatterTree(
-                        x=x,
-                        a=a,
-                        left=self._build(left, depth - 1),
-                        right=self._build(right, depth - 1),
-                    )
-        raise AssertionError("witness extraction disagreed with memoized dimension")
+        x, a, left, right = self._first_split(mask, depth - 1)
+        return ShatterTree(
+            x=x, a=a, left=self._build(left, depth - 1), right=self._build(right, depth - 1)
+        )
 
 
 def sfat(cls: ConceptClass, zeta: float) -> DimensionResult:

@@ -72,10 +72,10 @@ def discretize_hypotheses(domain_size: int, zeta: float) -> HypothesisCollection
 
 
 def _check_sample(sample: Sample, domain_size: float = math.inf) -> None:
-    """Raise OutOfRange unless each x is an integer index in [0, domain_size)
-    and each y lies in [0, 1] (NaN does not)."""
+    """Raise OutOfRange unless each x is an integer index in [0, domain_size),
+    not a bool, and each y lies in [0, 1] (NaN does not)."""
     for x, y in sample:
-        if not (isinstance(x, (int, np.integer)) and 0 <= x < domain_size):
+        if not (isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < domain_size):
             raise OutOfRange(f"sample point {x!r} is not a domain index in [0, {domain_size})")
         if not 0.0 <= y <= 1.0:
             raise OutOfRange(f"sample label {y!r} outside [0,1]")
@@ -189,8 +189,8 @@ def dp_test(
     beyond its slack.  The 99% holds per event, not per verdict: nothing
     corrects for the number of events (625 tight events fail 17 of 100 seeds).
     The domain is the learner's, so each sample point is checked only for
-    x >= 0 and y in [0, 1], and before the samples are compared: a NaN label
-    would otherwise count as the one difference.
+    an integer x >= 0, not a bool, and y in [0, 1], and before the samples
+    are compared: a NaN label would otherwise count as the one difference.
     """
     _check_sample(s)
     _check_sample(s_prime)

@@ -50,37 +50,6 @@ class ExtSample:
     draws_used: int
     mask: int
 
-    def examples(self) -> list[tuple[int, float]]:
-        out: list[tuple[int, float]] = []
-        for block, mistake in self.segments:
-            out.extend(block)
-            out.append(mistake)
-        return out
-
-
-class _Budget:
-    def __init__(self, cutoff: int):
-        self.cutoff = cutoff
-        self.used = 0
-
-    def draw(self, n: int) -> bool:
-        """Account for n draws; False once the cutoff would be exceeded."""
-        if self.used + n > self.cutoff:
-            self.used = self.cutoff + 1
-            return False
-        self.used += n
-        return True
-
-
-def _draws(k: int, zeta: float) -> bool:
-    """Whether a level-k curated sample at zeta draws from its stream.
-
-    Level 0 is the empty sample.  Values lie in [0, 1], so at 11*zeta >= 1 no
-    two hypotheses differ by more than 11*zeta: every attempt would fail, and
-    the draws would run to the cutoff.
-    """
-    return k >= 1 and 11.0 * zeta < 1.0
-
 
 def sample_ext(
     state: RsoaState,
@@ -94,9 +63,10 @@ def sample_ext(
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
-    The sample draws from `rng`.  A sample that draws nothing (`_draws`) does
-    not read it, so it moves no draw of a stream it shares, and `rng` may be
-    None there.
+    The sample draws from `rng`.  A sample that draws nothing (level 0, or a
+    level k >= 1 at 11*zeta >= 1, which fails at once) does not read it, so it
+    moves no draw of a stream it shares, and `rng` may be None there.  Draws
+    are counted against `cutoff`; a Fail at the cutoff reports cutoff + 1.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -112,10 +82,10 @@ def sample_ext(
             f"a distribution over {len(dist.p)} points for a class over {cls.domain_size}"
         )
     values = cls.by_id(target_id).values
-    empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
-    if not _draws(k, zeta):
-        return empty if k == 0 else Fail(draws_used=cutoff + 1)
-    budget = _Budget(cutoff)
+    if k >= 1 and 11.0 * zeta >= 1.0:
+        # values lie in [0, 1], so no two hypotheses differ by more than
+        # 11*zeta: every attempt would fail, drawing up to the cutoff
+        return Fail(draws_used=cutoff + 1)
     bins = state.bins
     # one learner state serves every attempt; a sub-sample's surviving mask,
     # folded with the keep rows of a block's draws, stands in for replaying it
@@ -131,36 +101,39 @@ def sample_ext(
             splits[v0, v1] = next(((x, f0[x], f1[x]) for x in diffs), None)
         return splits[v0, v1]
 
-    def rec(level: int) -> Optional[ExtSample]:
+    used = 0  # draws made, counted against the cutoff
+
+    def rec(level: int) -> Optional[tuple[tuple, int]]:
+        """(segments, surviving mask) of a level-`level` sample; None at the cutoff."""
+        nonlocal used
+        if level == 0:
+            return (), state.cache.full_mask()
         while True:
             pair = []
             for _branch in (0, 1):
-                sub = empty if level == 1 else rec(level - 1)
-                if sub is None or not budget.draw(m):
+                sub = rec(level - 1)
+                if sub is None or used + m > cutoff:
                     return None
+                used += m
                 xs = dist.sample(rng, m).tolist()
-                mask = sub.mask
+                segments, mask = sub
                 for x in xs:
                     mask &= keep[x]
-                pair.append((sub, xs, mask))
+                pair.append((segments, xs, mask))
             found = split(pair[0][2], pair[1][2])
             if found is None:
                 continue
             x_star, y0, y1 = found
             alpha = bins[rng.integers(len(bins))]  # the draw of rng.choice(bins)
-            sub, xs, mask = pair[1] if abs(alpha - y0) < abs(alpha - y1) else pair[0]
+            segments, xs, mask = pair[1] if abs(alpha - y0) < abs(alpha - y1) else pair[0]
             block = tuple((x, values[x]) for x in xs)
-            return ExtSample(
-                segments=sub.segments + ((block, (x_star, alpha)),),
-                k=level,
-                draws_used=0,
-                mask=state.update(mask, x_star, alpha),
-            )
+            return segments + ((block, (x_star, alpha)),), state.update(mask, x_star, alpha)
 
-    result = rec(k)
-    if result is None:
-        return Fail(draws_used=budget.used)
-    return ExtSample(segments=result.segments, k=k, draws_used=budget.used, mask=result.mask)
+    sample = rec(k)
+    if sample is None:
+        return Fail(draws_used=cutoff + 1)
+    segments, mask = sample
+    return ExtSample(segments=segments, k=k, draws_used=used, mask=mask)
 
 
 class StableLearner:

@@ -456,6 +456,18 @@ class TestNoStaleReports:
         assert os.listdir(out) == ["summary.json"]
         assert read_summary(out)["kind"] == "quantum"
 
+    def test_out_naming_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(cfg, seed):
+            raise AssertionError("the runner ran")
+
+        monkeypatch.setitem(cli._RUNNERS, "online", refuse)
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["online", write_config(tmp_path, ONLINE_CFG), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "output error" in err and str(out) in err
+        assert out.read_text() == "kept"
+
 
 MALFORMED = {
     "privacy_m_zero": ("privacy", {"seed": 1, "zeta": 0.5, "m": 0}),

@@ -1,3 +1,4 @@
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -146,6 +147,48 @@ class TestOracle:
                         assert decisions.at_least(mask, k) == (want >= k), (
                             seed, margin, mask, k,
                         )
+
+
+def plain_witness(cls, margin, mask):
+    """The documented first witness of `mask`, from a plain scan: at each node
+    the first `_point_masks` pair, points in domain order and then ascending
+    class value, whose two sides both have `oracle_sfat` >= depth - 1; a leaf
+    is the lowest row of its subset."""
+    rows = [c.values for c in cls.concepts]
+    cols = cls.table.T.tolist()
+
+    @functools.lru_cache(maxsize=None)
+    def dim(m):
+        return oracle_sfat([rows[r] for r in range(len(rows)) if m >> r & 1], margin)
+
+    def build(m, depth):
+        if depth == 0:
+            return {"leaf": cls.concepts[(m & -m).bit_length() - 1].id}
+        for x, col in enumerate(cols):
+            for a, le, ge in dimensions._point_masks(col, margin):
+                left, right = m & le, m & ge
+                if left and right and min(dim(left), dim(right)) >= depth - 1:
+                    return {"x": x, "a": a,
+                            "left": build(left, depth - 1), "right": build(right, depth - 1)}
+        raise AssertionError("no split at the oracle's dimension")
+
+    return build(mask, dim(mask))
+
+
+class TestWitnessOrder:
+    @pytest.mark.parametrize("nx,nc", [(1, 8), (2, 8), (3, 8), (4, 10)])
+    def test_witness_is_the_first_split_in_order(self, nx, nc):
+        rng = np.random.default_rng(nx * 100 + nc)
+        for seed in range(3):
+            cls = generate_class(nx, nc, 1 / 4, seed=seed)
+            for margin in (0.05, 0.1, 0.125, 0.25):
+                cache = SfatCache(cls, margin)
+                full = cache.full_mask()
+                # the full class first, then random submasks on the same cache
+                masks = [full] + [int(m) for m in rng.integers(1, full + 1, size=8)]
+                for mask in masks:
+                    want = plain_witness(cls, margin, mask)
+                    assert tree_to_dict(cache.witness_of_mask(mask)) == want, (seed, margin, mask)
 
 
 #: values on the 1/20 grid, so margin boundaries are hit exactly

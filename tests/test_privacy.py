@@ -184,9 +184,11 @@ class TestExponentialMechanism:
         assert tv <= 0.02
 
 
-#: sample points outside a one-point domain or with a label outside [0, 1]
+#: sample points outside a one-point domain or with a label outside [0, 1];
+#: a bool is no index, though numpy would read table[False] as a mask
 BAD_POINTS = {"x_outside_domain": (3, 0.1), "x_negative": (-1, 0.1),
-              "x_not_an_index": (0.0, 0.1), "y_nan": (0, math.nan)}
+              "x_not_an_index": (0.0, 0.1), "y_nan": (0, math.nan),
+              "x_true": (True, 0.1), "x_false": (False, 0.1)}
 
 
 class TestSampleRange:
@@ -213,7 +215,7 @@ class TestSampleRange:
             with pytest.raises(OutOfRange):
                 dp_test(self.mechanism(), *pair, 1.0, 0.0, trials=10_000, seed=1)
 
-    @pytest.mark.parametrize("bad", [(-1, 0.1), (0, math.nan), (0, 1.5), (0.5, 0.1)])
+    @pytest.mark.parametrize("bad", [(-1, 0.1), (0, math.nan), (0, 1.5), (0.5, 0.1), (True, 0.1)])
     def test_dp_test_rejects_before_any_trial(self, bad):
         # dp_test does not know the domain, but x >= 0 and y in [0, 1] it
         # checks itself, before comparing: NaN != NaN is no difference

@@ -40,6 +40,11 @@ def _reference_block(target, dist, m, rng):
     return tuple((int(x), target.values[int(x)]) for x in xs)
 
 
+def _examples(segments):
+    """A curated sample's examples in order: each block, then its injected one."""
+    return [e for block, injected in segments for e in (*block, injected)]
+
+
 def _reference_replay(state, examples):
     mask = state.cache.full_mask()
     for xi, y in examples:
@@ -69,8 +74,7 @@ def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, rng):
                     return None
                 used += m
                 block = _reference_block(target, dist, m, rng)
-                prefix = [e for blk, injected in sub for e in (*blk, injected)]
-                pair.append((sub, block, _reference_replay(state, prefix + list(block))[0]))
+                pair.append((sub, block, _reference_replay(state, _examples(sub) + list(block))[0]))
             (s0, b0, f0), (s1, b1, f1) = pair
             diffs = [
                 x for x in range(cls.domain_size) if abs(f0.values[x] - f1.values[x]) > 11.0 * zeta
@@ -88,8 +92,7 @@ def reference_sample_ext(cls, target_id, dist, k, m, zeta, cutoff, rng):
     segments = rec(k)
     if segments is None:
         return Fail(draws_used=used)
-    prefix = [e for blk, injected in segments for e in (*blk, injected)]
-    return ExtSample(segments, k, used, _reference_replay(state, prefix)[1])
+    return ExtSample(segments, k, used, _reference_replay(state, _examples(segments))[1])
 
 
 def reference_G(cls, target_id, dist, zeta, alpha, rng):
@@ -104,7 +107,7 @@ def reference_G(cls, target_id, dist, zeta, alpha, rng):
     if isinstance(s, Fail):
         return s
     block = _reference_block(cls.by_id(target_id), dist, m, rng)
-    hyp, mask = _reference_replay(RsoaState(cls, zeta), s.examples() + list(block))
+    hyp, mask = _reference_replay(RsoaState(cls, zeta), _examples(s.segments) + list(block))
     if mask == 0:
         return Fail(draws_used=s.draws_used + m)
     return hyp
@@ -227,7 +230,7 @@ class TestSampleExt:
                 if isinstance(s, Fail):
                     continue
                 fresh = RsoaState(cls, zeta)
-                assert s.mask == _reference_replay(fresh, s.examples())[1]
+                assert s.mask == _reference_replay(fresh, _examples(s.segments))[1]
                 levels.append(k)
         assert {0, 1, 2} <= set(levels)
 
@@ -255,7 +258,7 @@ class TestSampleExt:
         s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, rng=child_rng(3, 0xE27))
         assert s.k == 2
         assert len(s.segments) == 2
-        assert len(s.examples()) == 2 * (m + 1)
+        assert len(_examples(s.segments)) == 2 * (m + 1)
 
     def test_cutoff_returns_fail(self, two_constants_01):
         # at zeta=1/4 the disagreement threshold 11*zeta exceeds 1, so the
@@ -264,6 +267,15 @@ class TestSampleExt:
         out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, rng=child_rng(4, 0xE27))
         assert isinstance(out, Fail)
         assert out.draws_used > 60
+
+    def test_draw_count_at_the_cutoff(self):
+        # seed 0's first level-1 attempt succeeds, after two blocks of m draws
+        cls, dist, zeta, m = ext_cost_class()
+        state = RsoaState(cls, zeta)
+        s = sample_ext(state, 0, dist, 1, m, 2 * m, rng=child_rng(0, 0xE27))
+        assert isinstance(s, ExtSample) and s.draws_used == 2 * m
+        out = sample_ext(state, 0, dist, 1, m, 2 * m - 1, rng=child_rng(0, 0xE27))
+        assert out == Fail(draws_used=2 * m)
 
     def test_hopeless_level_fails_before_drawing(self, two_constants_01, no_draws):
         # with 11*zeta >= 1 no attempt can succeed, so no block is drawn and
@@ -324,7 +336,7 @@ class TestSampleExt:
         checked = 0
         for seed in range(200):
             s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
-            examples = s.examples()
+            examples = _examples(s.segments)
             x_star, alpha = examples[-1]
             if abs(alpha - target.values[x_star]) > zeta / 2:
                 continue
@@ -406,7 +418,7 @@ class TestStableLearner:
             s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
             xs = dist.sample(np.random.default_rng(seed), m)
             block = [(int(x), cls.by_id(0).values[int(x)]) for x in xs]
-            examples = s.examples() + block
+            examples = _examples(s.segments) + block
             state = RsoaState(cls, zeta)
             mask = state.cache.full_mask()
             for xi, y in examples:
