@@ -25,6 +25,7 @@ from .dimensions import sfat, tree_to_dict, validate_tree
 from .errors import (
     ConfigError,
     DimMismatch,
+    DomainMismatch,
     NonIntegerReciprocal,
     OutOfRange,
     ShatterlabError,
@@ -56,7 +57,8 @@ from .stability import stability_experiment
 SCHEMA_VERSION = 1
 
 #: library errors that reject what a config asked for: exit 2, not 1
-_CONFIG_ERRORS = (ConfigError, NonIntegerReciprocal, OutOfRange, TooLarge, DimMismatch)
+_CONFIG_ERRORS = (ConfigError, NonIntegerReciprocal, OutOfRange, TooLarge, DimMismatch,
+                  DomainMismatch)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -104,32 +106,26 @@ def _read_files(cfg: dict, key: str, parse) -> list:
 def _load_class(cfg: dict, seed: int) -> ConceptClass:
     src = cfg.get("class")
     _require(isinstance(src, dict), "config needs a 'class' object")
-    try:
-        if "bundled" in src:
-            _require(isinstance(src["bundled"], str), "class: 'bundled' must be a class name")
-            return bundled.bundled_class(src["bundled"])
-        if "inline" in src:
-            try:
-                return class_from_json(json.dumps(src["inline"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"class: malformed inline class: {exc}") from None
-        if "generated" in src:
-            g = src["generated"]
-            _require(isinstance(g, dict), "class: 'generated' must be an object")
-            boolean = g.get("boolean", False)
-            _require(isinstance(boolean, bool), "class: 'boolean' must be true or false")
-            return bundled.generate_class(
-                _param(g, "domain_size", int),
-                _param(g, "n_concepts", int),
-                _param(g, "zeta", float, cfg.get("zeta", 0.25)),
-                seed=_param(g, "seed", int, seed),
-                boolean=boolean,
-            )
-    except ConfigError:
-        raise
-    except ShatterlabError as exc:
-        # bad class parameters are a config problem, not an experiment fault
-        raise ConfigError(f"class: {exc}")
+    if "bundled" in src:
+        _require(isinstance(src["bundled"], str), "class: 'bundled' must be a class name")
+        return bundled.bundled_class(src["bundled"])
+    if "inline" in src:
+        try:
+            return class_from_json(json.dumps(src["inline"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"class: malformed inline class: {exc}") from None
+    if "generated" in src:
+        g = src["generated"]
+        _require(isinstance(g, dict), "class: 'generated' must be an object")
+        boolean = g.get("boolean", False)
+        _require(isinstance(boolean, bool), "class: 'boolean' must be true or false")
+        return bundled.generate_class(
+            _param(g, "domain_size", int),
+            _param(g, "n_concepts", int),
+            _param(g, "zeta", float, cfg.get("zeta", 0.25)),
+            seed=_param(g, "seed", int, seed),
+            boolean=boolean,
+        )
     raise ConfigError("class source must be 'bundled', 'inline', or 'generated'")
 
 
@@ -213,10 +209,7 @@ def run_stability(cfg: dict, seed: int) -> Report:
     target = _param(cfg, "target_id", int, cls.concepts[0].id)
     if "distribution" in cfg:
         p = cfg["distribution"]
-        _require(
-            isinstance(p, list) and len(p) == cls.domain_size,
-            f"distribution must list {cls.domain_size} probabilities, one per domain point",
-        )
+        _require(isinstance(p, list), "distribution must be a list of probabilities")
         try:
             dist = Distribution(tuple(_json_number(v, "a probability") for v in p))
         except (TypeError, ValueError) as exc:
@@ -262,7 +255,7 @@ def run_comm(cfg: dict, seed: int) -> Report:
     failure_rate = _param(cfg, "failure_rate", float, 0.0)
     cls = _load_class(cfg, seed)
     result = sfat(cls, zeta)
-    d = min(result.dimension, _param(cfg, "depth", int, result.dimension))
+    d = result.dimension
     _require(d >= 1, "class must have sfat >= 1 for a reduction experiment")
     validate_tree(cls, result.witness, zeta)
     bits = index_bits(cls)

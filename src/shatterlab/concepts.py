@@ -54,6 +54,12 @@ def _grid_order(value: float, name: str = "zeta") -> int:
     return n
 
 
+def _is_index(x, size: float) -> bool:
+    """Whether x is an integer index in [0, size) and not a bool, which
+    numpy reads as a mask: ``table[True]`` is not row 1."""
+    return isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < size
+
+
 @dataclass(frozen=True)
 class Concept:
     """A function X -> [0,1], materialized as one value per domain point."""

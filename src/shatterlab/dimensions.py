@@ -44,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .concepts import ConceptClass
+from .concepts import ConceptClass, _is_index
 from .errors import EmptySubset, InvalidTree, OutOfRange, TooLarge
 
 #: comparison slack so grid values sitting exactly on a margin boundary are
@@ -160,7 +160,9 @@ class SfatCache:
         self.cls = cls
         self.zeta = float(zeta)
         self._memo: dict[int, tuple[int, int]] = {}  # mask -> proven (lo, hi)
-        self._pairs = [_point_masks(col, self.zeta) for col in cls.table.T.tolist()]
+        # each point's values as Python floats: the table's doubles, no numpy scalars
+        self.cols = cls.table.T.tolist()
+        self._pairs = [_point_masks(col, self.zeta) for col in self.cols]
 
     def full_mask(self) -> int:
         return (1 << len(self.cls)) - 1
@@ -254,28 +256,42 @@ def sfat(cls: ConceptClass, zeta: float) -> DimensionResult:
 
 
 def validate_tree(cls: ConceptClass, tree: ShatterTree, zeta: float) -> None:
-    """Check completeness and every leaf's margin constraints; raise InvalidTree."""
-    paths = tree.leaf_paths()
-    depth = tree.depth()
-    for path, cid in paths:
-        if len(path) != depth:
+    """Raise InvalidTree unless `tree` is a complete witness over `cls` at margin zeta.
+
+    Each node is checked once: a leaf needs an id in the class, and an
+    internal node two children, an x that is a domain index and a number a.
+    Each leaf's concept must lie at least zeta below every ancestor's
+    threshold a at its x when the leaf is on the left, and at least zeta
+    above it on the right.
+    """
+    def leaves(node: ShatterTree) -> tuple[int, list[tuple[int, tuple[float, ...]]]]:
+        """(depth, (id, values) of every leaf) of a subtree."""
+        if node.is_leaf:
+            try:
+                return 0, [(node.leaf, cls.by_id(node.leaf).values)]
+            except OutOfRange as exc:
+                raise InvalidTree(f"leaf: {exc}") from None
+        if (node.left is None or node.right is None or not _is_index(node.x, cls.domain_size)
+                or not isinstance(node.a, (int, float))):
+            raise InvalidTree(
+                f"node at x={node.x!r} needs two children, a domain index and a threshold"
+            )
+        (depth, low), (right_depth, high) = leaves(node.left), leaves(node.right)
+        if depth != right_depth:
             raise InvalidTree("witness tree is not complete")
-        f = cls.by_id(cid)
-        node = tree
-        for bit in path:
-            v = f.values[node.x]
-            if bit == "0":
-                if not v <= node.a - zeta + _TREE_TOL:
-                    raise InvalidTree(
-                        f"leaf {cid}: value {v} at x={node.x} exceeds {node.a} - {zeta}"
-                    )
-                node = node.left
-            else:
-                if not v >= node.a + zeta - _TREE_TOL:
-                    raise InvalidTree(
-                        f"leaf {cid}: value {v} at x={node.x} is below {node.a} + {zeta}"
-                    )
-                node = node.right
+        for cid, values in low:
+            if not values[node.x] <= node.a - zeta + _TREE_TOL:
+                raise InvalidTree(
+                    f"leaf {cid}: value {values[node.x]} at x={node.x} exceeds {node.a} - {zeta}"
+                )
+        for cid, values in high:
+            if not values[node.x] >= node.a + zeta - _TREE_TOL:
+                raise InvalidTree(
+                    f"leaf {cid}: value {values[node.x]} at x={node.x} is below {node.a} + {zeta}"
+                )
+        return depth + 1, low + high
+
+    leaves(tree)
 
 
 def tree_to_dict(tree: ShatterTree) -> dict:

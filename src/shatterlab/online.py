@@ -36,6 +36,7 @@ from .concepts import (
     bin_midpoints,
     round_to_grid,
     _grid_order,
+    _is_index,
 )
 from .dimensions import SfatCache, ShatterTree
 from .errors import InvalidFeedback, OutOfRange
@@ -74,14 +75,11 @@ class RsoaState:
         self.cache = SfatCache(cls, 2.0 * self.zeta)
         self.grid = prediction_grid(self.zeta)
         radius = 2.0 * self.zeta
-        # each point's values as Python floats: the table's doubles, no numpy scalars
-        self.cols = cls.table.T.tolist()
         # bin membership masks depend only on (x, r): precompute once
         self.bin_masks = [
             [sum(1 << row for row, v in enumerate(col) if abs(v - r) < radius) for r in self.grid]
-            for col in self.cols
+            for col in self.cache.cols
         ]
-        self._predictions: dict[tuple[int, int], float] = {}
         self._hypotheses: dict[int, Concept] = {}
         self._keep: dict[int, list[int]] = {}
 
@@ -103,20 +101,14 @@ class RsoaState:
         return sum(maximizers) / len(maximizers), maximizers
 
     def predict(self, mask: int, xi: int) -> float:
-        """The prediction at xi from `mask`, computed once per (mask, xi).
-        The masks of a game form a chain, so a game adds at most
-        (len(cls) + 1) * domain_size answers."""
-        key = (mask, xi)
-        y_hat = self._predictions.get(key)
-        if y_hat is None:
-            y_hat = self._predictions[key] = self.predict_with_maximizers(mask, xi)[0]
-        return y_hat
+        """The prediction at xi from `mask`; a game asks once per epoch and point."""
+        return self.predict_with_maximizers(mask, xi)[0]
 
     def update(self, mask: int, xi: int, feedback: float) -> int:
         """The rows of `mask` within the open zeta-ball of `feedback` at xi."""
         if not 0.0 <= feedback <= 1.0:
             raise OutOfRange(f"feedback {feedback} outside [0,1]")
-        col = self.cols[xi]
+        col = self.cache.cols[xi]
         new = 0
         while mask:
             low = mask & -mask
@@ -319,9 +311,7 @@ def run_online_game(
     monotone in v, so otherwise every row stays.
     """
     d = cls.domain_size
-    if points is not None and not (len(points) and all(
-            isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < d
-            for x in points)):
+    if points is not None and not (len(points) and all(_is_index(x, d) for x in points)):
         raise OutOfRange(f"points must be a nonempty sequence of domain indices in [0, {d})")
     if T < 1:
         raise OutOfRange(f"T={T}: a game plays at least one round")
@@ -382,7 +372,7 @@ def run_online_game(
             xs.append(xi)
             if (r := rows.get(xi)) is None:
                 r = rows[xi] = row(mask, xi)
-                near = [v for i, v in enumerate(state.cols[xi]) if mask >> i & 1]
+                near = [v for i, v in enumerate(state.cache.cols[xi]) if mask >> i & 1]
                 bounds[xi] = min(near), max(near)
             feedback = noise(values[xi], r[0], zeta, rng)
             fbs.append(feedback)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .concepts import Concept, _choice_cdf, bin_midpoints
+from .concepts import Concept, _choice_cdf, _is_index, bin_midpoints
 from .errors import NotNeighbors, OutOfRange, TooLarge
 from .seeding import child_rng
 
@@ -75,7 +75,7 @@ def _check_sample(sample: Sample, domain_size: float = math.inf) -> None:
     """Raise OutOfRange unless each x is an integer index in [0, domain_size),
     not a bool, and each y lies in [0, 1] (NaN does not)."""
     for x, y in sample:
-        if not (isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < domain_size):
+        if not _is_index(x, domain_size):
             raise OutOfRange(f"sample point {x!r} is not a domain index in [0, {domain_size})")
         if not 0.0 <= y <= 1.0:
             raise OutOfRange(f"sample label {y!r} outside [0,1]")
@@ -102,7 +102,8 @@ _CHUNK = 1 << 16  # uniforms per batch of a draw, so memory stays bounded
 class ExponentialMechanism:
     """Select a hypothesis via the exponential mechanism; (eps, 0)-DP.
 
-    `draw` runs n trials with one CDF; ``rng.random(k)`` takes what k calls take.
+    `draw` runs n trials with one CDF, and a call is one such trial;
+    ``rng.random(k)`` takes what k calls take.
     """
 
     collection: HypothesisCollection
@@ -113,20 +114,16 @@ class ExponentialMechanism:
         if not self.epsilon > 0:
             raise OutOfRange(f"epsilon must be positive, got {self.epsilon}")
 
-    def _cdf(self, sample: Sample) -> np.ndarray:
-        if not sample:
-            raise OutOfRange("the private learner needs a nonempty sample")
-        return _choice_cdf(exponential_weights(self.collection, sample, self.epsilon, self.zeta))
-
     def draw(self, sample: Sample, rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
         """Indices of n trials into the collection: batches of at most 2^16, drawn as read."""
-        cdf = self._cdf(sample)
+        if not sample:
+            raise OutOfRange("the private learner needs a nonempty sample")
+        cdf = _choice_cdf(exponential_weights(self.collection, sample, self.epsilon, self.zeta))
         sizes = (min(_CHUNK, n - i) for i in range(0, n, _CHUNK))
         return (cdf.searchsorted(rng.random(k), side="right") for k in sizes)
 
     def __call__(self, sample: Sample, rng: np.random.Generator) -> Concept:
-        index = self._cdf(sample).searchsorted(rng.random(), side="right")
-        return self.collection.hypotheses[index]
+        return self.collection.hypotheses[next(self.draw(sample, rng, 1))[0]]
 
 
 def _trials(learner: Learner, sample: Sample, rng: np.random.Generator, n: int):
@@ -160,9 +157,6 @@ class EventCheck:
 
 @dataclass(frozen=True)
 class DpTestReport:
-    epsilon: float
-    delta: float
-    trials: int
     events: tuple[EventCheck, ...]
     max_violation: float
     verdict: bool
@@ -223,14 +217,7 @@ def dp_test(
         bwd = grow * p + delta + slack - q
         events.append(EventCheck(event=hid, freq_s=p, freq_s_prime=q, slack=slack))
         worst = max(worst, -min(fwd, bwd))
-    return DpTestReport(
-        epsilon=epsilon,
-        delta=delta,
-        trials=trials,
-        events=tuple(events),
-        max_violation=worst,
-        verdict=worst <= 0,
-    )
+    return DpTestReport(events=tuple(events), max_violation=worst, verdict=worst <= 0)
 
 
 def representation_repetitions(alpha: float, epsilon_priv: float, m: int) -> int:

@@ -56,6 +56,15 @@ def _hermitian(a, what: str) -> tuple[np.ndarray, np.ndarray]:
     return m, np.linalg.eigvalsh(m)
 
 
+def _one_dim(what: str, objects) -> int:
+    """The matrix dimension that the states and effects in `objects` share;
+    raises DimMismatch, listing their dimensions, unless there is one."""
+    dims = sorted({o.dim for o in objects})
+    if len(dims) > 1:
+        raise DimMismatch(f"{what} must share one dimension, got {dims}")
+    return dims[0]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A trace-one positive semidefinite operator on up to 4 qubits."""
@@ -102,10 +111,7 @@ class Ensemble:
     def __post_init__(self) -> None:
         if not self.states:
             raise OutOfRange("an ensemble needs at least one state")
-        d = self.states[0].dim
-        for s in self.states:
-            if s.dim != d:
-                raise DimMismatch("ensemble states must share one dimension")
+        _one_dim("ensemble states", self.states)
         if len(self.weights) != len(self.states):
             raise OutOfRange("one weight per state required")
         if not all(w >= 0 for w in self.weights):
@@ -124,8 +130,7 @@ class Ensemble:
 
 def expectation(rho: DensityMatrix, e: Measurement) -> float:
     """Tr(E rho), clamped into [0, 1] against roundoff."""
-    if rho.dim != e.dim:
-        raise DimMismatch(f"state dim {rho.dim} vs effect dim {e.dim}")
+    _one_dim("a state and its effect", (rho, e))
     val = float(np.trace(e.effect @ rho.matrix).real)
     return min(1.0, max(0.0, val))
 
@@ -136,9 +141,7 @@ def materialize_concept_class(
     """Concept i, point j holds Tr(measurements[j] states[i])."""
     if not states or not measurements:
         raise OutOfRange("need at least one state and one measurement")
-    dims = sorted({s.dim for s in states} | {e.dim for e in measurements})
-    if len(dims) > 1:
-        raise DimMismatch(f"states and effects must share one dimension, got {dims}")
+    _one_dim("states and effects", [*states, *measurements])
     effects = np.array([e.effect for e in measurements])
     # one stacked product per state, whose slices are the expectation's products
     concepts = tuple(
@@ -227,9 +230,7 @@ def max_holevo(
     n = len(states)
     if n == 1:
         return 0.0, (1.0,), 0.0, 0
-    d = states[0].dim
-    if any(s.dim != d for s in states):
-        raise DimMismatch("states must share one dimension")
+    d = _one_dim("states", states)
     rho = np.array([s.matrix for s in states])
     entropies = np.array([von_neumann_entropy(s) for s in states])
 
@@ -358,11 +359,7 @@ def srac_from_tree(
     zeta: float,
 ) -> SracCode:
     """Read a serial random access code off a validated shattering tree."""
-    cls = materialize_concept_class(states, measurements)
-    try:
-        validate_tree(cls, witness, zeta)
-    except Exception as exc:
-        raise InvalidTree(f"witness does not validate at margin {zeta}: {exc}")
+    validate_tree(materialize_concept_class(states, measurements), witness, zeta)
     code = {path: cid for path, cid in witness.leaf_paths()}
     return SracCode(k=witness.depth(), code=code, tree=witness, zeta=zeta)
 

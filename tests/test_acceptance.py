@@ -48,6 +48,8 @@ from tests.oracles import (
     good_hypotheses,
     ldim_oracle,
     nayak_inequality_check,
+    worst_case_sweep,
+    worst_case_updates_sweep,
 )
 
 
@@ -79,11 +81,16 @@ def test_criterion_1_mistake_bound():
             )
             games += 1
             violations += tr.mistakes > bound
+    # every adaptive adversary, not only random play: the worst case per class
+    sweeps = {zinv: worst_case_sweep(1 / zinv) for zinv in (8, 12, 16, 20)}
+    adaptive = sum(v for v, _, _ in sweeps.values())
+    shares = ", ".join(f"1/{z}: {r}/{b}" for z, (_, b, r) in sweeps.items())
     report(
         1,
         "strong-feedback mistakes within the margin-2*zeta dimension",
-        violations == 0,
-        f"{games} games (500 classes x 4 noise strategies), {violations} violations",
+        violations == 0 and adaptive == 0,
+        f"{games} games (500 classes x 4 noise strategies), {violations} violations; "
+        f"worst-case adversary {adaptive} violations, worst = bound >= 1 at zeta {shares}",
     )
 
 
@@ -350,11 +357,14 @@ def test_criterion_10_shadow_stream():
         for r in tr.rounds:
             if not r.mistake and abs(r.prediction - truth[r.x]) > eps:
                 estimate_breaches += 1
+    # every point sequence, not only the cycled one: the worst case per target
+    adaptive, reached, targets = worst_case_updates_sweep(1 / 4)
     gentle_ok = gentle_sample_complexity(1, 2, 0.5, 0.5, 1 / math.e) == 16
     report(
         10,
         "mistake-only stream stays within its update budget and accuracy",
-        violations == 0 and estimate_breaches == 0 and gentle_ok,
+        violations == 0 and adaptive == 0 and estimate_breaches == 0 and gentle_ok,
         f"20 classes, {violations} budget violations, {estimate_breaches} estimate "
-        f"breaches, gentle(1,2,.5,.5,1/e)=16: {gentle_ok}",
+        f"breaches; worst-case point sequences at epsilon 1/4: {adaptive} violations, "
+        f"worst = bound >= 1 on {reached}/{targets} targets; gentle(1,2,.5,.5,1/e)=16: {gentle_ok}",
     )

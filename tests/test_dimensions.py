@@ -17,7 +17,7 @@ from shatterlab import (
 )
 from shatterlab.classes import boolean_cube, generate_class
 from shatterlab.concepts import bin_midpoints
-from shatterlab.dimensions import tree_to_dict
+from shatterlab.dimensions import ShatterTree, tree_to_dict
 from shatterlab.errors import EmptySubset, InvalidTree, TooLarge
 from shatterlab.seeding import child_rng
 from tests.conftest import make_class, mask_of_ids
@@ -402,3 +402,34 @@ class TestTreeJson:
         res = sfat(four_constants, 1 / 6)
         with pytest.raises(InvalidTree):
             validate_tree(four_constants, res.witness, 0.4)
+
+
+def node(x, left, right, a=0.5):
+    return ShatterTree(x=x, a=a, left=left, right=right)
+
+
+LEAF0, LEAF1 = ShatterTree(leaf=0), ShatterTree(leaf=1)
+
+
+class TestValidateTree:
+    #: point 0 splits (0, 1) and point 1 splits (1, 0), both at margin 1/4
+    CLS = make_class([[0.0, 0.9], [1.0, 0.1]])
+
+    def test_accepts_both_splits(self):
+        validate_tree(self.CLS, node(0, LEAF0, LEAF1), 1 / 4)
+        validate_tree(self.CLS, node(1, LEAF1, LEAF0), 1 / 4)
+
+    @pytest.mark.parametrize("tree", [
+        node(-1, LEAF1, LEAF0),  # would read the last point
+        node(True, LEAF1, LEAF0),  # would read point 1
+        node(0, LEAF0, None),
+        node(0, LEAF0, ShatterTree(leaf=7)),
+        node(0, LEAF0, LEAF1, a=None),
+    ], ids=["negative_x", "bool_x", "no_right_child", "leaf_not_in_class", "no_threshold"])
+    def test_rejects_a_malformed_node(self, tree):
+        with pytest.raises(InvalidTree):
+            validate_tree(self.CLS, tree, 1 / 4)
+
+    def test_rejects_x_past_the_domain(self):
+        with pytest.raises(InvalidTree):
+            validate_tree(make_class([[0.0], [1.0]]), node(5, LEAF0, LEAF1), 1 / 4)

@@ -1,4 +1,5 @@
-"""Golden reports: one committed config per CLI kind, pinned by sha256.
+"""Golden reports: one committed config per CLI kind, plus the online config
+under each drawless noise (``online_<noise>.json``), pinned by sha256.
 
 The digests pin the promise that an identical config and seed give a
 byte-identical ``summary.json`` (and ``detail.csv``, for the kinds that write
@@ -34,6 +35,17 @@ DETAIL_DIGESTS = {
     "shadow": "64035284185cf8180b9a7c4bda47f3bfa4b0f9b163050e59d8f4f3a5e8f27393",
 }
 
+#: the online golden's game under each drawless noise, (summary, detail): these
+#: games take run_online_game's drawless branch, which uniform_within does not
+DRAWLESS_DIGESTS = {
+    "exact": ("ed3aa35bbdacdc23993a7856eaa533052c4d96180116769bba98e3e0009c69f8",
+              "cee3470f077223fb4a53b2a2302f25b7b283cf923ce927c3729edfe72459ed18"),
+    "round_to_grid": ("6c422b3c986cc6744c622cbdf1ffcef5b70f95233e2edf776cfa5175e0e22fc6",
+                      "2112a58023c31f2bfd99c000c9ea10e08aff37a959d22e60ef22979d4cf7b549"),
+    "adversarial_extreme": ("8cec6c2130a57a80f554e1cb3ff9c239c0d464bf66c474507df6a78f95569d97",
+                            "987fb6b82a89c98c2655985a4d354de21d862ac91b15f53d72a4c25152ed2c60"),
+}
+
 
 def sha256_of(path):
     with open(path, "rb") as fh:
@@ -60,3 +72,11 @@ def test_detail_digest(kind, tmp_path):
         assert sha256_of(detail) == DETAIL_DIGESTS[kind]
     else:
         assert not os.path.exists(detail)
+
+
+@pytest.mark.parametrize("noise", DRAWLESS_DIGESTS)
+def test_drawless_online_digests(noise, tmp_path):
+    out = str(tmp_path / noise)
+    assert main(["online", os.path.join(CONFIGS, f"online_{noise}.json"), "--out", out]) == 0
+    digests = sha256_of(os.path.join(out, "summary.json")), sha256_of(os.path.join(out, "detail.csv"))
+    assert digests == DRAWLESS_DIGESTS[noise]

@@ -1,6 +1,4 @@
 import dataclasses
-import math
-import re
 
 import numpy as np
 import pytest
@@ -30,7 +28,11 @@ from shatterlab.online import (
 )
 from shatterlab.seeding import child_rng
 from tests.conftest import ids_of_mask, make_class, mask_of_ids
-from tests.oracles import gentle_sample_complexity
+from tests.oracles import (
+    gentle_sample_complexity,
+    worst_case_sweep,
+    worst_case_updates_sweep,
+)
 
 
 def full_prediction(cls, zeta, x=0):
@@ -320,118 +322,6 @@ class TestPoints:
         cls = make_class([[0.2, 0.6, 0.4]])
         tr = run_online_game(cls, 0, [2, np.int64(0)], 1 / 8, exact_noise, 5, 0)
         assert [r.x for r in tr.rounds] == [2, 0, 2, 0, 2]
-
-
-def worst_case_mistakes(state, target_row):
-    """The most 5*zeta-mistakes any adaptive adversary forces on the learner
-    when the target is row `target_row`, or math.inf when it forces them
-    without end.
-
-    Each round the adversary picks a point x and any feedback f in [0, 1] with
-    |f - c(x)| < zeta.  Feedbacks that leave the same surviving mask are one
-    choice, and the breakpoints c'(x) +- zeta bound the groups, so trying each
-    breakpoint and each gap between two of them covers every group.  The
-    search is memoized over masks; it reads only `state.predict` and writes
-    its own open-ball update.
-    """
-    table = state.cls.table.tolist()
-    zeta = state.zeta
-    rows = range(len(table))
-    c = table[target_row]
-    worst = {}
-
-    def survivors(mask, x, f):
-        return sum(1 << r for r in rows if mask >> r & 1 and abs(table[r][x] - f) < zeta)
-
-    def masks_after(mask, x):
-        lo, hi = max(0.0, c[x] - zeta), min(1.0, c[x] + zeta)
-        cuts = sorted({lo, hi} | {
-            b for r in rows if mask >> r & 1
-            for b in (table[r][x] - zeta, table[r][x] + zeta) if lo < b < hi
-        })
-        fs = cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
-        return {survivors(mask, x, f) for f in fs if abs(f - c[x]) < zeta}
-
-    def value(mask):
-        if mask not in worst:
-            best = 0
-            for x in range(len(c)):
-                mistake = abs(state.predict(mask, x) - c[x]) > 5 * zeta
-                for nxt in masks_after(mask, x):
-                    if nxt != mask:
-                        best = max(best, mistake + value(nxt))
-                    elif mistake:  # the adversary repeats this round forever
-                        best = math.inf
-            worst[mask] = best
-        return worst[mask]
-
-    return value(state.cache.full_mask())
-
-
-def worst_case_updates(state, target_row):
-    """The most updates mistake-only play forces on the learner when the
-    target is row `target_row`, or math.inf when it forces them without end.
-
-    Feedback is deterministic, c(x) rounded to the zeta grid, and comes only
-    on rounds with |prediction - c(x)| > 5*zeta, so the adversary picks only
-    the points; a round without feedback changes nothing.  The search is
-    memoized over masks; it reads only `state.predict` and writes its own
-    open-ball update.
-    """
-    table = state.cls.table.tolist()
-    zeta = state.zeta
-    rows = range(len(table))
-    c = table[target_row]
-    worst = {}
-
-    def value(mask):
-        if mask not in worst:
-            best = 0
-            for x in range(len(c)):
-                if abs(state.predict(mask, x) - c[x]) > 5 * zeta:
-                    f = round_to_grid(c[x], zeta)
-                    nxt = sum(1 << r for r in rows if mask >> r & 1 and abs(table[r][x] - f) < zeta)
-                    best = max(best, math.inf if nxt == mask else 1 + value(nxt))
-            worst[mask] = best
-        return worst[mask]
-
-    return value(state.cache.full_mask())
-
-
-def sweep_classes(zeta, classes=40):
-    """(sfat(2*zeta), learner state) of generated classes with 1-4 points and
-    2-10 concepts."""
-    rng = np.random.default_rng(7)
-    for i in range(classes):
-        nx, nc = int(rng.integers(1, 5)), int(rng.integers(2, 11))
-        cls = generate_class(nx, nc, zeta, seed=i)
-        yield sfat(cls, 2 * zeta).dimension, RsoaState(cls, zeta)
-
-
-def worst_case_sweep(zeta):
-    """(classes whose worst case exceeds sfat(2*zeta), classes with a bound of
-    at least 1, those among them whose worst case reaches it), every target."""
-    violations = with_bound = reached = 0
-    for bound, state in sweep_classes(zeta):
-        worst = max(worst_case_mistakes(state, row) for row in range(len(state.cls)))
-        violations += worst > bound
-        with_bound += bound >= 1
-        reached += bound >= 1 and worst == bound
-    return violations, with_bound, reached
-
-
-def worst_case_updates_sweep(epsilon):
-    """(targets whose worst case exceeds sfat(2*epsilon/5), targets whose
-    worst case reaches a bound of at least 1, targets) under mistake-only play
-    at zeta = epsilon/5."""
-    violations = reached = targets = 0
-    for bound, state in sweep_classes(epsilon / 5):
-        for row in range(len(state.cls)):
-            worst = worst_case_updates(state, row)
-            violations += worst > bound
-            reached += 1 <= bound == worst
-            targets += 1
-    return violations, reached, targets
 
 
 class TestWorstCaseAdversary:
