@@ -173,12 +173,35 @@ def grid_noise(c_val, y_hat, zeta, rng):
 
 
 def uniform_noise(c_val, y_hat, zeta, rng):
+    return float(_uniform_feedback(c_val, zeta, rng.random()))
+
+
+def _uniform_feedback(c_val, zeta, u):
+    """uniform_noise's feedback from its draw u = random(), on floats or arrays."""
     # rng.uniform(-zeta, zeta) computes low + (high - low) * random(), and
     # high - low is 2*zeta exactly: the same double, without its call cost
-    offset = -zeta + 2.0 * zeta * rng.random()
-    if abs(offset) >= zeta:
-        offset *= 1.0 - 1e-9
-    return min(1.0, max(0.0, c_val + offset))
+    offset = -zeta + 2.0 * zeta * u
+    offset = offset * np.where(abs(offset) >= zeta, 1.0 - 1e-9, 1.0)
+    return np.minimum(1.0, np.maximum(0.0, c_val + offset))
+
+
+def _uniform_rounds(raw: Callable[[int], np.ndarray], d: int, T: int):
+    """The points and uniforms of T rounds of `integers(d)` then `random()` on a
+    fresh PCG64, from its raw 64-bit words `raw(n)`; None if a point is rejected.
+
+    `integers(d)` reads no word at d = 1; otherwise it is Lemire's method on a
+    32-bit half h: h*d >> 32, rejected when (h*d) mod 2^32 < 2^32 mod d.  The
+    halves are served low, then high, and `random()` is (w >> 11) * 2^-53 of a
+    whole word, so rounds 2i and 2i+1 read words 3i (both halves), 3i+1, 3i+2.
+    """
+    u64 = np.uint64  # numpy 1.24 casts a uint64 shifted by a Python int to float
+    if d == 1:
+        return np.zeros(T, u64), (raw(T) >> u64(11)) * 2.0**-53
+    words = raw(3 * -(-T // 2)).reshape(-1, 3)
+    m = words[:, 0].astype("<u8").view("<u4")[:T].astype(u64) * u64(d)  # low half first
+    if (m.astype(np.uint32) < 2**32 % d).any():
+        return None
+    return m >> u64(32), (words[:, 1:].ravel()[:T] >> u64(11)) * 2.0**-53
 
 
 def extreme_noise(c_val, y_hat, zeta, rng):
@@ -308,7 +331,8 @@ def run_online_game(
     occurrence, up to the first step that changes the mask or raises.  A
     drawing game calls `update` only on feedback outside [0, 1] or zeta or
     more from the lowest or highest surviving value at x: fl(v - feedback) is
-    monotone in v, so otherwise every row stays.
+    monotone in v, so otherwise every row stays.  A `uniform_noise` game replays
+    its draws from the generator's raw words and finds those rounds as arrays.
     """
     d = cls.domain_size
     if points is not None and not (len(points) and all(_is_index(x, d) for x in points)):
@@ -340,14 +364,12 @@ def run_online_game(
         return mask
 
     mask = state.cache.full_mask()
+    cycled = None if points is None else (list(points) * -(-T // len(points)))[:T]
     if noise in DRAWLESS_NOISES:
-        if points is None:
-            # the points are the stream's only draws, and one call takes what T
-            # scalar calls take: PCG64 serves bounded ints from its buffered
-            # 32-bit halves either way
-            xs = tr.points = rng.integers(d, size=T).tolist()
-        else:
-            xs = tr.points = (list(points) * -(-T // len(points)))[:T]
+        # the points are the stream's only draws, and one call takes what T
+        # scalar calls take: PCG64 serves bounded ints from its buffered
+        # 32-bit halves either way
+        xs = tr.points = rng.integers(d, size=T).tolist() if points is None else cycled
         start = 0
         while start < T:
             rows = {}
@@ -363,7 +385,30 @@ def run_online_game(
                 end = T
             tr.epochs.append(Epoch(start, end, mask, after, rows))
             mask, start = after, end
+    elif noise is uniform_noise and (drawn := _uniform_rounds(
+            rng.bit_generator.random_raw, d if points is None else 1, T)) is not None:
+        xs = tr.points = drawn[0].tolist() if points is None else cycled
+        c = np.array(values)[at := np.array(xs)]
+        fb = _uniform_feedback(c, zeta, drawn[1])
+        fbs = tr.feedback = fb.tolist()
+        if (bad := np.flatnonzero(abs(fb - c) > zeta + 1e-12)).size:
+            feed(mask, xs[bad[0]], fbs[bad[0]], False)
+        start = 0
+        while start < T:  # the epoch's end: the first round whose update can shrink
+            alive = cls.table[[i for i in range(len(cls)) if mask >> i & 1]]
+            lo, hi, f = alive.min(0)[at[start:]], alive.max(0)[at[start:]], fb[start:]
+            keeps = (abs(lo - f) < zeta) & (abs(hi - f) < zeta)  # f is clipped into [0, 1]
+            end, after = T, mask
+            for t in (np.flatnonzero(~keeps) + start).tolist():
+                if (after := feed(mask, xs[t], fbs[t])) != mask:
+                    end = t + 1
+                    break
+            rows = {xi: row(mask, xi) for xi in dict.fromkeys(xs[start:end])}
+            tr.epochs.append(Epoch(start, end, mask, after, rows))
+            mask, start = after, end
     else:  # drawn round by round: integers(d), then the noise's draws
+        if noise is uniform_noise:  # a rejected replay read words the loop reads otherwise
+            rng = child_rng(seed, 0)
         xs, fbs = tr.points, []
         tr.feedback = fbs
         rows, bounds, start = {}, {}, 0

@@ -588,6 +588,71 @@ class TestUniformNoise:
                 ))
 
 
+class TestRawReplay:
+    """A uniform_within game replays its points and uniforms from PCG64's raw
+    words: Lemire's bounded ints on the low, then the high 32-bit half of a
+    word, and random() as (w >> 11) * 2^-53 of a whole word."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_replay_matches_scalar_draws(self, d):
+        for seed in (*range(39), 2**40 + 3):
+            for T in (1, 2, 3, 351):
+                drawn = online._uniform_rounds(child_rng(seed, 0).bit_generator.random_raw, d, T)
+                rng = child_rng(seed, 0)
+                want = [(int(rng.integers(d)), rng.random()) for _ in range(T)]
+                assert list(zip(drawn[0].tolist(), drawn[1].tolist())) == want
+
+    def test_rejection_rule_on_crafted_words(self):
+        def raw(*halves_and_words):
+            return lambda n: np.array(halves_and_words[:n], np.uint64)
+
+        # the low half 5 of word 0 is accepted, its high half 0 rejected at d = 3
+        # (0 * 3 mod 2^32 = 0 < 2^32 mod 3 = 1), and no half is at d = 4
+        words = raw(5, 1 << 11, 3 << 11)
+        assert online._uniform_rounds(words, 3, 1)[0].tolist() == [0]
+        assert online._uniform_rounds(words, 3, 2) is None
+        points, uniforms = online._uniform_rounds(words, 4, 2)
+        assert points.tolist() == [0, 0] and uniforms.tolist() == [2.0**-53, 3 * 2.0**-53]
+        top = raw((2**32 - 1) << 32 | 2**31, 2**64 - 1, 0)
+        assert online._uniform_rounds(top, 4, 2)[0].tolist() == [2, 3]
+        assert online._uniform_rounds(top, 4, 1)[1].tolist() == [1 - 2.0**-53]
+        # 6 * 715827883 = 2^32 + 2: rejected at d = 6, since 2 < 2^32 mod 6 = 4
+        assert online._uniform_rounds(raw(715827883, 0, 0), 6, 1) is None
+        assert online._uniform_rounds(raw(0, 0, 0), 1, 1)[0].tolist() == [0]
+
+    def test_a_rejection_plays_the_loop_from_a_fresh_generator(self, monkeypatch):
+        replay = online._uniform_rounds
+        # every replay reads its words, then meets a rejection
+        monkeypatch.setattr(online, "_uniform_rounds", lambda *args: replay(*args) and None)
+        zeta = 1 / 8
+        cls = generate_class(3, 10, zeta, seed=13)
+        for points in (None, [2, 0]):
+            tr = run_online_game(cls, 1, points, zeta, uniform_noise, 300, seed=4)
+            assert_matches(tr, reference_game(cls, 1, points, zeta, uniform_noise, 300, 4))
+
+    def test_replayed_feedback_exactly_zeta_from_a_row_updates(self, monkeypatch):
+        # exact feedback 0.5 at x = 0: a row exactly zeta above or below it is
+        # outside the open ball, so the first round at x = 0 ends the first epoch
+        monkeypatch.setattr(online, "_uniform_feedback", lambda c, zeta, u: c + 0 * u)
+        for other in (0.625, 0.375):
+            cls = make_class([[0.5, 0.2], [other, 0.2]])
+            for points in (None, [1, 0]):
+                tr = run_online_game(cls, 0, points, 1 / 8, uniform_noise, 40, seed=1)
+                assert tr.epochs[0].mask_after == 0b01 and tr.updates == 1
+                assert_matches(tr, reference_game(cls, 0, points, 1 / 8, uniform_noise, 40, 1))
+
+    def test_replayed_contract_fault_raises_the_loops_error(self, monkeypatch):
+        # out of contract by 2*zeta on the rounds whose uniform exceeds 0.9
+        monkeypatch.setattr(online, "_uniform_feedback", lambda c, zeta, u: c + 2 * zeta * (u > 0.9))
+        cls = generate_class(3, 10, 1 / 8, seed=13)
+        with pytest.raises(InvalidFeedback, match="uniform_noise") as replayed:
+            run_online_game(cls, 1, None, 1 / 8, uniform_noise, 300, seed=4)
+        monkeypatch.setattr(online, "_uniform_rounds", lambda raw, d, T: None)
+        with pytest.raises(InvalidFeedback) as looped:
+            run_online_game(cls, 1, None, 1 / 8, uniform_noise, 300, seed=4)
+        assert str(replayed.value) == str(looped.value)
+
+
 def reference_bin_masks(cls, zeta):
     """Each (x, super-bin) membership mask, read off cls.table with numpy."""
     inside = np.abs(cls.table[:, :, None] - np.array(prediction_grid(zeta))) < 2.0 * zeta
@@ -646,22 +711,34 @@ class TestFloatTables:
         assert not state.bin_masks[0][1] & 0b0100
 
 
+def reference_prediction(cls, zeta, bin_masks, mask, x):
+    """The super-bin argmax at x from scratch: each bin scored by a fresh sfat of
+    its rows at 2*zeta (-1 when empty), then the mean of the maximizing midpoints."""
+    scores = []
+    for bmask in bin_masks[x]:
+        rows = [c.values for row, c in enumerate(cls.concepts) if (mask & bmask) >> row & 1]
+        scores.append(sfat(make_class(rows), 2 * zeta).dimension if rows else -1)
+    mids = [r for r, score in zip(prediction_grid(zeta), scores) if score == max(scores)]
+    return sum(mids) / len(mids)
+
+
 class TestPredictionMemo:
     def test_memo_matches_fresh_predictions(self):
         zeta = 1 / 8
         cls = generate_class(4, 16, zeta, seed=8)
         state = RsoaState(cls, zeta)
+        bin_masks = reference_bin_masks(cls, zeta)
         rng = np.random.default_rng(4)
         masks = [state.cache.full_mask()]
         for _ in range(6):
             mask = masks[-1]
             for x in range(4):
-                assert state.predict(mask, x) == state.predict_with_maximizers(mask, x)[0]
+                assert state.predict(mask, x) == reference_prediction(cls, zeta, bin_masks, mask, x)
             masks.append(state.update(mask, int(rng.integers(4)), float(cls.concepts[3].values[0])))
         # masks revisited out of order, as the stability sampler does
         for mask in masks[::-1] + [int(rng.integers(1, 1 << 16)), 0]:
             for x in range(4):
-                assert state.predict(mask, x) == state.predict_with_maximizers(mask, x)[0]
+                assert state.predict(mask, x) == reference_prediction(cls, zeta, bin_masks, mask, x)
 
 
 def recording(monkeypatch, name):

@@ -476,7 +476,6 @@ class TestBatchedMechanism:
     """`ExponentialMechanism.draw` draws what as many calls draw, and the trial
     loops that batch it keep every report and collection of the plain loop."""
 
-    # a call costs about 25 us, so each seed runs on one domain
     @pytest.mark.parametrize("domain_size, seed", [(1, 0), (2, 2**40 + 3)])
     def test_draw_matches_per_trial_calls_across_a_batch(self, domain_size, seed):
         coll = discretize_hypotheses(domain_size, 1 / 2)
@@ -486,7 +485,10 @@ class TestBatchedMechanism:
         batched, looped = child_rng(seed), child_rng(seed)
         batches = list(mechanism.draw(sample, batched, trials))
         assert [len(b) for b in batches] == [2**16, trials - 2**16]
-        want = [mechanism(sample, looped).id for _ in range(trials)]
+        # a few calls, then one uniform per trial searched in the CDF a call builds
+        want = [mechanism(sample, looped).id for _ in range(3)]
+        cdf = _choice_cdf(exponential_weights(coll, sample, 2.0, 1 / 4))
+        want += [int(cdf.searchsorted(looped.random(), side="right")) for _ in range(trials - 3)]
         got = np.concatenate(batches)
         assert got.tolist() == want
         assert batched.random() == looped.random()  # both streams end level
