@@ -15,10 +15,10 @@ a list to cycle through, or uniformly random points; the forcing game walks a
 shattering tree.  Mistake-only play is the noise `mistake_only_noise`: the
 zeta-grid rounding, given only on rounds with |prediction - truth| > 5*zeta.
 At zeta = epsilon/5 it drives the shadow-estimation stream.  A game runs as
-epochs, runs of rounds from one surviving mask of which only the last may
-change it: a game whose feedback draws nothing evaluates each epoch's
-(mask, x) round once and looks up its repeats.  The learner reads the
-class's values as Python floats.
+epochs, runs of rounds from one surviving mask, each ended by the first round
+whose feedback can shrink it: a drawless noise's feedback is evaluated once
+per epoch and point, and uniform noise's is replayed from the generator's raw
+words as one array.  The learner reads the class's values as Python floats.
 """
 
 from __future__ import annotations
@@ -187,21 +187,30 @@ def _uniform_feedback(c_val, zeta, u):
 
 def _uniform_rounds(raw: Callable[[int], np.ndarray], d: int, T: int):
     """The points and uniforms of T rounds of `integers(d)` then `random()` on a
-    fresh PCG64, from its raw 64-bit words `raw(n)`; None if a point is rejected.
+    fresh PCG64, from its raw 64-bit words `raw(n)`.
 
     `integers(d)` reads no word at d = 1; otherwise it is Lemire's method on a
-    32-bit half h: h*d >> 32, rejected when (h*d) mod 2^32 < 2^32 mod d.  The
-    halves are served low, then high, and `random()` is (w >> 11) * 2^-53 of a
-    whole word, so rounds 2i and 2i+1 read words 3i (both halves), 3i+1, 3i+2.
+    32-bit half h: h*d >> 32, rejected when (h*d) mod 2^32 < 2^32 mod d, and a
+    rejection reads the next half.  PCG64 serves a fresh word's low half and
+    keeps its high half for the next call, and `random()` is (w >> 11) * 2^-53
+    of the next whole word.  So a word's index counts the fetching halves and
+    the rounds that ended before it: with no rejection, rounds 2i and 2i+1 read
+    words 3i (both halves), 3i+1 and 3i+2, and a rejection shifts the rest by
+    a half.
     """
     u64 = np.uint64  # numpy 1.24 casts a uint64 shifted by a Python int to float
     if d == 1:
-        return np.zeros(T, u64), (raw(T) >> u64(11)) * 2.0**-53
-    words = raw(3 * -(-T // 2)).reshape(-1, 3)
-    m = words[:, 0].astype("<u8").view("<u4")[:T].astype(u64) * u64(d)  # low half first
-    if (m.astype(np.uint32) < 2**32 % d).any():
-        return None
-    return m >> u64(32), (words[:, 1:].ravel()[:T] >> u64(11)) * 2.0**-53
+        return np.zeros(T, np.intp), (raw(T) >> u64(11)) * 2.0**-53
+    t = np.arange(T)
+    j, words = t.copy(), np.zeros(0, u64)  # the half each round keeps
+    while True:  # once per rejection
+        fetched = j // 2 + np.searchsorted(j, j - j % 2)  # j - j % 2 fetched the word
+        whole = j // 2 + 1 + t
+        words = np.concatenate([words, raw(max(0, whole[-1] + 1 - words.size))])
+        m = words.astype("<u8").view("<u4")[2 * fetched + j % 2].astype(u64) * u64(d)
+        if not (rejected := m.astype(np.uint32) < 2**32 % d).any():
+            return (m >> u64(32)).astype(np.intp), (words[whole] >> u64(11)) * 2.0**-53
+        j[rejected.argmax():] += 1
 
 
 def extreme_noise(c_val, y_hat, zeta, rng):
@@ -234,10 +243,6 @@ def mistake_only_noise(c_val, y_hat, zeta, rng):
     if abs(feedback - c_val) > zeta / 2 + 1e-12:
         raise InvalidFeedback("mistake-only feedback out of contract")
     return feedback
-
-
-#: the noises that never read their generator (a tuple: `in` needs no hash)
-DRAWLESS_NOISES = (exact_noise, grid_noise, extreme_noise, mistake_only_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -320,40 +325,39 @@ def run_online_game(
     """Play T >= 1 rounds at accuracy zeta, counting mistakes at 5*zeta.
 
     `points` is None for a uniformly random domain point each round, or a
-    nonempty sequence of domain indices played in order, cycling.  Each
-    round's feedback is `noise(c_val, y_hat, zeta, rng)`; None means none.
-    The harness validates the noise contract on every feedback and treats an
-    emptied surviving set as an InvalidFeedback fault — with in-contract
+    nonempty sequence of domain indices played in order, cycling.  `noise` is
+    a `NOISES` value or `mistake_only_noise`, else OutOfRange; each round's
+    feedback is `noise(c_val, y_hat, zeta, rng)`, and None means none.  The
+    harness validates the noise contract on every feedback and treats an
+    emptied surviving set as an InvalidFeedback fault: with in-contract
     feedback the target survives every update.
 
-    The rounds are played as epochs.  A drawless noise's round depends on
-    (mask, x) alone: an epoch steps once per point, in the order of first
-    occurrence, up to the first step that changes the mask or raises.  A
-    drawing game calls `update` only on feedback outside [0, 1] or zeta or
-    more from the lowest or highest surviving value at x: fl(v - feedback) is
-    monotone in v, so otherwise every row stays.  A `uniform_noise` game replays
-    its draws from the generator's raw words and finds those rounds as arrays.
+    The rounds are played as epochs, each ended by the first round whose
+    feedback lies outside [0, 1] or zeta or more from the lowest or highest
+    surviving value at x: fl(v - feedback) is monotone in v, so otherwise
+    every row stays, and only that round calls `update`.  A drawless noise's
+    feedback depends on (mask, x) alone: an epoch evaluates it once per point,
+    in the order of first occurrence, up to the first that ends it.  A
+    `uniform_noise` game replays its draws from the generator's raw words.
     """
     d = cls.domain_size
     if points is not None and not (len(points) and all(_is_index(x, d) for x in points)):
         raise OutOfRange(f"points must be a nonempty sequence of domain indices in [0, {d})")
     if T < 1:
         raise OutOfRange(f"T={T}: a game plays at least one round")
+    if noise is not mistake_only_noise and noise not in NOISES.values():
+        raise OutOfRange(f"noise {noise!r} is neither a NOISES value nor mistake_only_noise")
     rng = child_rng(seed, 0)
     values = cls.by_id(target_id).values
     threshold = 5.0 * zeta
     state = RsoaState(cls, zeta)
     tr = Transcript(sfat_bound=state.mistake_bound())
 
-    def row(mask: int, xi: int) -> tuple[float, None, bool]:
-        y_hat = state.predict(mask, xi)
-        return y_hat, None, abs(y_hat - values[xi]) > threshold
-
     def feed(mask: int, xi: int, feedback: float, shrinks: bool = True) -> int:
         """The mask after in-contract feedback at xi; `update` runs only if it `shrinks`."""
         if abs(feedback - values[xi]) > zeta + 1e-12:
             raise InvalidFeedback(
-                f"noise {getattr(noise, '__name__', noise)} produced |c_hat - c| = "
+                f"noise {noise.__name__} produced |c_hat - c| = "
                 f"{abs(feedback - values[xi])} > zeta = {zeta}"
             )
         if shrinks and (mask := state.update(mask, xi, feedback)) == 0:
@@ -364,72 +368,43 @@ def run_online_game(
         return mask
 
     mask = state.cache.full_mask()
-    cycled = None if points is None else (list(points) * -(-T // len(points)))[:T]
-    if noise in DRAWLESS_NOISES:
-        # the points are the stream's only draws, and one call takes what T
-        # scalar calls take: PCG64 serves bounded ints from its buffered
-        # 32-bit halves either way
-        xs = tr.points = rng.integers(d, size=T).tolist() if points is None else cycled
-        start = 0
-        while start < T:
-            rows = {}
-            for xi in dict.fromkeys(xs[start:]):  # in the order of first occurrence
-                y_hat, _, mistake = row(mask, xi)
-                feedback = noise(values[xi], y_hat, zeta, rng)
-                after = mask if feedback is None else feed(mask, xi, feedback)
-                rows[xi] = (y_hat, feedback, mistake)
-                if after != mask:
-                    end = xs.index(xi, start) + 1
-                    break
-            else:
-                end = T
-            tr.epochs.append(Epoch(start, end, mask, after, rows))
-            mask, start = after, end
-    elif noise is uniform_noise and (drawn := _uniform_rounds(
-            rng.bit_generator.random_raw, d if points is None else 1, T)) is not None:
-        xs = tr.points = drawn[0].tolist() if points is None else cycled
-        c = np.array(values)[at := np.array(xs)]
-        fb = _uniform_feedback(c, zeta, drawn[1])
+    xs = None if points is None else (list(points) * -(-T // len(points)))[:T]
+    drawn = noise is uniform_noise
+    if drawn:
+        replayed, u = _uniform_rounds(rng.bit_generator.random_raw, d if xs is None else 1, T)
+        at = replayed if xs is None else np.array(xs)
+        xs, c = at.tolist(), np.array(values)[at]
+        fb = _uniform_feedback(c, zeta, u)
         fbs = tr.feedback = fb.tolist()
         if (bad := np.flatnonzero(abs(fb - c) > zeta + 1e-12)).size:
             feed(mask, xs[bad[0]], fbs[bad[0]], False)
-        start = 0
-        while start < T:  # the epoch's end: the first round whose update can shrink
-            alive = cls.table[[i for i in range(len(cls)) if mask >> i & 1]]
-            lo, hi, f = alive.min(0)[at[start:]], alive.max(0)[at[start:]], fb[start:]
-            keeps = (abs(lo - f) < zeta) & (abs(hi - f) < zeta)  # f is clipped into [0, 1]
-            end, after = T, mask
-            for t in (np.flatnonzero(~keeps) + start).tolist():
-                if (after := feed(mask, xs[t], fbs[t])) != mask:
-                    end = t + 1
+    elif xs is None:  # the stream's only draws: one call takes what T scalar calls take
+        xs = rng.integers(d, size=T).tolist()
+    tr.points = xs
+
+    def keeps(lo, hi, f):  # on floats or arrays: no row of the epoch's mask leaves
+        return (0.0 <= f) & (f <= 1.0) & (abs(lo - f) < zeta) & (abs(hi - f) < zeta)
+
+    start = 0
+    while start < T:
+        end, after, rows = T, mask, {}
+        alive = [i for i in range(len(cls)) if mask >> i & 1]
+        if drawn:
+            vals, now = cls.table[alive], at[start:]
+            if (cut := np.flatnonzero(~keeps(vals.min(0)[now], vals.max(0)[now], fb[start:]))).size:
+                end = start + int(cut[0]) + 1
+                after = feed(mask, xs[end - 1], fbs[end - 1])
+        for xi in dict.fromkeys(xs[start:end]):  # in the order of first occurrence
+            y_hat = state.predict(mask, xi)
+            f = None if drawn else noise(values[xi], y_hat, zeta, rng)
+            rows[xi] = (y_hat, f, abs(y_hat - values[xi]) > threshold)
+            if f is not None:
+                near = [state.cache.cols[xi][i] for i in alive]
+                if (after := feed(mask, xi, f, not keeps(min(near), max(near), f))) != mask:
+                    end = xs.index(xi, start) + 1
                     break
-            rows = {xi: row(mask, xi) for xi in dict.fromkeys(xs[start:end])}
-            tr.epochs.append(Epoch(start, end, mask, after, rows))
-            mask, start = after, end
-    else:  # drawn round by round: integers(d), then the noise's draws
-        if noise is uniform_noise:  # a rejected replay read words the loop reads otherwise
-            rng = child_rng(seed, 0)
-        xs, fbs = tr.points, []
-        tr.feedback = fbs
-        rows, bounds, start = {}, {}, 0
-        for t in range(T):
-            xi = int(rng.integers(d)) if points is None else points[t % len(points)]
-            xs.append(xi)
-            if (r := rows.get(xi)) is None:
-                r = rows[xi] = row(mask, xi)
-                near = [v for i, v in enumerate(state.cache.cols[xi]) if mask >> i & 1]
-                bounds[xi] = min(near), max(near)
-            feedback = noise(values[xi], r[0], zeta, rng)
-            fbs.append(feedback)
-            if feedback is not None:
-                lo, hi = bounds[xi]
-                after = feed(mask, xi, feedback, not (0.0 <= feedback <= 1.0
-                             and abs(lo - feedback) < zeta and abs(hi - feedback) < zeta))
-                if after != mask:
-                    tr.epochs.append(Epoch(start, t + 1, mask, after, rows))
-                    mask, start, rows, bounds = after, t + 1, {}, {}
-        if start < T:
-            tr.epochs.append(Epoch(start, T, mask, mask, rows))
+        tr.epochs.append(Epoch(start, end, mask, after, rows))
+        mask, start = after, end
     tr.final_hypothesis = state.final_hypothesis(mask)
     return tr
 

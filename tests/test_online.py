@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -18,11 +20,11 @@ from shatterlab.classes import generate_class
 from shatterlab.concepts import round_to_grid
 from shatterlab.errors import InvalidFeedback, OutOfRange
 from shatterlab.online import (
-    DRAWLESS_NOISES,
     NOISES,
     RsoaState,
     exact_noise,
     extreme_noise,
+    grid_noise,
     uniform_noise,
     rsoa_as_weak_learner,
 )
@@ -226,11 +228,12 @@ class TestStrongGame:
         ]
         assert a.final_hypothesis.values == b.final_hypothesis.values
 
-    def test_invalid_feedback_detected(self, two_constants_19):
+    def test_invalid_feedback_detected(self, monkeypatch, two_constants_19):
         def bad_noise(c_val, y_hat, zeta, rng):
             return min(1.0, c_val + 3 * zeta)
 
-        with pytest.raises(InvalidFeedback):
+        monkeypatch.setitem(NOISES, "exact", bad_noise)
+        with pytest.raises(InvalidFeedback, match="noise bad_noise produced"):
             run_online_game(
                 two_constants_19,
                 0,
@@ -241,12 +244,13 @@ class TestStrongGame:
                 seed=0,
             )
 
-    def test_wiped_set_is_invalid_feedback(self):
+    def test_wiped_set_is_invalid_feedback(self, monkeypatch):
         # feedback exactly zeta away passes the contract check, but the
         # update's ball is open, so it eliminates the target
         def edge_noise(c_val, y_hat, zeta, rng):
             return c_val + zeta
 
+        monkeypatch.setitem(NOISES, "adversarial_extreme", edge_noise)
         with pytest.raises(InvalidFeedback, match="wiped the surviving set"):
             run_online_game(make_class([[0.25]]), 0, [0], 1 / 8, edge_noise, 3, 0)
 
@@ -322,6 +326,25 @@ class TestPoints:
         cls = make_class([[0.2, 0.6, 0.4]])
         tr = run_online_game(cls, 0, [2, np.int64(0)], 1 / 8, exact_noise, 5, 0)
         assert [r.x for r in tr.rounds] == [2, 0, 2, 0, 2]
+
+    def test_rejects_a_noise_outside_the_library_before_any_draw(self, monkeypatch):
+        @dataclasses.dataclass
+        class Offset:  # eq=True without frozen=True: no __hash__, no __name__
+            scale: float
+
+            def __call__(self, c_val, y_hat, zeta, rng):
+                return c_val
+
+        def no_draw(seed, index):
+            raise AssertionError("a generator was derived")
+
+        monkeypatch.setattr(online, "child_rng", no_draw)
+        cls = make_class([[0.2, 0.6], [0.6, 0.2]])
+        drawing = lambda c_val, y_hat, zeta, rng: c_val + zeta * (rng.random() - 0.5)  # noqa: E731
+        for noise in (Offset(0.5), drawing, functools.partial(exact_noise), None):
+            for points in (None, [0, 1]):
+                with pytest.raises(OutOfRange, match="neither a NOISES value"):
+                    run_online_game(cls, 0, points, 1 / 8, noise, 3, seed=0)
 
 
 class TestWorstCaseAdversary:
@@ -453,12 +476,13 @@ class TestRunOnSample:
 
 
 
-def reference_game(cls, target_id, points, zeta, noise, T, seed):
+def reference_game(cls, target_id, points, zeta, noise, T, seed, rng=None):
     """The plain harness: one scalar draw per point, no prediction memo, and
-    mistake-only feedback written out in its own branch.
+    mistake-only feedback written out in its own branch; `rng` stands in for
+    the seed's generator.
 
     Returns (rounds as tuples, final hypothesis values)."""
-    rng = child_rng(seed, 0)
+    rng = child_rng(seed, 0) if rng is None else rng
     target = cls.by_id(target_id)
     state = RsoaState(cls, zeta)
     mask = state.cache.full_mask()
@@ -500,9 +524,13 @@ def reference_uniform_noise(c_val, y_hat, zeta, rng):
     return min(1.0, max(0.0, c_val + offset))
 
 
-def drawing_noise(c_val, y_hat, zeta, rng):
-    """A noise that reads its generator between the adversary's draws."""
-    return min(1.0, max(0.0, c_val + 0.5 * zeta * (rng.random() - 0.5)))
+def drawing_noise(c_val, zeta, u):
+    """A `_uniform_feedback` of its own: within a quarter of zeta of the truth."""
+    return np.minimum(1.0, np.maximum(0.0, c_val + 0.5 * zeta * (u - 0.5)))
+
+
+#: the library noises that never read their generator
+DRAWLESS = (exact_noise, grid_noise, extreme_noise, mistake_only_noise)
 
 
 class TestBatchedGame:
@@ -518,11 +546,11 @@ class TestBatchedGame:
                 assert a.bit_generator.state == b.bit_generator.state
 
     def test_drawless_noises_leave_the_stream_untouched(self):
-        assert set(DRAWLESS_NOISES) - {mistake_only_noise} < set(NOISES.values())
+        assert set(DRAWLESS) - {mistake_only_noise} == set(NOISES.values()) - {uniform_noise}
         assert mistake_only_noise not in NOISES.values()
         rng = child_rng(3, 0)
         state = rng.bit_generator.state
-        for noise in DRAWLESS_NOISES:
+        for noise in DRAWLESS:
             for zeta in (1 / 8, 1 / 5):
                 for c_val in (0.0, 0.05, 0.3, 0.5, 0.95, 1.0):
                     for y_hat in (0.0, c_val - 0.2, c_val, c_val + 0.2, 1.0):
@@ -531,26 +559,12 @@ class TestBatchedGame:
         uniform_noise(0.5, 0.5, 1 / 8, rng)
         assert rng.bit_generator.state != state
 
-    def test_unhashable_noise_plays(self):
-        @dataclasses.dataclass
-        class Offset:  # eq=True without frozen=True: no __hash__, no __name__
-            scale: float
-
-            def __call__(self, c_val, y_hat, zeta, rng):
-                return c_val + self.scale * zeta * (1 if c_val < 0.5 else -1)
-
-        cls = generate_class(2, 6, 1 / 8, seed=3)
-        tr = run_online_game(cls, 1, None, 1 / 8, Offset(0.5), 50, seed=2)
-        assert_matches(tr, reference_game(cls, 1, None, 1 / 8, Offset(0.5), 50, 2))
-        with pytest.raises(InvalidFeedback, match="Offset"):
-            run_online_game(cls, 1, None, 1 / 8, Offset(3), 5, 2)
-
     @pytest.mark.parametrize("nx,nc", [(1, 1), (1, 6), (3, 10), (6, 20)])
     def test_game_matches_the_plain_harness(self, nx, nc):
         for zinv in (5, 8):
             zeta = 1 / zinv
             cls = generate_class(nx, nc, zeta, seed=100 * nx + nc)
-            noises = [*NOISES.values(), drawing_noise, mistake_only_noise]
+            noises = [*NOISES.values(), mistake_only_noise]
             for i, noise in enumerate(noises):
                 for points in (None, [nx - 1, 0]):
                     target = i % nc
@@ -588,6 +602,22 @@ class TestUniformNoise:
                 ))
 
 
+def crafted_rng(word, index):
+    """A generator whose raw word `index` is `word`.  PCG64 steps its 128-bit
+    LCG state, then outputs rotr(hi ^ lo, hi >> 58) of it, so a stepped state
+    with lo = hi ^ rotl(word, hi >> 58) outputs `word` for any hi; stepping the
+    LCG back index + 1 times gives the state to start from."""
+    rng = child_rng(0, 0)
+    st = rng.bit_generator.state
+    inc, hi = st["state"]["inc"], st["state"]["state"] >> 64
+    rotl = (word << (hi >> 58) | word >> (64 - (hi >> 58))) & (2**64 - 1)
+    state, back = hi << 64 | (hi ^ rotl), pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+    for _ in range(index + 1):
+        state = (state - inc) * back % 2**128
+    rng.bit_generator.state = {**st, "state": {"state": state, "inc": inc}, "has_uint32": 0}
+    return rng
+
+
 class TestRawReplay:
     """A uniform_within game replays its points and uniforms from PCG64's raw
     words: Lemire's bounded ints on the low, then the high 32-bit half of a
@@ -602,33 +632,62 @@ class TestRawReplay:
                 want = [(int(rng.integers(d)), rng.random()) for _ in range(T)]
                 assert list(zip(drawn[0].tolist(), drawn[1].tolist())) == want
 
+    @pytest.mark.parametrize("d", [2**31 + 1, 3 * 2**30])
+    def test_replay_matches_scalar_draws_through_frequent_rejections(self, d):
+        # 2^32 mod d is 2^31 - 1 or 2^30: about half or a quarter of all halves
+        # are rejected, at both phases and in runs
+        for seed in range(8):
+            for T in (1, 2, 3, 64):
+                drawn = online._uniform_rounds(child_rng(seed, 0).bit_generator.random_raw, d, T)
+                rng = child_rng(seed, 0)
+                want = [(int(rng.integers(d)), rng.random()) for _ in range(T)]
+                assert list(zip(drawn[0].tolist(), drawn[1].tolist())) == want
+
     def test_rejection_rule_on_crafted_words(self):
-        def raw(*halves_and_words):
-            return lambda n: np.array(halves_and_words[:n], np.uint64)
+        def raw(*words):
+            stream = iter(words)
+            return lambda n: np.array(list(itertools.islice(stream, n)), np.uint64)
 
         # the low half 5 of word 0 is accepted, its high half 0 rejected at d = 3
-        # (0 * 3 mod 2^32 = 0 < 2^32 mod 3 = 1), and no half is at d = 4
-        words = raw(5, 1 << 11, 3 << 11)
-        assert online._uniform_rounds(words, 3, 1)[0].tolist() == [0]
-        assert online._uniform_rounds(words, 3, 2) is None
-        points, uniforms = online._uniform_rounds(words, 4, 2)
+        # (0 * 3 mod 2^32 = 0 < 2^32 mod 3 = 1), so round 1 reads word 2's low
+        # half and then word 3; no half is rejected at d = 4
+        words = (5, 1 << 11, 3 << 11, 7 << 11)
+        assert online._uniform_rounds(raw(*words), 3, 1)[0].tolist() == [0]
+        points, uniforms = online._uniform_rounds(raw(*words), 3, 2)
+        assert points.tolist() == [0, 0] and uniforms.tolist() == [2.0**-53, 7 * 2.0**-53]
+        points, uniforms = online._uniform_rounds(raw(*words), 4, 2)
         assert points.tolist() == [0, 0] and uniforms.tolist() == [2.0**-53, 3 * 2.0**-53]
-        top = raw((2**32 - 1) << 32 | 2**31, 2**64 - 1, 0)
-        assert online._uniform_rounds(top, 4, 2)[0].tolist() == [2, 3]
-        assert online._uniform_rounds(top, 4, 1)[1].tolist() == [1 - 2.0**-53]
-        # 6 * 715827883 = 2^32 + 2: rejected at d = 6, since 2 < 2^32 mod 6 = 4
-        assert online._uniform_rounds(raw(715827883, 0, 0), 6, 1) is None
+        top = ((2**32 - 1) << 32 | 2**31, 2**64 - 1, 0)
+        assert online._uniform_rounds(raw(*top), 4, 2)[0].tolist() == [2, 3]
+        assert online._uniform_rounds(raw(*top), 4, 1)[1].tolist() == [1 - 2.0**-53]
+        # 6 * 715827883 = 2^32 + 2: rejected at d = 6, since 2 < 2^32 mod 6 = 4;
+        # the high half 2^32 - 1 is accepted, and the word after it is the uniform
+        words = raw((2**32 - 1) << 32 | 715827883, 2**64 - 1)
+        points, uniforms = online._uniform_rounds(words, 6, 1)
+        assert points.tolist() == [5] and uniforms.tolist() == [1 - 2.0**-53]
         assert online._uniform_rounds(raw(0, 0, 0), 1, 1)[0].tolist() == [0]
 
-    def test_a_rejection_plays_the_loop_from_a_fresh_generator(self, monkeypatch):
-        replay = online._uniform_rounds
-        # every replay reads its words, then meets a rejection
-        monkeypatch.setattr(online, "_uniform_rounds", lambda *args: replay(*args) and None)
+    @pytest.mark.parametrize(
+        "r,word", [(10, 5 << 32), (11, 5), (10, 0)], ids=["even", "odd", "twice"]
+    )
+    def test_a_rejected_half_replays_numpys_draws(self, monkeypatch, r, word):
+        # word 3 * (r // 2) holds a half 0, which integers(3) rejects: its low
+        # half, read at the even round r; its high half, read at the odd round r;
+        # or both halves, and then the next word's low half
+        crafted = functools.partial(crafted_rng, word, 3 * (r // 2))
+        assert crafted().bit_generator.random_raw(3 * (r // 2) + 1)[-1] == word
+        points, uniforms = online._uniform_rounds(crafted().bit_generator.random_raw, 3, 40)
+        rng = crafted()
+        assert list(zip(points.tolist(), uniforms.tolist())) == [
+            (int(rng.integers(3)), rng.random()) for _ in range(40)
+        ]
+        monkeypatch.setattr(online, "child_rng", lambda seed, index: crafted())
         zeta = 1 / 8
         cls = generate_class(3, 10, zeta, seed=13)
-        for points in (None, [2, 0]):
-            tr = run_online_game(cls, 1, points, zeta, uniform_noise, 300, seed=4)
-            assert_matches(tr, reference_game(cls, 1, points, zeta, uniform_noise, 300, 4))
+        tr = run_online_game(cls, 1, None, zeta, uniform_noise, 40, seed=0)
+        assert_matches(tr, reference_game(
+            cls, 1, None, zeta, reference_uniform_noise, 40, None, rng=crafted()
+        ))
 
     def test_replayed_feedback_exactly_zeta_from_a_row_updates(self, monkeypatch):
         # exact feedback 0.5 at x = 0: a row exactly zeta above or below it is
@@ -642,15 +701,21 @@ class TestRawReplay:
                 assert_matches(tr, reference_game(cls, 0, points, 1 / 8, uniform_noise, 40, 1))
 
     def test_replayed_contract_fault_raises_the_loops_error(self, monkeypatch):
-        # out of contract by 2*zeta on the rounds whose uniform exceeds 0.9
+        # out of contract by 2*zeta on the rounds whose uniform exceeds 0.9:
+        # the game raises feed's error for the first of them, before any update
         monkeypatch.setattr(online, "_uniform_feedback", lambda c, zeta, u: c + 2 * zeta * (u > 0.9))
-        cls = generate_class(3, 10, 1 / 8, seed=13)
-        with pytest.raises(InvalidFeedback, match="uniform_noise") as replayed:
-            run_online_game(cls, 1, None, 1 / 8, uniform_noise, 300, seed=4)
-        monkeypatch.setattr(online, "_uniform_rounds", lambda raw, d, T: None)
-        with pytest.raises(InvalidFeedback) as looped:
-            run_online_game(cls, 1, None, 1 / 8, uniform_noise, 300, seed=4)
-        assert str(replayed.value) == str(looped.value)
+        updates = recording(monkeypatch, "update")
+        zeta = 1 / 8
+        cls = generate_class(3, 10, zeta, seed=13)
+        with pytest.raises(InvalidFeedback) as fault:
+            run_online_game(cls, 1, None, zeta, uniform_noise, 300, seed=4)
+        rng = child_rng(4, 0)
+        c = next(c for c, u in ((cls.by_id(1).values[rng.integers(3)], rng.random())
+                                for _ in range(300)) if u > 0.9)
+        assert str(fault.value) == (
+            f"noise uniform_noise produced |c_hat - c| = {abs(c + 2 * zeta - c)} > zeta = {zeta}"
+        )
+        assert updates == []
 
 
 def reference_bin_masks(cls, zeta):
@@ -765,12 +830,17 @@ def one_point_breach(c_val, y_hat, zeta, rng):
     return c_val - 2 * zeta if c_val == 0.9 else c_val
 
 
+def shrinking_rounds(tr):
+    """(mask, x) of each round that changes the mask, the last of its epoch."""
+    return [(ep.mask, tr.points[ep.end - 1]) for ep in tr.epochs if ep.mask_after != ep.mask]
+
+
 class TestStepMemo:
     """An epoch memoizes the steps from one surviving mask: a drawless game
-    steps once per (epoch mask, point), and a drawing game calls `update`
-    only on the rounds that can shrink the mask."""
+    evaluates its noise once per (epoch mask, point), and every game calls
+    `update` only on the rounds that can shrink the mask."""
 
-    @pytest.mark.parametrize("noise", DRAWLESS_NOISES, ids=lambda n: n.__name__)
+    @pytest.mark.parametrize("noise", DRAWLESS, ids=lambda n: n.__name__)
     def test_drawless_game_updates_once_per_mask_and_point(self, monkeypatch, noise):
         zeta = 1 / 8
         cls = generate_class(3, 12, zeta, seed=5)
@@ -780,34 +850,39 @@ class TestStepMemo:
             updates.clear()
             predicts.clear()
             tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
-            feedback_keys = {(r.v_before, r.x) for r in tr.rounds if r.feedback is not None}
-            assert len(updates) == len(set(updates)) == len(feedback_keys)
-            assert set(updates) <= {(ep.mask, x) for ep in tr.epochs for x in ep.rows}
+            assert updates == shrinking_rounds(tr)
             assert len(updates) < len(tr.rounds)
             # predict sees the (mask, x) pairs the rounds visit, and the final hypothesis's
             visited = {(ep.mask, x) for ep in tr.epochs for x in tr.points[ep.start:ep.end]}
             final = {(tr.epochs[-1].mask_after, x) for x in range(cls.domain_size)}
             assert set(predicts) == visited | final
 
-    @pytest.mark.parametrize("noise", [uniform_noise, drawing_noise], ids=lambda n: n.__name__)
-    def test_drawing_game_updates_only_rounds_that_shrink_the_mask(self, monkeypatch, noise):
+    @pytest.mark.parametrize("feedback", [online._uniform_feedback, drawing_noise],
+                             ids=["uniform_noise", "drawing_noise"])
+    def test_drawing_game_updates_only_rounds_that_shrink_the_mask(self, monkeypatch, feedback):
+        monkeypatch.setattr(online, "_uniform_feedback", feedback)
         zeta = 1 / 8
         cls = generate_class(3, 12, zeta, seed=5)
         updates = recording(monkeypatch, "update")
         for points in (None, [2, 0, 1]):
             updates.clear()
-            tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
-            shrinking = [(ep.mask, tr.points[ep.end - 1])
-                         for ep in tr.epochs if ep.mask_after != ep.mask]
-            assert updates == shrinking
+            tr = run_online_game(cls, 4, points, zeta, uniform_noise, 300, seed=3)
+            assert updates == shrinking_rounds(tr)
             assert 0 < len(updates) < len(tr.rounds) == 300
 
     def test_drawing_game_updates_feedback_outside_the_unit_interval(self, monkeypatch):
         # zeta/2 above 1.0 keeps both rows in the open zeta-ball, yet update rejects it
+        monkeypatch.setattr(online, "_uniform_feedback", lambda c, zeta, u: c + zeta / 2)
+        updates = recording(monkeypatch, "update")
+        with pytest.raises(OutOfRange, match=r"outside \[0,1\]"):
+            run_online_game(make_class([[1.0], [0.95]]), 0, None, 1 / 8, uniform_noise, 3, seed=0)
+        assert updates == [(0b11, 0)]
+
+    def test_drawless_game_updates_feedback_outside_the_unit_interval(self, monkeypatch):
         def overshoot(c_val, y_hat, zeta, rng):
-            rng.random()
             return c_val + zeta / 2
 
+        monkeypatch.setitem(NOISES, "exact", overshoot)
         updates = recording(monkeypatch, "update")
         with pytest.raises(OutOfRange, match=r"outside \[0,1\]"):
             run_online_game(make_class([[1.0], [0.95]]), 0, None, 1 / 8, overshoot, 3, seed=0)
@@ -816,7 +891,7 @@ class TestStepMemo:
     def test_drawless_fault_raises_only_when_its_round_is_played(self, monkeypatch):
         zeta = 1 / 8
         cls = make_class([[0.2, 0.5, 0.9], [0.6, 0.1, 0.4]])
-        monkeypatch.setattr(online, "DRAWLESS_NOISES", (*DRAWLESS_NOISES, one_point_breach))
+        monkeypatch.setitem(NOISES, "exact", one_point_breach)
         message = (f"noise one_point_breach produced |c_hat - c| = {abs(0.9 - 2 * zeta - 0.9)}"
                    f" > zeta = {zeta}")
         first = child_rng(6, 0).integers(3, size=50).tolist().index(2)
