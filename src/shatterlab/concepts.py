@@ -144,15 +144,9 @@ class Distribution:
             raise OutOfRange(f"probabilities sum to {sum(self.p)!r}, expected 1")
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
+    def cdf(self) -> np.ndarray:
+        """The CDF that ``rng.choice(len(p), size, p=p)`` and `Draws.block` search."""
         return _choice_cdf(self.p)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw `size` point indices i.i.d. from this distribution.
-
-        Same indices and generator state as ``rng.choice(len(p), size, p=p)``.
-        """
-        return self._cdf.searchsorted(rng.random(size), side="right")
 
     @staticmethod
     def uniform(n: int) -> "Distribution":

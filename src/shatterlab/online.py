@@ -187,14 +187,9 @@ def _uniform_feedback(c_val, zeta, u):
 
 def _uniform_rounds(raw: Callable[[int], np.ndarray], d: int, T: int):
     """The points and uniforms of T rounds of `integers(d)` then `random()` on a
-    fresh PCG64, from its raw 64-bit words `raw(n)`.
-
-    `integers(d)` reads no word at d = 1; otherwise it is Lemire's method on a
-    32-bit half h: h*d >> 32, rejected when (h*d) mod 2^32 < 2^32 mod d, and a
-    rejection reads the next half.  PCG64 serves a fresh word's low half and
-    keeps its high half for the next call, and `random()` is (w >> 11) * 2^-53
-    of the next whole word.  So a word's index counts the fetching halves and
-    the rounds that ended before it: with no rejection, rounds 2i and 2i+1 read
+    fresh PCG64, from its raw 64-bit words `raw(n)`, by `seeding.Draws`'s rules
+    for all rounds at once: a word's index counts the fetching halves and the
+    rounds that ended before it.  With no rejection, rounds 2i and 2i+1 read
     words 3i (both halves), 3i+1 and 3i+2, and a rejection shifts the rest by
     a half.
     """

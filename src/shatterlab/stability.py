@@ -11,9 +11,9 @@ samples carry k forced mistakes.
 
 G draws a uniformly random level k <= d (d = sfat at margin 2*zeta), samples
 under a draw-count cutoff, applies one more block to the surviving mask the
-curated sample carries, and returns the online learner's final hypothesis.
-Across runs, some 11*zeta function ball receives probability at least
-zeta^d / (2 (d+1)), and its centre generalizes.
+curated sample carries, and returns the online learner's final hypothesis; all
+its draws read one `seeding.Draws` cursor.  Across runs, some 11*zeta function
+ball receives probability at least zeta^d / (2 (d+1)), and its centre generalizes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .concepts import Concept, ConceptClass, Distribution, loss
 from .errors import AllRunsFailed, DomainMismatch, OutOfRange, TooLarge
 from .online import RsoaState
-from .seeding import child_rng
+from .seeding import Draws, child_rng
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,16 @@ def sample_ext(
     k: int,
     m: int,
     cutoff: int,
-    rng: Optional[np.random.Generator],
+    rng: "np.random.Generator | Draws | None",
 ) -> "ExtSample | Fail":
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
-    The sample draws from `rng`.  A sample that draws nothing (level 0, or a
-    level k >= 1 at 11*zeta >= 1, which fails at once) does not read it, so it
-    moves no draw of a stream it shares, and `rng` may be None there.  Draws
-    are counted against `cutoff`; a Fail at the cutoff reports cutoff + 1.
+    The sample draws from `rng`: a `seeding.Draws` cursor, or a Generator,
+    which it leaves where per-call draws would.  A sample that draws nothing
+    (level 0, or a level k >= 1 at 11*zeta >= 1, which fails at once) does not
+    read it, and `rng` may be None there.  Draws are counted against `cutoff`;
+    a Fail at the cutoff reports cutoff + 1.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -76,20 +77,20 @@ def sample_ext(
         # a block of no draws leaves both branches alike, so no attempt
         # could succeed and none would use up the cutoff
         raise OutOfRange(f"m must be positive at level k >= 1, got m={m}, k={k}")
-    cls, zeta = state.cls, state.zeta
+    cls, gap = state.cls, 11.0 * state.zeta
     if len(dist.p) != cls.domain_size:
         raise DomainMismatch(
             f"a distribution over {len(dist.p)} points for a class over {cls.domain_size}"
         )
     values = cls.by_id(target_id).values
-    if k >= 1 and 11.0 * zeta >= 1.0:
+    if k >= 1 and gap >= 1.0:
         # values lie in [0, 1], so no two hypotheses differ by more than
         # 11*zeta: every attempt would fail, drawing up to the cutoff
         return Fail(draws_used=cutoff + 1)
     bins = state.bins
     # one learner state serves every attempt; a sub-sample's surviving mask,
     # folded with the keep rows of a block's draws, stands in for replaying it
-    keep = state.keep_rows(target_id)
+    keep, full = state.keep_rows(target_id), state.cache.full_mask()
     # (mask0, mask1) -> None, or the first point where the pair's final
     # hypotheses differ by more than 11*zeta and their values there
     splits: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
@@ -97,7 +98,7 @@ def sample_ext(
     def split(v0: int, v1: int) -> Optional[tuple[int, float, float]]:
         if (v0, v1) not in splits:
             f0, f1 = state.final_hypothesis(v0).values, state.final_hypothesis(v1).values
-            diffs = (x for x in range(cls.domain_size) if abs(f0[x] - f1[x]) > 11.0 * zeta)
+            diffs = (x for x in range(cls.domain_size) if abs(f0[x] - f1[x]) > gap)
             splits[v0, v1] = next(((x, f0[x], f1[x]) for x in diffs), None)
         return splits[v0, v1]
 
@@ -107,7 +108,7 @@ def sample_ext(
         """(segments, surviving mask) of a level-`level` sample; None at the cutoff."""
         nonlocal used
         if level == 0:
-            return (), state.cache.full_mask()
+            return (), full
         while True:
             pair = []
             for _branch in (0, 1):
@@ -115,7 +116,7 @@ def sample_ext(
                 if sub is None or used + m > cutoff:
                     return None
                 used += m
-                xs = dist.sample(rng, m).tolist()
+                xs = draws.block(dist.cdf, m)
                 segments, mask = sub
                 for x in xs:
                     mask &= keep[x]
@@ -124,12 +125,13 @@ def sample_ext(
             if found is None:
                 continue
             x_star, y0, y1 = found
-            alpha = bins[rng.integers(len(bins))]  # the draw of rng.choice(bins)
+            alpha = bins[draws.below(len(bins))]  # the draw of rng.choice(bins)
             segments, xs, mask = pair[1] if abs(alpha - y0) < abs(alpha - y1) else pair[0]
             block = tuple((x, values[x]) for x in xs)
             return segments + ((block, (x_star, alpha)),), state.update(mask, x_star, alpha)
 
-    sample = rec(k)
+    with Draws.of(rng) as draws:
+        sample = rec(k)
     if sample is None:
         return Fail(draws_used=cutoff + 1)
     segments, mask = sample
@@ -157,10 +159,10 @@ class StableLearner:
             raise TooLarge(f"alpha = {alpha} makes m or the draw cutoff infinite") from None
 
     def __call__(
-        self, target_id: int, dist: Distribution, rng: np.random.Generator
+        self, target_id: int, dist: Distribution, rng: "np.random.Generator | Draws"
     ) -> "Concept | Fail":
-        """One run of G, drawing its level k, then its curated sample, then
-        its final block from `rng`.
+        """One run of G, drawing its level k, its curated sample and its final
+        block from `rng`, a Generator or a `seeding.Draws` cursor, in that order.
 
         Fail covers two events: the sampler hit its draw cutoff, or the
         curated sample's injected examples wiped the surviving set (possible
@@ -169,13 +171,14 @@ class StableLearner:
         consistency guarantees the stability analysis rests on).
         """
         state, m = self.state, self.m
-        k = int(rng.integers(0, self.d + 1))
-        s = sample_ext(state, target_id, dist, k, m, self.cutoff, rng)
-        if isinstance(s, Fail):
-            return s
-        mask, keep = s.mask, state.keep_rows(target_id)
-        for xi in dist.sample(rng, m).tolist():
-            mask &= keep[xi]
+        with Draws.of(rng) as draws:
+            k = draws.below(self.d + 1)
+            s = sample_ext(state, target_id, dist, k, m, self.cutoff, draws)
+            if isinstance(s, Fail):
+                return s
+            mask, keep = s.mask, state.keep_rows(target_id)
+            for xi in draws.block(dist.cdf, m):
+                mask &= keep[xi]
         if mask == 0:
             return Fail(draws_used=s.draws_used + m)
         return state.final_hypothesis(mask)
@@ -225,7 +228,7 @@ def stability_experiment(
 ) -> StabilityReport:
     """Run G `runs` times; report the heaviest 11*zeta ball among the outputs.
 
-    The runs draw in turn from one stream, child_rng(seed, 0x6).  Fail runs
+    The runs draw in turn from one cursor over child_rng(seed, 0x6).  Fail runs
     stay in the denominator (they are never ball members).  The reported
     centre is also scored by its loss at 12*zeta against the target.
     Raises AllRunsFailed when no run returns a hypothesis: there is no ball
@@ -237,9 +240,9 @@ def stability_experiment(
     d, m, cutoff = learner.d, learner.m, learner.cutoff
     outputs: list[Concept] = []
     fails = 0
-    rng = child_rng(seed, 0x6)
+    draws = Draws(child_rng(seed, 0x6))
     for _ in range(runs):
-        out = learner(target_id, dist, rng)
+        out = learner(target_id, dist, draws)
         if isinstance(out, Fail):
             fails += 1
         else:

@@ -5,7 +5,8 @@ kind computes: a Littlestone-dimension recursion that shares no code with
 sfat, the worst case of every adaptive adversary against the online
 learner, two-state distinguishability and Nayak's entropy inequality, the
 depolarizing-channel ceiling, the gentle shadow-estimation sample count,
-and the good-hypothesis set of a harvested collection.
+and the good-hypothesis set of a harvested collection.  `crafted_rng` builds
+a PCG64 generator that outputs a chosen raw word at a chosen index.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from shatterlab.errors import DimMismatch, OutOfRange, ShatterlabError, TooLarge
 from shatterlab.online import RsoaState
 from shatterlab.privacy import HypothesisCollection
 from shatterlab.quantum import DensityMatrix, von_neumann_entropy
+from shatterlab.seeding import child_rng
 
 
 class NotBoolean(ShatterlabError, ValueError):
@@ -265,3 +267,19 @@ def good_hypotheses(
     return frozenset(
         h.id for h in collection.hypotheses if loss(h, target, zeta, dist) <= alpha
     )
+
+
+def crafted_rng(word, index):
+    """A generator whose raw word `index` is `word`.  PCG64 steps its 128-bit
+    LCG state, then outputs rotr(hi ^ lo, hi >> 58) of it, so a stepped state
+    with lo = hi ^ rotl(word, hi >> 58) outputs `word` for any hi; stepping the
+    LCG back index + 1 times gives the state to start from."""
+    rng = child_rng(0, 0)
+    st = rng.bit_generator.state
+    inc, hi = st["state"]["inc"], st["state"]["state"] >> 64
+    rotl = (word << (hi >> 58) | word >> (64 - (hi >> 58))) & (2**64 - 1)
+    state, back = hi << 64 | (hi ^ rotl), pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+    for _ in range(index + 1):
+        state = (state - inc) * back % 2**128
+    rng.bit_generator.state = {**st, "state": {"state": state, "inc": inc}, "has_uint32": 0}
+    return rng

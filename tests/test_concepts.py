@@ -17,6 +17,7 @@ from shatterlab import (
 from shatterlab.concepts import class_from_json
 from shatterlab.errors import DomainMismatch, NonIntegerReciprocal, OutOfRange
 from shatterlab.online import RsoaState, prediction_grid
+from shatterlab.seeding import Draws
 from shatterlab.stability import ball_frequency
 from tests.conftest import ids_of_mask, make_class, mask_of_ids
 
@@ -246,7 +247,7 @@ def _distributions():
 
 
 class TestDistributionSample:
-    """The cached-CDF draw is stream-identical to Generator.choice."""
+    """A cursor's block on the cached CDF is stream-identical to Generator.choice."""
 
     def test_matches_generator_choice(self):
         for i, d in enumerate(_distributions()):
@@ -254,10 +255,9 @@ class TestDistributionSample:
                 for seed in range(3):
                     mine = np.random.default_rng((seed, i, size))
                     ref = np.random.default_rng((seed, i, size))
-                    got = d.sample(mine, size)
-                    want = ref.choice(len(d.p), size=size, p=np.array(d.p))
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want)
+                    with Draws(mine) as draws:
+                        got = draws.block(d.cdf, size)
+                    assert got == ref.choice(len(d.p), size=size, p=np.array(d.p)).tolist()
                     assert mine.bit_generator.state == ref.bit_generator.state
 
 

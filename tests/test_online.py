@@ -31,6 +31,7 @@ from shatterlab.online import (
 from shatterlab.seeding import child_rng
 from tests.conftest import ids_of_mask, make_class, mask_of_ids
 from tests.oracles import (
+    crafted_rng,
     gentle_sample_complexity,
     worst_case_sweep,
     worst_case_updates_sweep,
@@ -600,22 +601,6 @@ class TestUniformNoise:
                 assert_matches(tr, reference_game(
                     cls, target, points, zeta, reference_uniform_noise, 300, seed
                 ))
-
-
-def crafted_rng(word, index):
-    """A generator whose raw word `index` is `word`.  PCG64 steps its 128-bit
-    LCG state, then outputs rotr(hi ^ lo, hi >> 58) of it, so a stepped state
-    with lo = hi ^ rotl(word, hi >> 58) outputs `word` for any hi; stepping the
-    LCG back index + 1 times gives the state to start from."""
-    rng = child_rng(0, 0)
-    st = rng.bit_generator.state
-    inc, hi = st["state"]["inc"], st["state"]["state"] >> 64
-    rotl = (word << (hi >> 58) | word >> (64 - (hi >> 58))) & (2**64 - 1)
-    state, back = hi << 64 | (hi ^ rotl), pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
-    for _ in range(index + 1):
-        state = (state - inc) * back % 2**128
-    rng.bit_generator.state = {**st, "state": {"state": state, "inc": inc}, "has_uint32": 0}
-    return rng
 
 
 class TestRawReplay:

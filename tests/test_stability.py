@@ -24,7 +24,7 @@ from shatterlab.cli import main
 from shatterlab.concepts import bin_midpoints
 from shatterlab.errors import AllRunsFailed, DomainMismatch, OutOfRange
 from shatterlab.online import RsoaState
-from shatterlab.seeding import child_rng
+from shatterlab.seeding import CHUNK, Draws, child_rng
 from shatterlab.stability import ball_frequency
 from tests.conftest import ids_of_mask, make_class
 
@@ -214,7 +214,7 @@ def no_draws(monkeypatch):
     def refuse(*args):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(Distribution, "sample", refuse)
+    monkeypatch.setattr(Draws, "block", refuse)
 
 
 class TestSampleExt:
@@ -276,6 +276,30 @@ class TestSampleExt:
         assert isinstance(s, ExtSample) and s.draws_used == 2 * m
         out = sample_ext(state, 0, dist, 1, m, 2 * m - 1, rng=child_rng(0, 0xE27))
         assert out == Fail(draws_used=2 * m)
+
+    def test_a_long_run_holds_one_chunk_and_one_block(self, monkeypatch):
+        # a one-concept class never splits, so a level-1 sample draws blocks up
+        # to its cutoff: over 10^5 words, in blocks shorter and longer than a
+        # chunk; the cursor's window never holds more than a chunk and a block
+        windows = []
+        block = Draws.block
+
+        def watched(draws, cdf, m):
+            out = block(draws, cdf, m)
+            windows.append(max(draws._words.size, len(draws._points)) - m)
+            return out
+
+        monkeypatch.setattr(Draws, "block", watched)
+        cutoff = 120_000
+        for m in (3, 5 * CHUNK + 1):
+            rng, ref = child_rng(m, 0xE27), child_rng(m, 0xE27)
+            state = RsoaState(make_class([[0.3, 0.6]]), 1 / 16)
+            out = sample_ext(state, 0, Distribution.uniform(2), 1, m, cutoff, rng)
+            assert out == Fail(draws_used=cutoff + 1)
+            ref.random(cutoff // m * m)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(windows) == cutoff // 3 + cutoff // (5 * CHUNK + 1)
+        assert max(windows) <= CHUNK
 
     def test_hopeless_level_fails_before_drawing(self, two_constants_01, no_draws):
         # with 11*zeta >= 1 no attempt can succeed, so no block is drawn and
@@ -416,9 +440,8 @@ class TestStableLearner:
         checked = 0
         for seed in range(160):
             s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
-            xs = dist.sample(np.random.default_rng(seed), m)
-            block = [(int(x), cls.by_id(0).values[int(x)]) for x in xs]
-            examples = _examples(s.segments) + block
+            block = _reference_block(cls.by_id(0), dist, m, np.random.default_rng(seed))
+            examples = _examples(s.segments) + list(block)
             state = RsoaState(cls, zeta)
             mask = state.cache.full_mask()
             for xi, y in examples:
