@@ -67,6 +67,9 @@ class RsoaState:
     The learner's state is its surviving mask (bit i set: row i of the class
     is still consistent), which every method takes and `update` returns.  An
     empty mask predicts the all-bins tie, whose mean is the grid's midpoint.
+    Its memos depend on masks, the class and zeta (the keep rows on a target
+    too), so every run of G (stability.StableLearner) shares one state's final
+    hypotheses, keep rows, split verdicts and injection balls.
     """
 
     def __init__(self, cls: ConceptClass, zeta: float):
@@ -82,6 +85,8 @@ class RsoaState:
         ]
         self._hypotheses: dict[int, Concept] = {}
         self._keep: dict[int, list[int]] = {}
+        self._verdicts: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
+        self._balls: dict[tuple[int, int], int] = {}
 
     def mistake_bound(self) -> int:
         """sfat at margin 2*zeta of the whole class: the bound on the
@@ -138,6 +143,25 @@ class RsoaState:
         examples (stability.sample_ext), built on first use, so a game builds
         none."""
         return bin_midpoints(self.zeta)
+
+    def injection_ball(self, x: int, b: int) -> int:
+        """update(full, x, bins[b]), built once per (x, b): `mask & ball` is the
+        update of `mask` by the curated sampler's injected example (x, bins[b])."""
+        ball = self._balls.get((x, b))
+        if ball is None:
+            ball = self._balls[x, b] = self.update(self.cache.full_mask(), x, self.bins[b])
+        return ball
+
+    def split_verdict(self, mask0: int, mask1: int) -> Optional[tuple[int, float, float]]:
+        """The curated sampler's split verdict, built once per ordered pair: the
+        first point x where the two masks' final hypotheses f0, f1 differ by
+        more than 11*zeta, as (x, f0[x], f1[x]), or None."""
+        if (mask0, mask1) not in self._verdicts:
+            f0, f1 = self.final_hypothesis(mask0).values, self.final_hypothesis(mask1).values
+            gap = 11.0 * self.zeta
+            diffs = (x for x in range(self.cls.domain_size) if abs(f0[x] - f1[x]) > gap)
+            self._verdicts[mask0, mask1] = next(((x, f0[x], f1[x]) for x in diffs), None)
+        return self._verdicts[mask0, mask1]
 
     def final_hypothesis(self, mask: int) -> Concept:
         """The prediction rule over the whole domain, materialized (id -1).

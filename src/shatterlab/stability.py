@@ -14,6 +14,10 @@ under a draw-count cutoff, applies one more block to the surviving mask the
 curated sample carries, and returns the online learner's final hypothesis; all
 its draws read one `seeding.Draws` cursor.  Across runs, some 11*zeta function
 ball receives probability at least zeta^d / (2 (d+1)), and its centre generalizes.
+
+G's runs share one learner state (`online.RsoaState`), and a sample is masks
+folded with its memos: each target's keep rows, each mask pair's split verdict
+and each (point, bin) injection ball, built the first time any run meets them.
 """
 
 from __future__ import annotations
@@ -63,11 +67,14 @@ def sample_ext(
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
-    The sample draws from `rng`: a `seeding.Draws` cursor, or a Generator,
-    which it leaves where per-call draws would.  A sample that draws nothing
-    (level 0, or a level k >= 1 at 11*zeta >= 1, which fails at once) does not
-    read it, and `rng` may be None there.  Draws are counted against `cutoff`;
-    a Fail at the cutoff reports cutoff + 1.
+    Its memos give each pair of branch masks its split verdict and each
+    injected example its ball, once per state, whatever the target or the
+    distribution; only the sample returned builds its segments.  It draws
+    from `rng`: a `seeding.Draws` cursor, or a Generator, which it leaves
+    where per-call draws would.  A sample that draws nothing (level 0, or a
+    level k >= 1 at 11*zeta >= 1, which fails at once) does not read it, and
+    `rng` may be None there.  Draws are counted against `cutoff`; a Fail at
+    the cutoff reports cutoff + 1.
     """
     if k < 0:
         raise OutOfRange(f"k must be nonnegative, got {k}")
@@ -77,65 +84,58 @@ def sample_ext(
         # a block of no draws leaves both branches alike, so no attempt
         # could succeed and none would use up the cutoff
         raise OutOfRange(f"m must be positive at level k >= 1, got m={m}, k={k}")
-    cls, gap = state.cls, 11.0 * state.zeta
+    cls = state.cls
     if len(dist.p) != cls.domain_size:
         raise DomainMismatch(
             f"a distribution over {len(dist.p)} points for a class over {cls.domain_size}"
         )
-    values = cls.by_id(target_id).values
-    if k >= 1 and gap >= 1.0:
+    values, full = cls.by_id(target_id).values, state.cache.full_mask()
+    if k == 0:
+        return ExtSample(segments=(), k=0, draws_used=0, mask=full)
+    if 11.0 * state.zeta >= 1.0:
         # values lie in [0, 1], so no two hypotheses differ by more than
         # 11*zeta: every attempt would fail, drawing up to the cutoff
         return Fail(draws_used=cutoff + 1)
-    bins = state.bins
-    # one learner state serves every attempt; a sub-sample's surviving mask,
-    # folded with the keep rows of a block's draws, stands in for replaying it
-    keep, full = state.keep_rows(target_id), state.cache.full_mask()
-    # (mask0, mask1) -> None, or the first point where the pair's final
-    # hypotheses differ by more than 11*zeta and their values there
-    splits: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
-
-    def split(v0: int, v1: int) -> Optional[tuple[int, float, float]]:
-        if (v0, v1) not in splits:
-            f0, f1 = state.final_hypothesis(v0).values, state.final_hypothesis(v1).values
-            diffs = (x for x in range(cls.domain_size) if abs(f0[x] - f1[x]) > gap)
-            splits[v0, v1] = next(((x, f0[x], f1[x]) for x in diffs), None)
-        return splits[v0, v1]
-
+    # one learner state serves every attempt, and every sample of its G: a
+    # sub-sample's surviving mask, folded with the keep rows of a block's
+    # draws and the ball of its injection, stands in for replaying it
+    bins, keep = state.bins, state.keep_rows(target_id)
     used = 0  # draws made, counted against the cutoff
 
     def rec(level: int) -> Optional[tuple[tuple, int]]:
-        """(segments, surviving mask) of a level-`level` sample; None at the cutoff."""
+        """(chain, surviving mask) of a level-`level` sample, level >= 1; None at
+        the cutoff.  A chain is None at level 0, else (sub-chain, points, x*, alpha)."""
         nonlocal used
-        if level == 0:
-            return (), full
         while True:
             pair = []
             for _branch in (0, 1):
-                sub = rec(level - 1)
+                sub = (None, full) if level == 1 else rec(level - 1)
                 if sub is None or used + m > cutoff:
                     return None
                 used += m
                 xs = draws.block(dist.cdf, m)
-                segments, mask = sub
+                chain, mask = sub
                 for x in xs:
                     mask &= keep[x]
-                pair.append((segments, xs, mask))
-            found = split(pair[0][2], pair[1][2])
+                pair.append((chain, xs, mask))
+            found = state.split_verdict(pair[0][2], pair[1][2])
             if found is None:
                 continue
             x_star, y0, y1 = found
-            alpha = bins[draws.below(len(bins))]  # the draw of rng.choice(bins)
-            segments, xs, mask = pair[1] if abs(alpha - y0) < abs(alpha - y1) else pair[0]
-            block = tuple((x, values[x]) for x in xs)
-            return segments + ((block, (x_star, alpha)),), state.update(mask, x_star, alpha)
+            b = draws.below(len(bins))  # the draw of rng.choice(bins)
+            chain, xs, mask = pair[1] if abs(bins[b] - y0) < abs(bins[b] - y1) else pair[0]
+            return (chain, xs, x_star, bins[b]), mask & state.injection_ball(x_star, b)
 
     with Draws.of(rng) as draws:
         sample = rec(k)
     if sample is None:
         return Fail(draws_used=cutoff + 1)
-    segments, mask = sample
-    return ExtSample(segments=segments, k=k, draws_used=used, mask=mask)
+    chain, mask = sample
+    segments = []  # the chain runs from the last segment back to the first
+    while chain is not None:
+        chain, xs, x_star, alpha = chain
+        segments.append((tuple((x, values[x]) for x in xs), (x_star, alpha)))
+    return ExtSample(segments=tuple(reversed(segments)), k=k, draws_used=used, mask=mask)
 
 
 class StableLearner:
@@ -144,7 +144,7 @@ class StableLearner:
     d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
     and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state, and
     with it each target's keep rows, which the sampler's blocks and G's final
-    blocks fold.
+    blocks fold, and the sampler's split verdicts and injection balls.
     """
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):

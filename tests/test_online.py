@@ -17,7 +17,7 @@ from shatterlab import (
 )
 from shatterlab import online
 from shatterlab.classes import generate_class
-from shatterlab.concepts import round_to_grid
+from shatterlab.concepts import bin_midpoints, round_to_grid
 from shatterlab.errors import InvalidFeedback, OutOfRange
 from shatterlab.online import (
     NOISES,
@@ -721,10 +721,10 @@ def reference_update(cls, zeta, mask, xi, feedback):
 @st.composite
 def boundary_classes(draw):
     """(zeta, class, feedback, x, mask) with values placed exactly zeta and
-    2*zeta from the feedback and from the super-bin midpoints."""
+    2*zeta from the feedback, the super-bin midpoints and the zeta-bin midpoints."""
     zeta = 1 / draw(st.integers(3, 12))
     feedback = draw(st.floats(0.0, 1.0))
-    centres = (*prediction_grid(zeta), feedback)
+    centres = (*prediction_grid(zeta), *bin_midpoints(zeta), feedback)
     edges = sorted({v for c in centres for off in (zeta, 2.0 * zeta)
                     for v in (c - off, c + off) if 0.0 <= v <= 1.0})
     value = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)) if edges else st.floats(0.0, 1.0)
@@ -748,6 +748,10 @@ class TestFloatTables:
         for x in range(cls.domain_size):
             for y in cls.table[:, x].tolist():
                 assert state.update(full, x, y) == reference_update(cls, zeta, full, x, y)
+            # the sampler's injected examples fold their memoized balls
+            for b, y in enumerate(state.bins):
+                want = reference_update(cls, zeta, mask, x, y)
+                assert mask & state.injection_ball(x, b) == state.update(mask, x, y) == want
 
     def test_boundary_values_fall_outside_the_open_balls(self):
         # a value exactly zeta from the feedback, or 2*zeta from a midpoint,

@@ -166,6 +166,26 @@ class TestStreamIdentity:
             want = reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, child_rng(seed, 0xE27))
             assert got == want
 
+    def test_one_state_serves_every_target_and_distribution(self):
+        # a state's split verdicts and injection balls depend on masks alone:
+        # one state, shared across targets, distributions, levels and cutoffs,
+        # samples as a fresh replay does and leaves the generator where it does
+        cls, own, zeta, m = ext_cost_class()
+        state = RsoaState(cls, zeta)
+        seen = {"fail": 0, "ok": 0}
+        for dist in (own, Distribution.uniform(cls.domain_size)):
+            for target in (c.id for c in cls.concepts):
+                for k in (1, 2):
+                    for cutoff in (40, 20_000):
+                        for seed in range(3):
+                            rng, ref = child_rng(seed, 0xE27), child_rng(seed, 0xE27)
+                            got = sample_ext(state, target, dist, k, m, cutoff, rng)
+                            want = reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, ref)
+                            assert got == want
+                            assert rng.bit_generator.state == ref.bit_generator.state
+                            seen["fail" if isinstance(got, Fail) else "ok"] += 1
+        assert seen["fail"] >= 10 and seen["ok"] >= 10
+
     def test_stable_learner_matches_full_prefix_replay(self):
         # a state builds the sampler's bins on first use, so a game builds none
         cls, dist, zeta, _ = ext_cost_class()
@@ -235,11 +255,23 @@ class TestSampleExt:
         assert {0, 1, 2} <= set(levels)
 
     def test_level_zero_is_empty(self, two_constants_01):
-        # a sample that draws nothing does not read its generator
-        state = RsoaState(two_constants_01, 1 / 4)
-        s = sample_ext(state, 0, Distribution.uniform(1), 0, 3, 100, rng=None)
-        assert s.segments == ()
-        assert s.draws_used == 0
+        # a sample that draws nothing returns the full mask before any cursor:
+        # it reads no generator, a Generator keeps its state, and a cursor
+        # that has read ahead keeps its generator's state and its place
+        state, dist = RsoaState(two_constants_01, 1 / 4), Distribution.uniform(1)
+        empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
+        assert sample_ext(state, 0, dist, 0, 3, 100, rng=None) == empty
+        rng = child_rng(5, 0xE27)
+        rng.random(3)
+        before = rng.bit_generator.state
+        assert sample_ext(state, 0, dist, 0, 3, 100, rng) == empty
+        assert rng.bit_generator.state == before
+        draws, twin = Draws(child_rng(5, 0xE27)), Draws(child_rng(5, 0xE27))
+        assert draws.below(7) == twin.below(7)
+        before = draws.rng.bit_generator.state
+        assert sample_ext(state, 0, dist, 0, 3, 100, draws) == empty
+        assert draws.rng.bit_generator.state == before
+        assert [draws.below(1000) for _ in range(3)] == [twin.below(1000) for _ in range(3)]
 
     def test_level_one_structure(self):
         cls, dist, zeta, m = ext_cost_class()
@@ -410,7 +442,7 @@ class TestStableLearner:
         update, keep_rows = RsoaState.update, RsoaState.keep_rows
 
         def counting_update(state, mask, xi, y):
-            (built if building else outside).append(y)
+            (built if building else outside).append((mask, xi, y))
             return update(state, mask, xi, y)
 
         def counting_keep_rows(state, target_id):
@@ -427,7 +459,10 @@ class TestStableLearner:
         assert sum(not isinstance(o, Fail) for o in outs[20:]) > 0
         assert len(built) == 2 * cls.domain_size
         bins = set(bin_midpoints(zeta))
-        assert outside and all(y in bins for y in outside)
+        # and each injected example's ball is built once, from the full mask
+        assert outside and all(y in bins for _, _, y in outside)
+        assert len(set(outside)) == len(outside)
+        assert {mask for mask, _, _ in outside} == {learner.state.cache.full_mask()}
         monkeypatch.undo()
         assert outs == [reference_G(cls, target, dist, zeta, 4.0, child_rng(seed, 0x6))
                         for target in (0, 1) for seed in range(20)]
