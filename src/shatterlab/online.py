@@ -16,7 +16,7 @@ shattering tree.  Mistake-only play is the noise `mistake_only_noise`: the
 zeta-grid rounding, given only on rounds with |prediction - truth| > 5*zeta.
 At zeta = epsilon/5 it drives the shadow-estimation stream.  A game runs as
 epochs, runs of rounds from one surviving mask, each ended by the first round
-whose feedback can shrink it: a drawless noise's feedback is evaluated once
+whose feedback shrinks it: a drawless noise's feedback is evaluated once
 per epoch and point, and uniform noise's is replayed from the generator's raw
 words as one array.  The learner reads the class's values as Python floats.
 """
@@ -61,15 +61,21 @@ def prediction_grid(zeta: float) -> tuple[float, ...]:
     return tuple(2 * k / n for k in range(1, math.ceil(n / 2)))
 
 
+def _near(col: Sequence[float], y: float, radius: float) -> int:
+    """The mask of the rows whose value in `col` lies within the open `radius`-ball of y."""
+    return sum(1 << row for row, v in enumerate(col) if abs(v - y) < radius)
+
+
 class RsoaState:
     """The learner's fixed tables for one class at accuracy zeta, plus memos.
 
     The learner's state is its surviving mask (bit i set: row i of the class
     is still consistent), which every method takes and `update` returns.  An
     empty mask predicts the all-bins tie, whose mean is the grid's midpoint.
-    Its memos depend on masks, the class and zeta (the keep rows on a target
-    too), so every run of G (stability.StableLearner) shares one state's final
-    hypotheses, keep rows, split verdicts and injection balls.
+    An update is a mask intersected with one zeta-ball, `ball(x, y)`.  The
+    memos depend on masks, points and labels, the class and zeta (the keep
+    rows on a target too), so every run of G (stability.StableLearner) shares
+    one state's balls, final hypotheses, keep rows and split verdicts.
     """
 
     def __init__(self, cls: ConceptClass, zeta: float):
@@ -77,16 +83,14 @@ class RsoaState:
         self.zeta = float(zeta)
         self.cache = SfatCache(cls, 2.0 * self.zeta)
         self.grid = prediction_grid(self.zeta)
-        radius = 2.0 * self.zeta
         # bin membership masks depend only on (x, r): precompute once
         self.bin_masks = [
-            [sum(1 << row for row, v in enumerate(col) if abs(v - r) < radius) for r in self.grid]
-            for col in self.cache.cols
+            [_near(col, r, 2.0 * self.zeta) for r in self.grid] for col in self.cache.cols
         ]
         self._hypotheses: dict[int, Concept] = {}
         self._keep: dict[int, list[int]] = {}
         self._verdicts: dict[tuple[int, int], Optional[tuple[int, float, float]]] = {}
-        self._balls: dict[tuple[int, int], int] = {}
+        self._balls: dict[tuple[int, float], int] = {}
 
     def mistake_bound(self) -> int:
         """sfat at margin 2*zeta of the whole class: the bound on the
@@ -109,32 +113,28 @@ class RsoaState:
         """The prediction at xi from `mask`; a game asks once per epoch and point."""
         return self.predict_with_maximizers(mask, xi)[0]
 
+    def ball(self, xi: int, y: float) -> int:
+        """The class's rows within the open zeta-ball of y at xi, built once per
+        (xi, y); y must lie in [0, 1]."""
+        ball = self._balls.get((xi, y))
+        if ball is None:
+            if not 0.0 <= y <= 1.0:
+                raise OutOfRange(f"feedback {y} outside [0,1]")
+            ball = self._balls[xi, y] = _near(self.cache.cols[xi], y, self.zeta)
+        return ball
+
     def update(self, mask: int, xi: int, feedback: float) -> int:
         """The rows of `mask` within the open zeta-ball of `feedback` at xi."""
-        if not 0.0 <= feedback <= 1.0:
-            raise OutOfRange(f"feedback {feedback} outside [0,1]")
-        col = self.cache.cols[xi]
-        new = 0
-        while mask:
-            low = mask & -mask
-            if abs(col[low.bit_length() - 1] - feedback) < self.zeta:
-                new |= low
-            mask ^= low
-        return new
+        return mask & self.ball(xi, feedback)
 
     def keep_rows(self, target_id: int) -> list[int]:
-        """keep[x] = update(full, x, target(x)) for the class member target_id.
-
-        An update only intersects the mask with the rows near its label, so
+        """keep[x] = ball(x, target(x)) for the class member target_id, so
         `mask & keep[x]` is update(mask, x, target(x)): a block labelled by
-        the target folds its points without an update each.  Built once per
-        target, at one update per domain point.
-        """
+        the target folds its points by index.  Built once per target."""
         keep = self._keep.get(target_id)
         if keep is None:
-            full = self.cache.full_mask()
             values = self.cls.by_id(target_id).values
-            keep = self._keep[target_id] = [self.update(full, x, y) for x, y in enumerate(values)]
+            keep = self._keep[target_id] = [self.ball(x, y) for x, y in enumerate(values)]
         return keep
 
     @functools.cached_property
@@ -143,14 +143,6 @@ class RsoaState:
         examples (stability.sample_ext), built on first use, so a game builds
         none."""
         return bin_midpoints(self.zeta)
-
-    def injection_ball(self, x: int, b: int) -> int:
-        """update(full, x, bins[b]), built once per (x, b): `mask & ball` is the
-        update of `mask` by the curated sampler's injected example (x, bins[b])."""
-        ball = self._balls.get((x, b))
-        if ball is None:
-            ball = self._balls[x, b] = self.update(self.cache.full_mask(), x, self.bins[b])
-        return ball
 
     def split_verdict(self, mask0: int, mask1: int) -> Optional[tuple[int, float, float]]:
         """The curated sampler's split verdict, built once per ordered pair: the
@@ -352,12 +344,14 @@ def run_online_game(
     feedback the target survives every update.
 
     The rounds are played as epochs, each ended by the first round whose
-    feedback lies outside [0, 1] or zeta or more from the lowest or highest
-    surviving value at x: fl(v - feedback) is monotone in v, so otherwise
-    every row stays, and only that round calls `update`.  A drawless noise's
-    feedback depends on (mask, x) alone: an epoch evaluates it once per point,
-    in the order of first occurrence, up to the first that ends it.  A
-    `uniform_noise` game replays its draws from the generator's raw words.
+    feedback shrinks the surviving mask (or lies outside [0, 1]).  A drawless
+    noise's feedback depends on (mask, x) alone: an epoch evaluates it and
+    calls `update` once per point with feedback, in the order of first
+    occurrence, up to the first that ends it.  A `uniform_noise` game replays
+    its draws from the generator's raw words and finds each epoch's end at
+    once: the first feedback zeta or more from the lowest or highest surviving
+    value at x (fl(v - feedback) is monotone in v), and only that round calls
+    `update`.
     """
     d = cls.domain_size
     if points is not None and not (len(points) and all(_is_index(x, d) for x in points)):
@@ -372,14 +366,14 @@ def run_online_game(
     state = RsoaState(cls, zeta)
     tr = Transcript(sfat_bound=state.mistake_bound())
 
-    def feed(mask: int, xi: int, feedback: float, shrinks: bool = True) -> int:
-        """The mask after in-contract feedback at xi; `update` runs only if it `shrinks`."""
+    def feed(mask: int, xi: int, feedback: float) -> int:
+        """The mask after feedback at xi, which must be in contract."""
         if abs(feedback - values[xi]) > zeta + 1e-12:
             raise InvalidFeedback(
                 f"noise {noise.__name__} produced |c_hat - c| = "
                 f"{abs(feedback - values[xi])} > zeta = {zeta}"
             )
-        if shrinks and (mask := state.update(mask, xi, feedback)) == 0:
+        if (mask := state.update(mask, xi, feedback)) == 0:
             raise InvalidFeedback(
                 f"update at x={xi} with feedback {feedback} wiped the surviving set; "
                 "valid feedback never eliminates the target"
@@ -396,32 +390,28 @@ def run_online_game(
         fb = _uniform_feedback(c, zeta, u)
         fbs = tr.feedback = fb.tolist()
         if (bad := np.flatnonzero(abs(fb - c) > zeta + 1e-12)).size:
-            feed(mask, xs[bad[0]], fbs[bad[0]], False)
+            feed(mask, xs[bad[0]], fbs[bad[0]])  # raises before it updates
     elif xs is None:  # the stream's only draws: one call takes what T scalar calls take
         xs = rng.integers(d, size=T).tolist()
     tr.points = xs
 
-    def keeps(lo, hi, f):  # on floats or arrays: no row of the epoch's mask leaves
-        return (0.0 <= f) & (f <= 1.0) & (abs(lo - f) < zeta) & (abs(hi - f) < zeta)
-
     start = 0
     while start < T:
         end, after, rows = T, mask, {}
-        alive = [i for i in range(len(cls)) if mask >> i & 1]
-        if drawn:
-            vals, now = cls.table[alive], at[start:]
-            if (cut := np.flatnonzero(~keeps(vals.min(0)[now], vals.max(0)[now], fb[start:]))).size:
+        if drawn:  # the first round whose feedback shrinks the mask, or is outside [0, 1]
+            vals, now = cls.table[[i for i in range(len(cls)) if mask >> i & 1]], at[start:]
+            lo, hi, f = vals.min(0)[now], vals.max(0)[now], fb[start:]
+            keeps = (0.0 <= f) & (f <= 1.0) & (abs(lo - f) < zeta) & (abs(hi - f) < zeta)
+            if (cut := np.flatnonzero(~keeps)).size:
                 end = start + int(cut[0]) + 1
                 after = feed(mask, xs[end - 1], fbs[end - 1])
         for xi in dict.fromkeys(xs[start:end]):  # in the order of first occurrence
             y_hat = state.predict(mask, xi)
             f = None if drawn else noise(values[xi], y_hat, zeta, rng)
             rows[xi] = (y_hat, f, abs(y_hat - values[xi]) > threshold)
-            if f is not None:
-                near = [state.cache.cols[xi][i] for i in alive]
-                if (after := feed(mask, xi, f, not keeps(min(near), max(near), f))) != mask:
-                    end = xs.index(xi, start) + 1
-                    break
+            if f is not None and (after := feed(mask, xi, f)) != mask:
+                end = xs.index(xi, start) + 1
+                break
         tr.epochs.append(Epoch(start, end, mask, after, rows))
         mask, start = after, end
     tr.final_hypothesis = state.final_hypothesis(mask)

@@ -2,12 +2,11 @@
 
 `child_rng` is the one definition of a path's stream.  A trial loop takes
 one generator per loop and hands it to every trial in order, so the trials
-of a loop are consecutive draws of one stream, which `Draws` can read ahead.
+of a loop are consecutive draws of one stream.  `Draws` is a cursor that
+takes over a generator's stream and reads its raw words ahead.
 """
 
 from __future__ import annotations
-
-from contextlib import AbstractContextManager, nullcontext
 
 import numpy as np
 
@@ -29,32 +28,26 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *path))))
 
 
-class Draws(AbstractContextManager):
+class Draws:
     """A read-ahead cursor over a PCG64 generator's raw 64-bit words: `block`
     and `below` draw what ``rng.choice(len(p), m, p=p)`` and ``rng.integers(n)``
-    draw, from words fetched a chunk at a time (or a block's shortfall, when
-    longer).  The generator runs ahead until `sync`, which ``with`` calls on exit."""
+    draw from a generator with no buffered half, from words fetched a chunk at
+    a time (or a block's shortfall, when longer).  It reads from the
+    generator's next word and owns the stream from then on: the generator runs
+    ahead of the cursor, so draw from one or the other, not both."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng, self._start = rng, rng.bit_generator.state
-        # PCG64's buffered 32-bit half; as in its state dict, `uinteger` outlives its use
-        self._has, self._half = self._start["has_uint32"], self._start["uinteger"]
-        # the window, the words read before it, its next word, and its words as draws from _cdf
-        self._words, self._read, self._at = np.zeros(0, np.uint64), 0, 0
+        self._raw = rng.bit_generator.random_raw
+        # the buffered 32-bit half of a word whose low half was read
+        self._has = self._half = 0
+        # the window, its next word, and its words as draws from _cdf
+        self._words, self._at = np.zeros(0, np.uint64), 0
         self._cdf = self._points = None
 
-    @classmethod
-    def of(cls, rng):
-        """`rng` for a ``with`` block: a Generator wrapped, and synced on exit; a cursor as is."""
-        return cls(rng) if isinstance(rng, np.random.Generator) else nullcontext(rng)
-
-    def __exit__(self, *exc) -> None:
-        self.sync()
-
     def _ahead(self, n: int) -> None:
-        words = self.rng.bit_generator.random_raw(max(n - self._words.size + self._at, CHUNK))
+        words = self._raw(max(n - self._words.size + self._at, CHUNK))
         self._words = np.concatenate((self._words[self._at:], words))
-        self._read, self._at, self._cdf = self._read + self._at, 0, None
+        self._at, self._cdf = 0, None
 
     def block(self, cdf: np.ndarray, m: int) -> list[int]:
         """The next m words w as ``cdf.searchsorted((w >> 11) * 2^-53, "right")``."""
@@ -82,11 +75,3 @@ class Draws(AbstractContextManager):
             if h * n & 0xFFFFFFFF >= 2**32 % n:
                 return h * n >> 32
         return 0
-
-    def sync(self) -> None:
-        """Leave the generator where the per-call draws would have, and restart there."""
-        bg = self.rng.bit_generator
-        bg.state = self._start
-        bg.advance(self._read + self._at)
-        bg.state = {**bg.state, "has_uint32": self._has, "uinteger": self._half}
-        self.__init__(self.rng)

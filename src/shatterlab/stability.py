@@ -17,7 +17,7 @@ ball receives probability at least zeta^d / (2 (d+1)), and its centre generalize
 
 G's runs share one learner state (`online.RsoaState`), and a sample is masks
 folded with its memos: each target's keep rows, each mask pair's split verdict
-and each (point, bin) injection ball, built the first time any run meets them.
+and each injected example's ball, built the first time any run meets them.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .concepts import Concept, ConceptClass, Distribution, loss
 from .errors import AllRunsFailed, DomainMismatch, OutOfRange, TooLarge
@@ -62,18 +60,17 @@ def sample_ext(
     k: int,
     m: int,
     cutoff: int,
-    rng: "np.random.Generator | Draws | None",
+    draws: Optional[Draws],
 ) -> "ExtSample | Fail":
     """Draw one curated sample with k injected mistakes, or Fail at the cutoff.
 
     The learner `state` runs every attempt; the class and zeta are its own.
     Its memos give each pair of branch masks its split verdict and each
-    injected example its ball, once per state, whatever the target or the
+    example its ball, once per state, whatever the target or the
     distribution; only the sample returned builds its segments.  It draws
-    from `rng`: a `seeding.Draws` cursor, or a Generator, which it leaves
-    where per-call draws would.  A sample that draws nothing (level 0, or a
+    from the cursor `draws`.  A sample that draws nothing (level 0, or a
     level k >= 1 at 11*zeta >= 1, which fails at once) does not read it, and
-    `rng` may be None there.  Draws are counted against `cutoff`; a Fail at
+    `draws` may be None there.  Draws are counted against `cutoff`; a Fail at
     the cutoff reports cutoff + 1.
     """
     if k < 0:
@@ -124,10 +121,9 @@ def sample_ext(
             x_star, y0, y1 = found
             b = draws.below(len(bins))  # the draw of rng.choice(bins)
             chain, xs, mask = pair[1] if abs(bins[b] - y0) < abs(bins[b] - y1) else pair[0]
-            return (chain, xs, x_star, bins[b]), mask & state.injection_ball(x_star, b)
+            return (chain, xs, x_star, bins[b]), mask & state.ball(x_star, bins[b])
 
-    with Draws.of(rng) as draws:
-        sample = rec(k)
+    sample = rec(k)
     if sample is None:
         return Fail(draws_used=cutoff + 1)
     chain, mask = sample
@@ -144,7 +140,7 @@ class StableLearner:
     d is the learner state's mistake bound, m = ceil(d ln(1/zeta) / alpha)
     and cutoff = 2 (4/zeta)^(d+1) m.  Every run shares one learner state, and
     with it each target's keep rows, which the sampler's blocks and G's final
-    blocks fold, and the sampler's split verdicts and injection balls.
+    blocks fold, and the sampler's split verdicts and injected examples' balls.
     """
 
     def __init__(self, cls: ConceptClass, zeta: float, alpha: float):
@@ -158,11 +154,9 @@ class StableLearner:
         except OverflowError:
             raise TooLarge(f"alpha = {alpha} makes m or the draw cutoff infinite") from None
 
-    def __call__(
-        self, target_id: int, dist: Distribution, rng: "np.random.Generator | Draws"
-    ) -> "Concept | Fail":
+    def __call__(self, target_id: int, dist: Distribution, draws: Draws) -> "Concept | Fail":
         """One run of G, drawing its level k, its curated sample and its final
-        block from `rng`, a Generator or a `seeding.Draws` cursor, in that order.
+        block from the cursor `draws`, in that order.
 
         Fail covers two events: the sampler hit its draw cutoff, or the
         curated sample's injected examples wiped the surviving set (possible
@@ -171,14 +165,13 @@ class StableLearner:
         consistency guarantees the stability analysis rests on).
         """
         state, m = self.state, self.m
-        with Draws.of(rng) as draws:
-            k = draws.below(self.d + 1)
-            s = sample_ext(state, target_id, dist, k, m, self.cutoff, draws)
-            if isinstance(s, Fail):
-                return s
-            mask, keep = s.mask, state.keep_rows(target_id)
-            for xi in draws.block(dist.cdf, m):
-                mask &= keep[xi]
+        k = draws.below(self.d + 1)
+        s = sample_ext(state, target_id, dist, k, m, self.cutoff, draws)
+        if isinstance(s, Fail):
+            return s
+        mask, keep = s.mask, state.keep_rows(target_id)
+        for xi in draws.block(dist.cdf, m):
+            mask &= keep[xi]
         if mask == 0:
             return Fail(draws_used=s.draws_used + m)
         return state.final_hypothesis(mask)

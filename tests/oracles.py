@@ -6,7 +6,8 @@ sfat, the worst case of every adaptive adversary against the online
 learner, two-state distinguishability and Nayak's entropy inequality, the
 depolarizing-channel ceiling, the gentle shadow-estimation sample count,
 and the good-hypothesis set of a harvested collection.  `crafted_rng` builds
-a PCG64 generator that outputs a chosen raw word at a chosen index.
+a PCG64 generator that outputs a chosen raw word at a chosen index, and
+`in_step` checks that a `Draws` cursor is where a generator's own draws are.
 """
 
 from __future__ import annotations
@@ -283,3 +284,19 @@ def crafted_rng(word, index):
         state = (state - inc) * back % 2**128
     rng.bit_generator.state = {**st, "state": {"state": state, "inc": inc}, "has_uint32": 0}
     return rng
+
+
+#: a 1024-point uniform distribution, whose one-point block reads a whole word
+_STEP = Distribution.uniform(1024)
+
+
+def in_step(draws, rng) -> bool:
+    """Whether the `Draws` cursor and the generator are at the same place in
+    one stream: the cursor's next two ``below(2**32)`` and one-point block
+    against two ``rng.integers(2**32)`` and an ``rng.choice``.  They read a
+    buffered half if there is one, a fresh word's half and a whole word, and
+    move both on alike."""
+    got = (draws.below(2**32), draws.below(2**32), draws.block(_STEP.cdf, 1))
+    want = (int(rng.integers(2**32)), int(rng.integers(2**32)),
+            rng.choice(len(_STEP.p), size=1, p=np.array(_STEP.p)).tolist())
+    return got == want

@@ -41,7 +41,7 @@ from shatterlab.quantum import (
     random_basis_measurements,
     random_density_matrix,
 )
-from shatterlab.seeding import child_rng
+from shatterlab.seeding import Draws, child_rng
 from tests.oracles import (
     depolarizing_capacity_bound,
     gentle_sample_complexity,
@@ -166,7 +166,7 @@ def test_criterion_5_ext_sampling_cost():
         bound = 4 ** (level + 1) * m
         draws = []
         for seed in range(1000):
-            out = sample_ext(state, 0, dist, level, m, cutoff=100 * bound, rng=child_rng(seed, 0xE27))
+            out = sample_ext(state, 0, dist, level, m, 100 * bound, Draws(child_rng(seed, 0xE27)))
             draws.append(out.draws_used)
         d = np.array(draws, dtype=float)
         se = d.std(ddof=1) / math.sqrt(len(d))

@@ -744,14 +744,13 @@ class TestFloatTables:
         state = RsoaState(cls, zeta)
         assert state.bin_masks == reference_bin_masks(cls, zeta)
         assert state.update(mask, xi, feedback) == reference_update(cls, zeta, mask, xi, feedback)
-        full = state.cache.full_mask()
+        # one state's memoized balls, at the class's values, the sampler's
+        # injected labels and the values exactly zeta and 2*zeta from those
+        mids = bin_midpoints(zeta)
+        edges = [v for c in mids for off in (zeta, 2.0 * zeta) for v in (c - off, c + off)]
         for x in range(cls.domain_size):
-            for y in cls.table[:, x].tolist():
-                assert state.update(full, x, y) == reference_update(cls, zeta, full, x, y)
-            # the sampler's injected examples fold their memoized balls
-            for b, y in enumerate(state.bins):
-                want = reference_update(cls, zeta, mask, x, y)
-                assert mask & state.injection_ball(x, b) == state.update(mask, x, y) == want
+            for y in (*cls.table[:, x].tolist(), *mids, *(v for v in edges if 0.0 <= v <= 1.0)):
+                assert mask & state.ball(x, y) == reference_update(cls, zeta, mask, x, y)
 
     def test_boundary_values_fall_outside_the_open_balls(self):
         # a value exactly zeta from the feedback, or 2*zeta from a midpoint,
@@ -826,8 +825,9 @@ def shrinking_rounds(tr):
 
 class TestStepMemo:
     """An epoch memoizes the steps from one surviving mask: a drawless game
-    evaluates its noise once per (epoch mask, point), and every game calls
-    `update` only on the rounds that can shrink the mask."""
+    evaluates its noise and calls `update` once per (epoch mask, point), a
+    drawing game calls `update` only on the rounds that can shrink the mask,
+    and a game's learner builds each zeta-ball once per (point, label)."""
 
     @pytest.mark.parametrize("noise", DRAWLESS, ids=lambda n: n.__name__)
     def test_drawless_game_updates_once_per_mask_and_point(self, monkeypatch, noise):
@@ -835,12 +835,25 @@ class TestStepMemo:
         cls = generate_class(3, 12, zeta, seed=5)
         updates = recording(monkeypatch, "update")
         predicts = recording(monkeypatch, "predict")
+        balls, near = [], online._near
+
+        def counting_near(col, y, radius):
+            if radius == zeta:  # a ball, not a super-bin
+                balls.append((id(col), y))
+            return near(col, y, radius)
+
+        monkeypatch.setattr(online, "_near", counting_near)
         for points in (None, [2, 0, 1]):
             updates.clear()
             predicts.clear()
+            balls.clear()
             tr = run_online_game(cls, 4, points, zeta, noise, 300, seed=3)
-            assert updates == shrinking_rounds(tr)
-            assert len(updates) < len(tr.rounds)
+            fed = [(ep.mask, x) for ep in tr.epochs
+                   for x, (_, f, _) in ep.rows.items() if f is not None]
+            assert updates == fed and len(updates) < len(tr.rounds)
+            assert set(shrinking_rounds(tr)) <= set(fed)
+            # each ball is built once, and the other updates read it
+            assert len(set(balls)) == len(balls) <= len(updates)
             # predict sees the (mask, x) pairs the rounds visit, and the final hypothesis's
             visited = {(ep.mask, x) for ep in tr.epochs for x in tr.points[ep.start:ep.end]}
             final = {(tr.epochs[-1].mask_after, x) for x in range(cls.domain_size)}

@@ -7,7 +7,7 @@ import pytest
 from shatterlab.concepts import Distribution
 from shatterlab.errors import OutOfRange
 from shatterlab.seeding import CHUNK, Draws, child_rng
-from tests.oracles import crafted_rng
+from tests.oracles import crafted_rng, in_step
 
 TWO_WORD_SEED = 2**40 + 3
 
@@ -46,54 +46,39 @@ BOUNDS = (1, 2, 3, 32, 2**31 + 1)
 
 def run_ops(make, ops):
     """`ops` on a cursor over make() and, call by call, on numpy's own draws
-    from make(); the two generators' states agree at each "sync" op and after
-    the cursor's ``with`` block.  Returns both draw lists."""
-    mine, ref = make(), make()
+    from make(); the two are in step after the last op.  Returns both draw lists."""
+    draws, ref = Draws(make()), make()
     got, want = [], []
-    with Draws(mine) as draws:
-        for op, arg in ops:
-            if op == "block":
-                got.append(draws.block(CDFS[arg[0]], arg[1]))
-                want.append(ref.choice(len(arg[0]), size=arg[1], p=np.array(arg[0])).tolist())
-            elif op == "below":
-                got.append(draws.below(arg))
-                want.append(int(ref.integers(arg)))
-            else:
-                draws.sync()
-                assert mine.bit_generator.state == ref.bit_generator.state
-    assert mine.bit_generator.state == ref.bit_generator.state
+    for op, arg in ops:
+        if op == "block":
+            got.append(draws.block(CDFS[arg[0]], arg[1]))
+            want.append(ref.choice(len(arg[0]), size=arg[1], p=np.array(arg[0])).tolist())
+        else:
+            got.append(draws.below(arg))
+            want.append(int(ref.integers(arg)))
+    assert in_step(draws, ref)
     return got, want
 
 
 def random_ops(gen, n):
-    ops = [("block", ((P, Q)[int(gen.integers(2))], int(gen.integers(0, 41))))
-           if gen.random() < 0.5 else ("below", BOUNDS[int(gen.integers(len(BOUNDS)))])
-           for _ in range(n)]
-    ops.insert(int(gen.integers(n)), ("sync", None))
-    return ops
+    return [("block", ((P, Q)[int(gen.integers(2))], int(gen.integers(0, 41))))
+            if gen.random() < 0.5 else ("below", BOUNDS[int(gen.integers(len(BOUNDS)))])
+            for _ in range(n)]
 
 
 class TestDraws:
-    """A cursor's blocks and bounded ints are numpy's per-call draws, and its
-    sync leaves the generator where those draws leave it."""
+    """A cursor's blocks and bounded ints are numpy's per-call draws on the
+    stream it takes over."""
 
-    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
-    def test_interleavings_match_numpy(self, buffered):
+    def test_interleavings_match_numpy(self):
         # 60 ops read about 600 words, so every sequence crosses chunk edges;
-        # every tenth also draws a block longer than a chunk; a prior
-        # integers call leaves a half buffered in the state the cursor starts from
+        # every tenth also draws a block longer than a chunk
         gen = np.random.default_rng(99)
         for seed in range(80):
-            def make():
-                rng = child_rng(seed, 7)
-                if buffered:
-                    rng.integers(5)
-                return rng
-
             ops = random_ops(gen, 60)
             if seed % 10 == 0:
                 ops.insert(30, ("block", (P, 2 * CHUNK + 3)))
-            got, want = run_ops(make, ops)
+            got, want = run_ops(lambda: child_rng(seed, 7), ops)
             assert got == want
 
     @pytest.mark.parametrize("word", [5 << 32, 5, 0], ids=["low", "high", "both"])
@@ -102,7 +87,7 @@ class TestDraws:
         # its low half, read fresh; its high half, read from the buffer; or
         # both, and then word 3's low half
         assert crafted_rng(word, 2).bit_generator.random_raw(3)[-1] == word
-        ops = [("block", (P, 2)), ("below", 3), ("below", 3), ("sync", None),
+        ops = [("block", (P, 2)), ("below", 3), ("below", 3),
                ("block", (Q, 3)), ("below", 3), ("below", 32), ("block", (P, 1))]
         got, want = run_ops(lambda: crafted_rng(word, 2), ops)
         assert got == want

@@ -18,7 +18,7 @@ from shatterlab import (
     sfat,
     stability_experiment,
 )
-from shatterlab import stability
+from shatterlab import online, stability
 from shatterlab.classes import ext_cost_class, generate_class, two_constants
 from shatterlab.cli import main
 from shatterlab.concepts import bin_midpoints
@@ -27,6 +27,7 @@ from shatterlab.online import RsoaState
 from shatterlab.seeding import CHUNK, Draws, child_rng
 from shatterlab.stability import ball_frequency
 from tests.conftest import ids_of_mask, make_class
+from tests.oracles import in_step
 
 
 # -- a full-prefix replay reference: every attempt replays its whole sample
@@ -132,7 +133,7 @@ class TestStreamIdentity:
             for k in (0, 1, 2):
                 for cutoff in cutoffs:
                     for seed in range(6):
-                        got = sample_ext(state, 0, d, k, block, cutoff, rng=child_rng(seed, 0xE27))
+                        got = sample_ext(state, 0, d, k, block, cutoff, Draws(child_rng(seed, 0xE27)))
                         rng = child_rng(seed, 0xE27)
                         assert got == reference_sample_ext(c, 0, d, k, block, z, cutoff, rng)
                         seen["fail" if isinstance(got, Fail) else "ok"] += 1
@@ -162,7 +163,7 @@ class TestStreamIdentity:
             st.integers(0, 2), st.integers(1, 3), st.integers(0, 600), st.integers(0, 2**16)
         )
         for k, m, cutoff, seed in data.draw(st.lists(calls, min_size=1, max_size=4)):
-            got = sample_ext(state, target, dist, k, m, cutoff, rng=child_rng(seed, 0xE27))
+            got = sample_ext(state, target, dist, k, m, cutoff, draws=Draws(child_rng(seed, 0xE27)))
             want = reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, child_rng(seed, 0xE27))
             assert got == want
 
@@ -178,11 +179,11 @@ class TestStreamIdentity:
                 for k in (1, 2):
                     for cutoff in (40, 20_000):
                         for seed in range(3):
-                            rng, ref = child_rng(seed, 0xE27), child_rng(seed, 0xE27)
-                            got = sample_ext(state, target, dist, k, m, cutoff, rng)
+                            draws, ref = Draws(child_rng(seed, 0xE27)), child_rng(seed, 0xE27)
+                            got = sample_ext(state, target, dist, k, m, cutoff, draws)
                             want = reference_sample_ext(cls, target, dist, k, m, zeta, cutoff, ref)
                             assert got == want
-                            assert rng.bit_generator.state == ref.bit_generator.state
+                            assert in_step(draws, ref)
                             seen["fail" if isinstance(got, Fail) else "ok"] += 1
         assert seen["fail"] >= 10 and seen["ok"] >= 10
 
@@ -193,7 +194,7 @@ class TestStreamIdentity:
         for alpha in (0.7, 4.0):
             learner = StableLearner(cls, zeta, alpha)
             for seed in range(12):
-                got = learner(0, dist, child_rng(seed, 0x6))
+                got = learner(0, dist, Draws(child_rng(seed, 0x6)))
                 assert got == reference_G(cls, 0, dist, zeta, alpha, child_rng(seed, 0x6))
 
     def test_experiment_matches_the_replay_run_by_run(self):
@@ -220,8 +221,8 @@ class TestStreamIdentity:
         # at zeta = 1/4 a level-1 sample never succeeds, so k = 1 runs fail
         dist = Distribution.uniform(1)
         learner = StableLearner(two_constants_01, 1 / 4, 1 / 2)
-        rng, replay_rng = child_rng(0, 0x6), child_rng(0, 0x6)
-        outs = [learner(0, dist, rng) for _ in range(6)]
+        draws, replay_rng = Draws(child_rng(0, 0x6)), child_rng(0, 0x6)
+        outs = [learner(0, dist, draws) for _ in range(6)]
         assert any(isinstance(o, Fail) for o in outs)
         replay = [reference_G(two_constants_01, 0, dist, 1 / 4, 1 / 2, replay_rng) for _ in range(6)]
         assert outs == replay
@@ -246,7 +247,7 @@ class TestSampleExt:
         levels = []
         for seed in range(8):
             for k in (2, 1, 0):
-                s = sample_ext(state, 0, dist, k, m, 20_000, rng=child_rng(seed, 0xE27))
+                s = sample_ext(state, 0, dist, k, m, 20_000, draws=Draws(child_rng(seed, 0xE27)))
                 if isinstance(s, Fail):
                     continue
                 fresh = RsoaState(cls, zeta)
@@ -255,28 +256,20 @@ class TestSampleExt:
         assert {0, 1, 2} <= set(levels)
 
     def test_level_zero_is_empty(self, two_constants_01):
-        # a sample that draws nothing returns the full mask before any cursor:
-        # it reads no generator, a Generator keeps its state, and a cursor
-        # that has read ahead keeps its generator's state and its place
+        # a sample that draws nothing returns the full mask without reading its
+        # cursor: one that has read ahead, with a half buffered, keeps its place
         state, dist = RsoaState(two_constants_01, 1 / 4), Distribution.uniform(1)
         empty = ExtSample(segments=(), k=0, draws_used=0, mask=state.cache.full_mask())
-        assert sample_ext(state, 0, dist, 0, 3, 100, rng=None) == empty
-        rng = child_rng(5, 0xE27)
-        rng.random(3)
-        before = rng.bit_generator.state
-        assert sample_ext(state, 0, dist, 0, 3, 100, rng) == empty
-        assert rng.bit_generator.state == before
-        draws, twin = Draws(child_rng(5, 0xE27)), Draws(child_rng(5, 0xE27))
-        assert draws.below(7) == twin.below(7)
-        before = draws.rng.bit_generator.state
+        assert sample_ext(state, 0, dist, 0, 3, 100, draws=None) == empty
+        draws, ref = Draws(child_rng(5, 0xE27)), child_rng(5, 0xE27)
+        assert draws.below(7) == ref.integers(7)
         assert sample_ext(state, 0, dist, 0, 3, 100, draws) == empty
-        assert draws.rng.bit_generator.state == before
-        assert [draws.below(1000) for _ in range(3)] == [twin.below(1000) for _ in range(3)]
+        assert in_step(draws, ref)
 
     def test_level_one_structure(self):
         cls, dist, zeta, m = ext_cost_class()
         state = RsoaState(cls, zeta)
-        s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, rng=child_rng(2, 0xE27))
+        s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, draws=Draws(child_rng(2, 0xE27)))
         assert not isinstance(s, Fail)
         assert s.k == 1
         assert len(s.segments) == 1
@@ -287,7 +280,7 @@ class TestSampleExt:
     def test_level_two_structure(self):
         cls, dist, zeta, m = ext_cost_class()
         state = RsoaState(cls, zeta)
-        s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, rng=child_rng(3, 0xE27))
+        s = sample_ext(state, 0, dist, 2, m, cutoff=50_000, draws=Draws(child_rng(3, 0xE27)))
         assert s.k == 2
         assert len(s.segments) == 2
         assert len(_examples(s.segments)) == 2 * (m + 1)
@@ -296,7 +289,7 @@ class TestSampleExt:
         # at zeta=1/4 the disagreement threshold 11*zeta exceeds 1, so the
         # retry loop can never succeed and must hit the cutoff
         state = RsoaState(two_constants_01, 1 / 4)
-        out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, rng=child_rng(4, 0xE27))
+        out = sample_ext(state, 0, Distribution.uniform(1), 1, 3, 60, Draws(child_rng(4, 0xE27)))
         assert isinstance(out, Fail)
         assert out.draws_used > 60
 
@@ -304,9 +297,9 @@ class TestSampleExt:
         # seed 0's first level-1 attempt succeeds, after two blocks of m draws
         cls, dist, zeta, m = ext_cost_class()
         state = RsoaState(cls, zeta)
-        s = sample_ext(state, 0, dist, 1, m, 2 * m, rng=child_rng(0, 0xE27))
+        s = sample_ext(state, 0, dist, 1, m, 2 * m, draws=Draws(child_rng(0, 0xE27)))
         assert isinstance(s, ExtSample) and s.draws_used == 2 * m
-        out = sample_ext(state, 0, dist, 1, m, 2 * m - 1, rng=child_rng(0, 0xE27))
+        out = sample_ext(state, 0, dist, 1, m, 2 * m - 1, draws=Draws(child_rng(0, 0xE27)))
         assert out == Fail(draws_used=2 * m)
 
     def test_a_long_run_holds_one_chunk_and_one_block(self, monkeypatch):
@@ -324,21 +317,21 @@ class TestSampleExt:
         monkeypatch.setattr(Draws, "block", watched)
         cutoff = 120_000
         for m in (3, 5 * CHUNK + 1):
-            rng, ref = child_rng(m, 0xE27), child_rng(m, 0xE27)
+            windows.clear()
+            draws, ref = Draws(child_rng(m, 0xE27)), child_rng(m, 0xE27)
             state = RsoaState(make_class([[0.3, 0.6]]), 1 / 16)
-            out = sample_ext(state, 0, Distribution.uniform(2), 1, m, cutoff, rng)
+            out = sample_ext(state, 0, Distribution.uniform(2), 1, m, cutoff, draws)
             assert out == Fail(draws_used=cutoff + 1)
+            assert len(windows) == cutoff // m and max(windows) <= CHUNK
             ref.random(cutoff // m * m)
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert len(windows) == cutoff // 3 + cutoff // (5 * CHUNK + 1)
-        assert max(windows) <= CHUNK
+            assert in_step(draws, ref)
 
     def test_hopeless_level_fails_before_drawing(self, two_constants_01, no_draws):
         # with 11*zeta >= 1 no attempt can succeed, so no block is drawn and
         # the generator is not read
         state = RsoaState(two_constants_01, 1 / 4)
         for k in (1, 2):
-            out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, rng=None)
+            out = sample_ext(state, 0, Distribution.uniform(1), k, 3, 60, draws=None)
             assert out == Fail(draws_used=61)
 
     def test_empty_block_is_refused_before_drawing(self, no_draws):
@@ -348,8 +341,8 @@ class TestSampleExt:
         state = RsoaState(cls, zeta)
         for k, m in ((1, 0), (2, 0), (0, -1), (1, -1)):
             with pytest.raises(OutOfRange):
-                sample_ext(state, 0, dist, k, m, 1000, rng=child_rng(1, 0xE27))
-        assert sample_ext(state, 0, dist, 0, 0, 1000, rng=child_rng(1, 0xE27)).segments == ()
+                sample_ext(state, 0, dist, k, m, 1000, draws=Draws(child_rng(1, 0xE27)))
+        assert sample_ext(state, 0, dist, 0, 0, 1000, Draws(child_rng(1, 0xE27))).segments == ()
 
     def test_distribution_over_another_domain_is_refused_before_drawing(self, no_draws):
         cls, _, zeta, m = ext_cost_class()  # 3 points
@@ -357,7 +350,7 @@ class TestSampleExt:
         for n in (2, 5):
             for k in (0, 1):
                 with pytest.raises(DomainMismatch):
-                    sample_ext(state, 0, Distribution.uniform(n), k, m, 1000, rng=child_rng(1, 0xE27))
+                    sample_ext(state, 0, Distribution.uniform(n), k, m, 1000, Draws(child_rng(1, 0xE27)))
             with pytest.raises(DomainMismatch):
                 stability_experiment(cls, 0, Distribution.uniform(n), zeta, 4.0, runs=100, seed=1)
 
@@ -366,7 +359,7 @@ class TestSampleExt:
         state = RsoaState(cls, zeta)
         mids = set(round(v, 12) for v in np.arange(1, 2 * round(1 / zeta), 2) / (2 * round(1 / zeta)))
         for seed in range(10):
-            s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
+            s = sample_ext(state, 0, dist, 1, m, cutoff=10_000, draws=Draws(child_rng(seed, 0xE27)))
             _, (x_star, alpha) = s.segments[-1]
             assert round(alpha, 12) in mids
 
@@ -377,7 +370,7 @@ class TestSampleExt:
             bound = 4 ** (level + 1) * m
             draws = []
             for seed in range(250):
-                s = sample_ext(state, 0, dist, level, m, 100 * bound, rng=child_rng(seed, 0xE27))
+                s = sample_ext(state, 0, dist, level, m, 100 * bound, Draws(child_rng(seed, 0xE27)))
                 draws.append(s.draws_used)
             d = np.array(draws, dtype=float)
             se = d.std(ddof=1) / math.sqrt(len(d))
@@ -391,7 +384,7 @@ class TestSampleExt:
         target = cls.by_id(0)
         checked = 0
         for seed in range(200):
-            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
+            s = sample_ext(sampler, 0, dist, 1, m, 10_000, Draws(child_rng(seed, 0xE27)))
             examples = _examples(s.segments)
             x_star, alpha = examples[-1]
             if abs(alpha - target.values[x_star]) > zeta / 2:
@@ -426,43 +419,35 @@ class TestStableLearner:
         # no examples and is deterministic
         learner = StableLearner(two_constants_19, 1 / 4, 1 / 2)
         assert (learner.d, learner.m, learner.cutoff) == (0, 0, 0)
-        rng = child_rng(0, 0x6)
-        outs = {learner(0, Distribution.uniform(1), rng).values for _ in range(5)}
+        draws = Draws(child_rng(0, 0x6))
+        outs = {learner(0, Distribution.uniform(1), draws).values for _ in range(5)}
         assert len(outs) == 1
 
     def test_final_block_updates_once_per_point_and_target(self, monkeypatch):
         # an update only intersects, so the sampler's blocks and G's final
-        # blocks fold each target's fixed keep rows into the mask: the rows
-        # are built once per (target, x) on the shared learner state, every
-        # other update is an injected example, and every run's output stays
-        # the replay's
+        # blocks fold each target's keep rows, and its injections their balls:
+        # the shared learner state builds each zeta-ball once per (x, y), for
+        # the targets' values and for injected bin midpoints, and every run's
+        # output stays the replay's
         cls, dist, zeta, _ = ext_cost_class()
         learner = StableLearner(cls, zeta, 4.0)
-        built, outside, building = [], [], []
-        update, keep_rows = RsoaState.update, RsoaState.keep_rows
+        cols, near, built = learner.state.cache.cols, online._near, []
 
-        def counting_update(state, mask, xi, y):
-            (built if building else outside).append((mask, xi, y))
-            return update(state, mask, xi, y)
+        def counting_near(col, y, radius):
+            assert radius == zeta
+            built.append((next(x for x, c in enumerate(cols) if c is col), y))
+            return near(col, y, radius)
 
-        def counting_keep_rows(state, target_id):
-            building.append(target_id)
-            try:
-                return keep_rows(state, target_id)
-            finally:
-                building.pop()
-
-        monkeypatch.setattr(RsoaState, "update", counting_update)
-        monkeypatch.setattr(RsoaState, "keep_rows", counting_keep_rows)
-        outs = [learner(target, dist, child_rng(seed, 0x6)) for target in (0, 1) for seed in range(20)]
+        monkeypatch.setattr(online, "_near", counting_near)
+        outs = [learner(target, dist, Draws(child_rng(seed, 0x6)))
+                for target in (0, 1) for seed in range(20)]
         assert sum(not isinstance(o, Fail) for o in outs[:20]) > 0
         assert sum(not isinstance(o, Fail) for o in outs[20:]) > 0
-        assert len(built) == 2 * cls.domain_size
-        bins = set(bin_midpoints(zeta))
-        # and each injected example's ball is built once, from the full mask
-        assert outside and all(y in bins for _, _, y in outside)
-        assert len(set(outside)) == len(outside)
-        assert {mask for mask, _, _ in outside} == {learner.state.cache.full_mask()}
+        assert len(set(built)) == len(built)
+        keep = {(x, cls.by_id(t).values[x]) for t in (0, 1) for x in range(cls.domain_size)}
+        injected = set(built) - keep
+        assert keep <= set(built)
+        assert injected and all(y in set(bin_midpoints(zeta)) for _, y in injected)
         monkeypatch.undo()
         assert outs == [reference_G(cls, target, dist, zeta, 4.0, child_rng(seed, 0x6))
                         for target in (0, 1) for seed in range(20)]
@@ -474,7 +459,7 @@ class TestStableLearner:
         sampler = RsoaState(cls, zeta)
         checked = 0
         for seed in range(160):
-            s = sample_ext(sampler, 0, dist, 1, m, cutoff=10_000, rng=child_rng(seed, 0xE27))
+            s = sample_ext(sampler, 0, dist, 1, m, 10_000, Draws(child_rng(seed, 0xE27)))
             block = _reference_block(cls.by_id(0), dist, m, np.random.default_rng(seed))
             examples = _examples(s.segments) + list(block)
             state = RsoaState(cls, zeta)
@@ -526,9 +511,9 @@ class TestStabilityExperiment:
         d, m = learner.d, learner.m
         runs = 150
         outputs = []
-        rng = child_rng(900, 0x6)
+        draws = Draws(child_rng(900, 0x6))
         for _ in range(runs):
-            out = learner(0, dist, rng)
+            out = learner(0, dist, draws)
             if not isinstance(out, Fail):
                 outputs.append(out)
         floor = zeta**d
@@ -552,7 +537,7 @@ class TestStabilityExperiment:
         fails = 0
         runs = 200
         for s in range(runs):
-            out = sample_ext(state, 0, dist, min(2, d), m, cutoff, rng=child_rng(5000 + s, 0xE27))
+            out = sample_ext(state, 0, dist, min(2, d), m, cutoff, Draws(child_rng(5000 + s, 0xE27)))
             fails += isinstance(out, Fail)
         ceiling = zeta**d / 2
         assert fails / runs <= ceiling + 3 * math.sqrt(ceiling / runs) + 1e-9
